@@ -8,8 +8,8 @@ their exponents normalize to +1; in the flat flavor real letters do too.
 ``represent`` sends a word on n strands to an nk x nk matrix, one k-block
 per strand: s_i acts by the switch S on blocks (i, i+1), t_i by the block
 twist, and the word maps to the product of its letter matrices in written
-order.  The block-size and order conventions are pinned by the worked
-fixtures in the invariants tests.
+order.  ``tests/test_braids.py`` pins these conventions against the dense
+letter-matrix product.
 """
 
 from __future__ import annotations
@@ -164,52 +164,38 @@ def braid_from_text(text: str, flavor: str = FLAT, strands=None) -> BraidWord:
 
 # representation -------------------------------------------------------------
 
-def _embed_blocks(ring, n: int, k: int, i: int, two_by_two: Matrix) -> Matrix:
-    """Place a 2k x 2k block operator on strands (i, i+1) of n strands."""
-    size = n * k
-    grid = [[ring.one if r == c else ring.zero for c in range(size)]
-            for r in range(size)]
-    base = (i - 1) * k
-    for r in range(2 * k):
-        for c in range(2 * k):
-            grid[base + r][base + c] = two_by_two.rows[r][c]
-    return Matrix(grid, ring)
-
-
-def _twist_matrix(ring, n: int, k: int, i: int) -> Matrix:
-    size = n * k
-    grid = [[ring.zero] * size for _ in range(size)]
-    base = (i - 1) * k
-    for s in range(size):
-        grid[s][s] = ring.one
-    for r in range(k):
-        grid[base + r][base + r] = ring.zero
-        grid[base + k + r][base + k + r] = ring.zero
-        grid[base + r][base + k + r] = ring.one
-        grid[base + k + r][base + r] = ring.one
-    return Matrix(grid, ring)
-
-
 def represent(word: BraidWord, switch: LinearSwitch) -> Matrix:
     """The nk x nk image of the word: letter matrices multiplied in written
-    order.  Flat words require an involutive switch."""
+    order.  Flat words require an involutive switch.
+
+    Each letter touches only block columns i and i+1 of the running
+    product: t_i swaps them and s_i^+-1 mixes them through S or S^-1.
+    """
     if word.flavor == FLAT and not switch.is_flat():
         raise SwitchError("flat braid words need an involutive switch (S^2 = I)")
     ring = switch.ring
     n, k = word.n, switch.k
-    cache: dict = {}
-
-    def letter_matrix(let: Letter) -> Matrix:
-        key = (let.kind, let.index, let.exp)
-        if key not in cache:
-            if let.kind == "t":
-                cache[key] = _twist_matrix(ring, n, k, let.index)
-            else:
-                block = switch.S if let.exp == 1 else switch.inverse()
-                cache[key] = _embed_blocks(ring, n, k, let.index, block)
-        return cache[key]
-
-    result = Matrix.identity(ring, n * k)
+    zero = ring.zero
+    rows = [list(r) for r in Matrix.identity(ring, n * k).rows]
     for let in word.letters:
-        result = result * letter_matrix(let)
-    return result
+        lo = (let.index - 1) * k
+        mid, hi = lo + k, lo + 2 * k
+        if let.kind == "t":
+            for row in rows:
+                row[lo:hi] = row[mid:hi] + row[lo:mid]
+            continue
+        block = (switch.S if let.exp == 1 else switch.inverse()).rows
+        for row in rows:
+            terms = [(block[r], e) for r, e in enumerate(row[lo:hi])
+                     if not e.is_zero()]
+            if not terms:
+                continue
+            out = []
+            for c in range(2 * k):
+                acc = zero
+                for brow, e in terms:
+                    if not brow[c].is_zero():
+                        acc = acc + e * brow[c]
+                out.append(acc)
+            row[lo:hi] = out
+    return Matrix(rows, ring)

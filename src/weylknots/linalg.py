@@ -28,6 +28,7 @@ from .rings import (
     UniPolynomial,
     laurent_canonicalize,
     poly_gcd,
+    power,
 )
 
 
@@ -98,10 +99,6 @@ class Matrix:
     def submatrix(self, row_idx, col_idx):
         return Matrix([[self.rows[i][j] for j in col_idx] for i in row_idx], self.ring)
 
-    def block_at(self, i: int, j: int, k: int):
-        """The k x k block with top-left corner (i*k, j*k)."""
-        return self.submatrix(range(i * k, (i + 1) * k), range(j * k, (j + 1) * k))
-
     def transpose(self):
         return Matrix(list(zip(*self.rows)), self.ring)
 
@@ -159,14 +156,7 @@ class Matrix:
             raise ValueError("power of a non-square matrix")
         if n < 0:
             return mat_inverse(self) ** (-n)
-        result = Matrix.identity(self.ring, self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, Matrix.identity(self.ring, self.nrows))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix) or other.ring != self.ring:
@@ -194,22 +184,6 @@ class Matrix:
     def __repr__(self):
         body = ", ".join("[" + ", ".join(repr(e) for e in r) + "]" for r in self.rows)
         return f"[{body}]"
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a * b
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return a + b
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return a - b
-
-
-def scalar_mul(c, m: Matrix) -> Matrix:
-    return m.scale(c)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,18 @@ def _check_same_ring(a, b):
         raise RingMismatchError(f"mixed rings: {a.ring} vs {b.ring}")
 
 
+def power(base, n: int, one):
+    """base^n for n >= 0 by square-and-multiply; one is the ring's unit."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 # ---------------------------------------------------------------------------
 # scalar fields
 # ---------------------------------------------------------------------------
@@ -563,14 +575,7 @@ class UniPolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one)
 
     def monic(self):
         if self.is_zero():
@@ -596,8 +601,10 @@ class UniPolynomial:
 
     def shift(self, k: int):
         """Multiply by var^k (k >= 0)."""
+        if k < 0:
+            raise ValueError(f"shift by a negative power: {k}")
         if self.is_zero() or k == 0:
-            return self if k >= 0 else self
+            return self
         return UniPolynomial(self.ring, (self.ring.field.czero,) * k + self.coeffs)
 
     def __eq__(self, other):
@@ -878,14 +885,7 @@ class LaurentPolynomial:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -1115,14 +1115,7 @@ class BivariatePolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one)
 
     def substitute(self, index: int, value: int) -> BivariatePolynomial:
         """Specialize one variable to an integer."""
@@ -1401,14 +1394,7 @@ class FractionElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one)
 
     def __eq__(self, other):
         other = self._coerce(other)

@@ -7,14 +7,19 @@ quadratic S^2 = (1-q)S + qI for the switch's declared scalar, and S^2 = I
 when q = 1 (the flat case).
 
 ``weyl_switch`` builds the canonical switch of a validated representation:
-A = V'U', B = U, D = (1-q)I - U'V', and C both as the closed form
-A'B'A(I - A) and as the q-scaled 9-letter word in U, V -- the two must
-agree entrywise, which cross-checks the construction against the algebra.
+A = V'U', B = U, C = A'B'A(I - A) and D = (1-q)I - U'V', and requires
+det(C) to be a unit.  ``LinearSwitch.inverse`` is the Hecke closed form
+S^-1 = q^-1(S - (1-q)I), checked by one product S S^-1 = I.
+
+The checks that only re-verify this construction live in
+``tests/test_switches.py``: C against the q-scaled 9-letter word in U, V,
+and the inverse against the elementary-factorization inverse and against
+``mat_inverse(S)``.
 """
 
 from __future__ import annotations
 
-from .linalg import Matrix, det_exact, mat_inverse
+from .linalg import Matrix, _is_unit_in, det_exact, mat_inverse
 from .reps import MatrixRep, validate_rep
 from .rings import (
     QQ,
@@ -58,8 +63,22 @@ class LinearSwitch:
         return (s * s).is_identity()
 
     def inverse(self) -> Matrix:
+        """S^-1 = q^-1 (S - (1-q)I), which the Hecke quadratic makes exact,
+        checked by S S^-1 = I; ``mat_inverse(S)`` when q is not a unit."""
         if self._S_inv is None:
-            self._S_inv = switch_inverse(self)
+            s, q, ring = self.S, self.q, self.ring
+            if q is None or not _is_unit_in(q, ring):
+                try:
+                    self._S_inv = mat_inverse(s)
+                except NonUnitError as err:
+                    raise SwitchError(f"switch is singular: det = {err.value!r}"
+                                      ) from None
+            else:
+                i2k = Matrix.identity(ring, 2 * self.k)
+                inv = (s - i2k.scale(ring.one - q)).scale(ring.one.exact_div(q))
+                if not (s * inv).is_identity():
+                    raise SwitchError(f"Hecke quadratic fails for q = {q!r}")
+                self._S_inv = inv
         return self._S_inv
 
     def det_b(self):
@@ -71,8 +90,7 @@ class LinearSwitch:
 
 
 def weyl_switch(rep: MatrixRep, label=None) -> LinearSwitch:
-    """The canonical switch of a representation, with C cross-checked
-    against its two formulas and asserted invertible."""
+    """The canonical switch of a representation; det(C) must be a unit."""
     report = validate_rep(rep)
     if not report.ok:
         raise SwitchError(f"representation fails validation: {report.describe()}")
@@ -80,19 +98,12 @@ def weyl_switch(rep: MatrixRep, label=None) -> LinearSwitch:
     Uinv, Vinv = mat_inverse(U), mat_inverse(V)
     identity = Matrix.identity(rep.ring, rep.dim)
     A = Vinv * Uinv
-    Ainv = U * V
-    B = U
-    C_closed = Ainv * Uinv * A * (identity - A)
-    C_word = (U * V * Uinv * Vinv * Uinv * Vinv * Uinv * V * U).scale(q)
-    if C_closed != C_word:
-        raise SwitchError("the two formulas for C disagree; construction bug")
+    C = U * V * Uinv * A * (identity - A)
     D = identity.scale(rep.ring.one - q) - Uinv * Vinv
-    try:
-        mat_inverse(C_closed)
-    except NonUnitError as err:
-        raise SwitchError(f"block C is singular: det = {err.value!r}") from None
-    return LinearSwitch(A, B, C_closed, D, q,
-                        label=label or f"weyl({rep.label})")
+    det_c = det_exact(C)
+    if not _is_unit_in(det_c, rep.ring):
+        raise SwitchError(f"block C is singular: det = {det_c!r}")
+    return LinearSwitch(A, U, C, D, q, label=label or f"weyl({rep.label})")
 
 
 def burau_switch(t=None, ring=None) -> LinearSwitch:
@@ -190,55 +201,3 @@ def check_switch(switch: LinearSwitch) -> SwitchReport:
             if not involution:
                 failures.append("S^2 = I fails although q = 1")
     return SwitchReport(yb, hecke, involution, failures)
-
-
-def _factorization_inverse(switch: LinearSwitch) -> Matrix:
-    """Inverse through the elementary factorization available when
-    D = CA'B + I - A'; needs A, C and I - A' invertible."""
-    ring = switch.ring
-    k = switch.k
-    ik = Matrix.identity(ring, k)
-    zk = Matrix.zeros(ring, k)
-    Ainv = mat_inverse(switch.A)
-    if switch.D != switch.C * Ainv * switch.B + ik - Ainv:
-        raise SwitchError("factorization path needs the canonical D block")
-    m1 = Matrix.block([[ik, -(Ainv * switch.B)], [zk, ik]])
-    m2 = Matrix.block([[ik, zk], [zk, mat_inverse(ik - Ainv)]])
-    m3 = Matrix.block([[ik, zk], [-switch.C, ik]])
-    m4 = Matrix.block([[Ainv, zk], [zk, ik]])
-    return m1 * m2 * m3 * m4
-
-
-def switch_inverse(switch: LinearSwitch) -> Matrix:
-    """S^-1 via the Hecke quadratic (q^-1 (S - (1-q)I)) and/or the
-    elementary factorization; when both apply they must agree."""
-    from .linalg import _is_unit_in
-
-    ring = switch.ring
-    s = switch.S
-    candidates = []
-    q = switch.q
-    if q is not None and _is_unit_in(q, ring):
-        report = check_switch(switch)
-        if report.hecke:
-            one = ring.one
-            if hasattr(q, "inv"):
-                qinv = q.inv()
-            else:
-                qinv = one / q
-            i2k = Matrix.identity(ring, 2 * switch.k)
-            candidates.append((s - i2k.scale(one - q)).scale(qinv))
-    try:
-        candidates.append(_factorization_inverse(switch))
-    except (SwitchError, NonUnitError):
-        pass
-    if not candidates:
-        raise SwitchError("no inverse path: q is not a unit and the "
-                          "factorization preconditions fail")
-    first = candidates[0]
-    for other in candidates[1:]:
-        if other != first:
-            raise SwitchError("Hecke and factorization inverses disagree")
-    if not (s * first).is_identity() or not (first * s).is_identity():
-        raise SwitchError("switch inverse failed verification")
-    return first

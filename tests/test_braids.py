@@ -1,0 +1,188 @@
+import random
+
+import pytest
+
+from weylknots.braids import (
+    CLASSICAL,
+    FLAT,
+    VIRTUAL,
+    Letter,
+    braid_from_text,
+    builtin_word,
+    parse_braid,
+    represent,
+    word_kishino,
+    word_l,
+    word_whorl,
+)
+from weylknots.linalg import Matrix
+from weylknots.reps import build_rep, family_q_bidiagonal, family_q_upper
+from weylknots.switches import SwitchError, burau_switch, weyl_switch
+
+
+# the dense letter-matrix product: the reference for ``represent`` ----------
+
+def _embed_blocks(ring, n: int, k: int, i: int, two_by_two: Matrix) -> Matrix:
+    """Place a 2k x 2k block operator on strands (i, i+1) of n strands."""
+    size = n * k
+    grid = [[ring.one if r == c else ring.zero for c in range(size)]
+            for r in range(size)]
+    base = (i - 1) * k
+    for r in range(2 * k):
+        for c in range(2 * k):
+            grid[base + r][base + c] = two_by_two.rows[r][c]
+    return Matrix(grid, ring)
+
+
+def _twist_matrix(ring, n: int, k: int, i: int) -> Matrix:
+    size = n * k
+    grid = [[ring.zero] * size for _ in range(size)]
+    base = (i - 1) * k
+    for s in range(size):
+        grid[s][s] = ring.one
+    for r in range(k):
+        grid[base + r][base + r] = ring.zero
+        grid[base + k + r][base + k + r] = ring.zero
+        grid[base + r][base + k + r] = ring.one
+        grid[base + k + r][base + r] = ring.one
+    return Matrix(grid, ring)
+
+
+def dense_represent(word, switch) -> Matrix:
+    ring, n, k = switch.ring, word.n, switch.k
+    result = Matrix.identity(ring, n * k)
+    for let in word.letters:
+        if let.kind == "t":
+            result = result * _twist_matrix(ring, n, k, let.index)
+        else:
+            block = switch.S if let.exp == 1 else switch.inverse()
+            result = result * _embed_blocks(ring, n, k, let.index, block)
+    return result
+
+
+def random_word(rng, strands, length, flavor):
+    letters = []
+    for _ in range(length):
+        kind = rng.choice("sst")
+        letters.append(f"{kind}{rng.randint(1, strands - 1)}"
+                       + ("^-1" if kind == "s" and rng.random() < 0.4 else ""))
+    return parse_braid(" ".join(letters), flavor, strands)
+
+
+ZP_SWITCHES = {
+    "q_bidiagonal": lambda: weyl_switch(family_q_bidiagonal(3, q=5, a=2, b=[3, 7],
+                                                            p=101)),
+    "q_upper": lambda: weyl_switch(family_q_upper(2, q=3, a=2, b=1, d=1, e=1,
+                                                  p=7)),
+}
+
+
+class TestParsing:
+    @pytest.mark.parametrize("text", ["x1", "s", "s1^", "s1^a", "s-1"])
+    def test_bad_letter(self, text):
+        with pytest.raises(ValueError, match="bad braid letter"):
+            parse_braid(text)
+
+    def test_index_zero(self):
+        with pytest.raises(ValueError, match="positive"):
+            parse_braid("s1 t0")
+
+    def test_too_few_strands(self):
+        with pytest.raises(ValueError, match="at least 4 strands"):
+            parse_braid("s1 s3", strands=3)
+
+    def test_exponents_expand(self):
+        word = parse_braid("s1^3, t2 s2^-2 s1^0")
+        assert word.n == 3
+        assert [str(l) for l in word.letters] == [
+            "s1", "s1", "s1", "t2", "s2^-1", "s2^-1"]
+
+    def test_virtual_letters_normalize(self):
+        assert parse_braid("t1^-1").letters == (Letter("t", 1, 1),)
+
+    def test_flat_letters_normalize(self):
+        word = parse_braid("s1^-1 t2^-2", FLAT)
+        assert word.letters == (Letter("s", 1, 1), Letter("t", 2, 1),
+                                Letter("t", 2, 1))
+
+    def test_classical_rejects_virtual(self):
+        with pytest.raises(ValueError, match="not classical"):
+            parse_braid("s1 t1", CLASSICAL)
+
+    def test_unknown_flavor(self):
+        with pytest.raises(ValueError, match="unknown flavor"):
+            parse_braid("s1", "welded")
+
+
+class TestBuiltinWords:
+    def test_kishino(self):
+        word = builtin_word("kishino")
+        assert word == word_kishino()
+        assert (word.n, word.flavor) == (3, FLAT)
+        assert str(word) == "t2 s1 s2 s1 t2 s1 s2 s1"
+
+    def test_l(self):
+        assert str(builtin_word("l(2)")) == "t1 s1 t1 s1"
+        assert word_l(3).n == 2
+
+    def test_whorl(self):
+        word = builtin_word("whorl(3)")
+        assert word == word_whorl(3)
+        assert str(word) == "t1 t2 t3 t2 s1 s2 s3"
+        assert word.n == 4
+
+    def test_text_falls_back_to_parsing(self):
+        assert braid_from_text("s1 t1") == parse_braid("s1 t1", FLAT)
+        assert builtin_word("s1 t1") is None
+
+    @pytest.mark.parametrize("text,match", [
+        ("kishino(2)", "no argument"), ("l", "needs an argument"),
+        ("whorl", "needs an argument"), ("l(0)", "n >= 1"),
+        ("whorl(1)", "n >= 2")])
+    def test_argument_errors(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            builtin_word(text)
+
+
+class TestRepresent:
+    @pytest.mark.parametrize("name", sorted(ZP_SWITCHES))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_virtual_words_match_dense_product(self, name, seed):
+        switch = ZP_SWITCHES[name]()
+        rng = random.Random(seed)
+        word = random_word(rng, rng.randint(2, 4), rng.randint(1, 12), VIRTUAL)
+        assert represent(word, switch) == dense_represent(word, switch)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_flat_words_match_dense_product(self, seed):
+        switch = weyl_switch(build_rep("flat2"))
+        rng = random.Random(seed)
+        word = random_word(rng, rng.randint(2, 5), rng.randint(1, 16), FLAT)
+        assert represent(word, switch) == dense_represent(word, switch)
+
+    @pytest.mark.parametrize("text", ["kishino", "l(3)", "whorl(4)"])
+    def test_builtin_words_match_dense_product(self, text):
+        rep = "kishino3" if text == "kishino" else "flat2"
+        switch = weyl_switch(build_rep(rep))
+        word = builtin_word(text)
+        assert represent(word, switch) == dense_represent(word, switch)
+
+    def test_classical_burau(self):
+        switch = burau_switch()
+        word = parse_braid("s1 s2^-1 s1 s3 s2^-1", CLASSICAL)
+        assert represent(word, switch) == dense_represent(word, switch)
+
+    def test_empty_word_is_identity(self):
+        switch = ZP_SWITCHES["q_upper"]()
+        assert represent(parse_braid("", strands=3), switch).is_identity()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_word_times_inverse_is_identity(self, seed):
+        switch = ZP_SWITCHES["q_bidiagonal"]()
+        rng = random.Random(seed)
+        word = random_word(rng, 4, 10, VIRTUAL)
+        assert represent(word * word.inverse(), switch).is_identity()
+
+    def test_flat_word_needs_involutive_switch(self):
+        with pytest.raises(SwitchError, match="involutive"):
+            represent(word_l(2), burau_switch())

@@ -1,5 +1,3 @@
-import logging
-
 import pytest
 
 from weylknots.linalg import Matrix, det_exact
@@ -118,11 +116,16 @@ class TestTruncated:
         with pytest.raises(RepError, match="i_0 and i_1"):
             family_truncated(2, 2, [1, 0], [1])
 
-    def test_odd_characteristic_uses_transpose(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="weylknots.reps"):
-            rep = family_truncated(3, 3, [1, 1, 1], [0, 1, 0])
+    def test_odd_characteristic_uses_transpose(self):
+        # row layout u[r][c] = j_(c-r) + r k_(c-r+1), v[r][c] = i_(c-r)
+        # with k = (1, 1, 1); it gives UV - VU = -I over Z_3
+        ring = LaurentRing(PolynomialRing(F3, "x"))
+        u_rows = lmat(ring, [[0, 1, 0], [1, 1, 2], [0, 2, 2]])
+        v_rows = lmat(ring, [[1, 1, 1], [0, 1, 1], [0, 0, 1]])
+        assert not validate_rep(MatrixRep(u_rows, v_rows, ring.one)).relation_ok
+        rep = family_truncated(3, 3, [1, 1, 1], [0, 1, 0])
+        assert rep.U == u_rows.transpose() and rep.V == v_rows.transpose()
         assert validate_rep(rep).ok
-        assert any("transposed" in r.message for r in caplog.records)
 
 
 class TestQBidiagonal:
@@ -150,10 +153,20 @@ class TestQBidiagonal:
         with pytest.raises(RepError, match="unsolvable"):
             family_q_bidiagonal(2, q=4, a=1, b=[1], p=5)
 
-    def test_printed_formula_discrepancy_is_logged(self, caplog):
-        with caplog.at_level(logging.INFO, logger="weylknots.reps"):
-            family_q_bidiagonal(3, q="q", a=1, b=[1, 1])
-        assert any("solver wins" in r.message for r in caplog.records)
+    def test_printed_beta_formula_differs_from_solved(self):
+        # the paper's closed form for beta_i is misprinted:
+        # sum_{e=n-2i}^{n-i-1} q^e - sum_{e=1-i}^{-1} q^e
+        for n in range(2, 6):
+            rep = family_q_bidiagonal(n, q="q", a=1, b=[1] * (n - 1))
+            q, one = rep.q, rep.ring.one
+            for i in range(1, n):
+                printed = rep.ring.zero
+                for e in range(n - 2 * i, n - i):
+                    printed = printed + (q ** e if e >= 0 else one / q ** (-e))
+                for e in range(1 - i, 0):
+                    printed = printed - one / q ** (-e)
+                solved = rep.V.rows[i - 1][i]  # beta_i / b_i with b_i = 1
+                assert printed != solved
 
 
 class TestQUpper:

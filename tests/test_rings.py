@@ -83,6 +83,25 @@ class TestPolynomials:
         assert f * g == slow
 
 
+    def test_shift(self):
+        f = R3y("y + 2")
+        assert f.shift(0) == f
+        assert f.shift(2) == R3y("y^3 + 2y^2")
+        assert R3y.zero.shift(3).is_zero()
+        with pytest.raises(ValueError, match="negative"):
+            f.shift(-1)
+
+    def test_powers_match_repeated_products(self):
+        qh = ZQH.monomial(1, 0) + ZQH.monomial(0, 1)
+        for base in (R3y("y + 2"), L3y("y + 1/y"), qh, FQH(qh, qh - ZQH.one)):
+            acc = base.ring.one
+            for n in range(10):
+                assert base ** n == acc
+                acc = acc * base
+        u = L3y("y^2")
+        assert u ** -3 == u.inv() ** 3 == L3y("1/y^6")
+
+
 class TestPolyGcd:
     def test_char2_square(self):
         assert poly_gcd(R2x("x^2+1"), R2x("x+1")) == R2x("x+1")
