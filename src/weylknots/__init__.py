@@ -12,10 +12,8 @@ from .rings import (
     PrimeField,
     RingError,
     RingMismatchError,
-    frac_equal,
     laurent_canonicalize,
     poly_gcd,
-    ring_arith,
 )
 
 __all__ = [
@@ -28,8 +26,6 @@ __all__ = [
     "PrimeField",
     "RingError",
     "RingMismatchError",
-    "frac_equal",
     "laurent_canonicalize",
     "poly_gcd",
-    "ring_arith",
 ]

@@ -7,11 +7,15 @@ ring with the extracted monomial unit tracked, which keeps intermediate
 entries polynomial.  Rings without exact division (bivariate) fall back to
 a division-free minor-expansion determinant, which also serves as the
 independent oracle for the Bareiss path in the test suite.
+
+Elementary ideals and ranks of Laurent and polynomial matrices come from
+one Euclidean elimination over F[x] (``invariant_factors``): F[x, x^-1] is
+a principal ideal domain, so the gcd of the s x s minors is the product of
+the first s invariant factors, and their number is the rank.  Matrices
+over a field keep Gaussian elimination.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .rings import (
     FieldScalar,
@@ -292,10 +296,11 @@ def _is_unit_in(value, ring):
     if isinstance(ring, PolynomialRing):
         return not value.is_zero() and value.is_constant()
     # two-variable ring: the indeterminates stand for invertible parameters,
-    # so monomials with invertible coefficients count as units
-    if hasattr(value, "terms"):
-        return len(value.terms) == 1
-    return value.is_one()
+    # so a monomial is a unit when its coefficient is: +-1 over Z, nonzero mod p
+    if len(value.terms) != 1:
+        return False
+    (coeff,) = value.terms.values()
+    return ring.p is not None or abs(coeff) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +391,14 @@ def mat_inverse(m: Matrix) -> Matrix:
 
 
 def rank_over_fractions(m: Matrix) -> int:
-    """Rank by exact Gaussian elimination over the entry fraction field."""
+    """Rank over the fraction field of the entry ring.
+
+    Laurent and polynomial matrices count their invariant factors (one
+    Euclidean elimination, see ``invariant_factors``); field matrices run
+    Gaussian elimination.
+    """
+    if isinstance(m.ring, (LaurentRing, PolynomialRing)):
+        return len(invariant_factors(m))
     fm, _ = _as_fraction_matrix(m)
     rows = [list(r) for r in fm.rows]
     rank = 0
@@ -413,20 +425,95 @@ def rank_over_fractions(m: Matrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# minors and characteristic polynomials
+# invariant factors, elementary ideals and characteristic polynomials
 # ---------------------------------------------------------------------------
 
-def _canonical_of_det(d) -> UniPolynomial:
-    if isinstance(d, LaurentPolynomial):
-        return laurent_canonicalize(d)[0]
-    raise RingError(f"minors_gcd needs Laurent entries, got {d!r}")
+def _least_degree(cells):
+    """(i, j) of a least-degree nonzero entry among (i, j, entry) triples,
+    the first in the given order on ties; None when all are zero."""
+    best = min(((len(e.coeffs), i, j) for i, j, e in cells if e.coeffs), default=None)
+    return None if best is None else best[1:]
+
+
+def _smith_diagonal(rows) -> list:
+    """Nonzero diagonal of the Smith form of a matrix over F[x]: monic
+    d_1 | d_2 | ..., as many as the rank.
+
+    Euclidean elimination: move a least-degree entry of the trailing block
+    to the pivot, reduce its column by row operations and then its row by
+    column operations (``divmod``), and move the least-degree remainder in
+    whenever one is left; the pivot degree drops each time, so this ends
+    with the pivot alone in its row and column.  A pairwise gcd/lcm sweep
+    then orders the diagonal by divisibility.
+    """
+    a = [list(r) for r in rows]
+    nrows, ncols = len(a), len(a[0])
+    diag = []
+    for t in range(min(nrows, ncols)):
+        at = _least_degree((i, j, a[i][j])
+                           for i in range(t, nrows) for j in range(t, ncols))
+        if at is None:
+            break
+        while at is not None:
+            i, j = at
+            a[t], a[i] = a[i], a[t]
+            if j != t:
+                for row in a[t:]:
+                    row[t], row[j] = row[j], row[t]
+            pivot_row = a[t]
+            pivot = pivot_row[t]
+            for row in a[t + 1:]:
+                if row[t].coeffs:
+                    quo, row[t] = divmod(row[t], pivot)
+                    if quo.coeffs:
+                        for j in range(t + 1, ncols):
+                            if pivot_row[j].coeffs:
+                                row[j] = row[j] - quo * pivot_row[j]
+            at = _least_degree((i, t, a[i][t]) for i in range(t + 1, nrows))
+            if at is None:
+                # the column is clear, so column operations change row t only
+                for j in range(t + 1, ncols):
+                    pivot_row[j] = pivot_row[j] % pivot
+                at = _least_degree((t, j, pivot_row[j]) for j in range(t + 1, ncols))
+        diag.append(pivot.monic())
+    for i, d in enumerate(diag):
+        for j in range(i + 1, len(diag)):
+            if d.is_one():
+                break
+            g = poly_gcd(d, diag[j])
+            diag[j] = (d * diag[j]).exact_div(g)
+            d = g
+        diag[i] = d
+    return diag
+
+
+def invariant_factors(m: Matrix) -> list:
+    """Invariant factors d_1 | d_2 | ... of a Laurent or polynomial matrix,
+    each monic, as many as the rank; zero factors are left out.
+
+    Laurent rows are first cleared to F[x] by powers of x, which are units,
+    and each factor then has its power of x stripped as well, so a Laurent
+    factor is canonical in the sense of ``laurent_canonicalize``.  Over the
+    principal ideal domain F[x, x^-1] the product d_1 ... d_s generates the
+    ideal of all s x s minors.
+    """
+    ring = m.ring
+    if isinstance(ring, LaurentRing):
+        poly_m, _ = _laurent_clear_rows(m)
+        return [laurent_canonicalize(ring.from_poly(d))[0]
+                for d in _smith_diagonal(poly_m.rows)]
+    if isinstance(ring, PolynomialRing):
+        return _smith_diagonal(m.rows)
+    raise RingError(f"invariant factors need a Laurent or polynomial matrix, "
+                    f"got ring {ring}")
 
 
 def minors_gcd(m: Matrix, r: int) -> UniPolynomial:
-    """Monic gcd of all (N-r) x (N-r) minors, each canonicalized first.
+    """Elementary ideal E_r of a square Laurent matrix: the monic gcd of all
+    (N-r) x (N-r) minors, each canonicalized first.
 
-    Subsets are enumerated row-major lexicographically; the running gcd
-    exits early once it reaches 1.
+    It is the product of the first N-r invariant factors, and zero when
+    N-r exceeds the rank.
     """
     if not m.is_square():
         raise ValueError("minors of a non-square matrix")
@@ -435,18 +522,13 @@ def minors_gcd(m: Matrix, r: int) -> UniPolynomial:
     n = m.nrows
     if not 0 <= r < n:
         raise ValueError(f"codimension {r} out of range for size {n}")
-    size = n - r
+    factors = invariant_factors(m)
     pring = m.ring.poly_ring
-    acc = pring.zero
-    one = pring.one
-    for rows_sel in itertools.combinations(range(n), size):
-        for cols_sel in itertools.combinations(range(n), size):
-            d = det_exact(m.submatrix(rows_sel, cols_sel))
-            if d.is_zero():
-                continue
-            acc = poly_gcd(acc, _canonical_of_det(d))
-            if acc == one:
-                return acc
+    if n - r > len(factors):
+        return pring.zero
+    acc = pring.one
+    for d in factors[:n - r]:
+        acc = acc * d
     return acc
 
 

@@ -1414,22 +1414,3 @@ class FractionElement:
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
-
-def frac_equal(a: FractionElement, b: FractionElement) -> bool:
-    """Zero-test a*den(b) - b*den(a) without any gcd computation."""
-    _check_same_ring(a, b)
-    return (a.num * b.den - b.num * a.den).is_zero()
-
-
-def ring_arith(a, b, op: str):
-    """Dispatch one exact ring operation; op is add|sub|mul|div."""
-    ops = {"add": lambda: a + b,
-           "sub": lambda: a - b,
-           "mul": lambda: a * b,
-           "div": lambda: a / b}
-    if op not in ops:
-        raise ValueError(f"unknown op {op!r}")
-    result = ops[op]()
-    if result is NotImplemented:
-        raise RingMismatchError(f"cannot {op} {a!r} and {b!r}")
-    return result

@@ -1,24 +1,35 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from weylknots.linalg import (
     Matrix,
+    _is_unit_in,
     char_poly,
     det_division_free,
     det_exact,
+    fraction_field_over,
+    invariant_factors,
     mat_inverse,
     minors_gcd,
     rank_over_fractions,
+    to_fraction,
 )
 from weylknots.rings import (
     QQ,
+    BivariateRing,
     FractionField,
+    LaurentPolynomial,
     LaurentRing,
     NonUnitError,
     PolynomialRing,
     PrimeField,
+    RingError,
     RingMismatchError,
+    laurent_canonicalize,
+    poly_gcd,
 )
 
 F2 = PrimeField(2)
@@ -218,3 +229,172 @@ class TestCharPoly:
         assert r.is_zero()
         q, r = divmod(q, lin)
         assert r.is_zero() and q.is_one()
+
+
+class TestIsUnit:
+    def test_bivariate_monomial_units(self):
+        zqh = BivariateRing(("q", "h"))
+        assert _is_unit_in(zqh.monomial(1, 0), zqh)
+        assert _is_unit_in(zqh.monomial(1, 0, -1), zqh)
+        assert not _is_unit_in(zqh.monomial(1, 0, 2), zqh)
+        assert not _is_unit_in(zqh.monomial(1, 0) + zqh.one, zqh)
+        z5qh = BivariateRing(("q", "h"), p=5)
+        assert _is_unit_in(z5qh.monomial(1, 0, 2), z5qh)
+
+
+# oracles for the invariant factors -----------------------------------------
+
+def _canonical_of_det(d):
+    if isinstance(d, LaurentPolynomial):
+        return laurent_canonicalize(d)[0]
+    raise RingError(f"minors_gcd needs Laurent entries, got {d!r}")
+
+
+def brute_force_minors_gcd(m, r):
+    """The gcd of all (N-r)-minors, by enumerating them."""
+    if not m.is_square():
+        raise ValueError("minors of a non-square matrix")
+    if not isinstance(m.ring, LaurentRing):
+        raise RingError(f"minors_gcd needs a Laurent matrix, got ring {m.ring}")
+    n = m.nrows
+    if not 0 <= r < n:
+        raise ValueError(f"codimension {r} out of range for size {n}")
+    size = n - r
+    pring = m.ring.poly_ring
+    acc = pring.zero
+    one = pring.one
+    for rows_sel in itertools.combinations(range(n), size):
+        for cols_sel in itertools.combinations(range(n), size):
+            d = det_exact(m.submatrix(rows_sel, cols_sel))
+            if d.is_zero():
+                continue
+            acc = poly_gcd(acc, _canonical_of_det(d))
+            if acc == one:
+                return acc
+    return acc
+
+
+def gaussian_rank(m):
+    """Rank by Gaussian elimination over the fraction field."""
+    field = fraction_field_over(m.ring)
+    return rank_over_fractions(m.map_entries(lambda e: to_fraction(e, field), field))
+
+
+LAURENT_RINGS = {"Z2": L2x, "Z3": L3y, "Q": LaurentRing(PolynomialRing(QQ, "t"))}
+
+
+def _random_entry(rng, ring, degree):
+    field = ring.field
+    if isinstance(field, PrimeField):
+        coeffs = [rng.randrange(field.p) for _ in range(degree + 1)]
+    else:
+        coeffs = [rng.randint(-2, 2) for _ in range(degree + 1)]
+    return ring.from_poly(ring.poly_ring(coeffs), rng.randint(-1, 1))
+
+
+def random_matrix(rng, ring, nrows, ncols, degree, zero_share=0.25):
+    return Matrix([[ring.zero if rng.random() < zero_share
+                    else _random_entry(rng, ring, degree)
+                    for _ in range(ncols)] for _ in range(nrows)], ring)
+
+
+def oracle_cases(ring, seed):
+    """Seeded square matrices: full random, rank-deficient products of
+    N x k and k x N matrices, and matrices with a zero row or column."""
+    rng = random.Random(seed)
+    sizes = [(n, 2) for n in range(1, 6)] + [(6, 1)]
+    for n, degree in sizes:
+        for _ in range(2):
+            yield random_matrix(rng, ring, n, n, degree)
+        k = rng.randint(0, n - 1)
+        if k:
+            yield (random_matrix(rng, ring, n, k, 1, 0)
+                   * random_matrix(rng, ring, k, n, 1, 0))
+        m = random_matrix(rng, ring, n, n, degree, 0)
+        rows = [list(r) for r in m.rows]
+        zero = rng.randrange(n)
+        if rng.random() < 0.5:
+            rows[zero] = [ring.zero] * n
+        else:
+            for row in rows:
+                row[zero] = ring.zero
+        yield Matrix(rows, ring)
+
+
+class TestInvariantFactors:
+    @pytest.mark.parametrize("name", sorted(LAURENT_RINGS))
+    def test_matches_brute_force_minors_and_gaussian_rank(self, name):
+        ring = LAURENT_RINGS[name]
+        for m in oracle_cases(ring, seed=sorted(LAURENT_RINGS).index(name)):
+            factors = invariant_factors(m)
+            assert len(factors) == rank_over_fractions(m) == gaussian_rank(m)
+            for d, e in zip(factors, factors[1:]):
+                assert (e % d).is_zero()
+            for r in range(m.nrows):
+                assert minors_gcd(m, r) == brute_force_minors_gcd(m, r), (m, r)
+
+    def test_rectangular_and_polynomial_ranks(self):
+        rng = random.Random(5)
+        for nrows, ncols in [(1, 4), (3, 5), (5, 2), (4, 4)]:
+            m = random_matrix(rng, L3y, nrows, ncols, 2)
+            assert rank_over_fractions(m) == gaussian_rank(m)
+            poly = random_matrix(rng, L3y, nrows, ncols, 2).map_entries(
+                lambda e: e.poly.shift(e.offset + 1), R3y)
+            assert rank_over_fractions(poly) == gaussian_rank(poly)
+
+    def test_zero_and_identity(self):
+        assert invariant_factors(Matrix.zeros(L2x, 3)) == []
+        assert invariant_factors(Matrix.identity(L2x, 3)) == [R2x.one] * 3
+
+    def test_powers_of_x_are_units(self):
+        m = lmat(L3y, [["y^2", 0], [0, "y^2 + y"]])
+        assert invariant_factors(m) == [R3y.one, R3y("y + 1")]
+        poly = m.map_entries(lambda e: e.poly.shift(e.offset), R3y)
+        assert invariant_factors(poly) == [R3y("y"), R3y("y^3 + y^2")]
+
+    def test_field_matrix_rejected(self):
+        with pytest.raises(RingError):
+            invariant_factors(Matrix.identity(F3, 2))
+
+
+def _sympy_factors(m, pring):
+    """sympy's invariant factors of the row-cleared polynomial matrix, with
+    zeros dropped, powers of x stripped and each made monic."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+    x = sympy.symbols("x")
+
+    def entry(e, low):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x ** (k + e.offset - low)
+                   for k, c in enumerate(e.poly.coeffs))
+
+    rows = []
+    for row in m.rows:
+        low = min((e.min_exp for e in row if not e.is_zero()), default=0)
+        rows.append([entry(e, low) for e in row])
+    field = pring.field
+    if isinstance(field, PrimeField):
+        domain = sympy.GF(field.p)[x]
+    else:
+        domain = sympy.QQ[x]
+    out = []
+    for d in sympy_factors(sympy.Matrix(rows), domain=domain):
+        if d == 0:
+            continue
+        coeffs = sympy.Poly(d, x).all_coeffs()[::-1]
+        if isinstance(field, PrimeField):
+            coeffs = [int(c) % field.p for c in coeffs]
+        else:
+            coeffs = [Fraction(int(c.p), int(c.q)) for c in coeffs]
+        poly = pring(coeffs)
+        out.append(laurent_canonicalize(LaurentRing(pring).from_poly(poly))[0])
+    return out
+
+
+class TestAgainstSympy:
+    @pytest.mark.parametrize("name", sorted(LAURENT_RINGS))
+    def test_small_matrices(self, name):
+        ring = LAURENT_RINGS[name]
+        for m in oracle_cases(ring, seed=10 + sorted(LAURENT_RINGS).index(name)):
+            if m.nrows <= 4:
+                assert invariant_factors(m) == _sympy_factors(m, ring.poly_ring), m
