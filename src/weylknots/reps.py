@@ -1,18 +1,17 @@
 """Finite-dimensional matrix representations of the (quantum) Weyl algebra.
 
-A representation is a validated pair of invertible matrices U, V with
-UV - qVU = I.  ``validate_rep`` is the single source of truth: every
-family constructor assembles its matrices and then runs the validator, so
-a typo in an assembly formula surfaces as a hard failure instead of a
+A representation is a pair of invertible matrices U, V with UV - qVU = I.
+``MatrixRep`` is the one gate: its constructor runs ``validate_rep`` and
+raises ``RepError`` on failure, so every ``MatrixRep`` is valid, and a typo
+in a family's assembly formula surfaces as a hard failure instead of a
 silently wrong invariant downstream.
 
 Families:
 
 * ``family_char_p_bidiagonal`` -- char p | n, q = 1: U upper bidiagonal
   with diagonal x, V lower bidiagonal with diagonal y and subdiagonal
-  entries i/a_i.  Parameters may involve one indeterminate each (two
-  distinct indeterminates switch the entries to a two-variable ring that
-  supports validation but not inversion).
+  entries i/a_i.  The parameters may share one indeterminate; the entries
+  then live in Z_p[x, x^-1].  Two distinct indeterminates are rejected.
 * ``family_truncated`` -- q = 1 operators f -> f'/I' + Jf and f -> If on
   K[x]/(x^n) with p | n; the inverse-derivative coefficients k_r come from
   the difference equation  i_1 k_r + 2 i_2 k_{r-1} + ... + (r+1) i_{r+1} k_0 = 0.
@@ -30,16 +29,12 @@ at construction: trace(UV - VU) = 0 can never equal trace(I) = n.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from dataclasses import dataclass, field
 
 from .linalg import Matrix, det_exact, _is_unit_in
 from .rings import (
     QQ,
-    BivariateRing,
-    FieldScalar,
-    FractionElement,
     FractionField,
     LaurentRing,
     PolynomialRing,
@@ -49,8 +44,6 @@ from .rings import (
     parse_laurent,
     parse_polynomial,
 )
-
-logger = logging.getLogger("weylknots.reps")
 
 
 class RepError(RingError):
@@ -66,8 +59,6 @@ def _characteristic(ring) -> int:
         return _characteristic(ring.field)
     if isinstance(ring, FractionField):
         return _characteristic(ring.domain)
-    if isinstance(ring, BivariateRing):
-        return ring.p or 0
     raise RepError(f"unknown characteristic for {ring}")
 
 
@@ -96,7 +87,8 @@ class RepReport:
 
 
 class MatrixRep:
-    """A pair (U, V) with UV - qVU = I over a common entry ring."""
+    """A pair (U, V) with UV - qVU = I over a common entry ring; the
+    constructor raises ``RepError`` for any pair that fails ``validate_rep``."""
 
     def __init__(self, U: Matrix, V: Matrix, q, label: str = "custom"):
         if not (U.is_square() and V.is_square() and U.nrows == V.nrows):
@@ -113,12 +105,9 @@ class MatrixRep:
             raise RepError(
                 "no q=1 representation exists over characteristic 0: "
                 f"trace(UV - VU) = 0 but trace(I) = {self.dim}")
-
-    def det_u(self):
-        return det_exact(self.U)
-
-    def det_v(self):
-        return det_exact(self.V)
+        report = validate_rep(self)
+        if not report.ok:
+            raise RepError(f"{label}: {report.describe()}")
 
     def __repr__(self):
         return (f"MatrixRep({self.label}, dim={self.dim}, ring={self.ring}, "
@@ -139,18 +128,11 @@ def validate_rep(rep: MatrixRep) -> RepReport:
                 break
         if not relation_ok:
             break
-    du, dv = rep.det_u(), rep.det_v()
+    du, dv = det_exact(rep.U), det_exact(rep.V)
     du_unit = _is_unit_in(du, rep.ring)
     dv_unit = _is_unit_in(dv, rep.ring)
     return RepReport(relation_ok and du_unit and dv_unit, relation_ok,
                      du, dv, du_unit, dv_unit, first)
-
-
-def _validated(rep: MatrixRep) -> MatrixRep:
-    report = validate_rep(rep)
-    if not report.ok:
-        raise RepError(f"{rep.label}: {report.describe()}")
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -169,41 +151,19 @@ def _indeterminates(values) -> list[str]:
 
 
 def _charp_ring(p, values):
-    """Entry ring for char-p families: Laurent in one indeterminate, or a
-    two-variable polynomial ring when the parameters use two names."""
+    """Entry ring for char-p families: Z_p[x, x^-1] in the one indeterminate
+    the parameters use ("x" when they use none)."""
     names = _indeterminates(values)
-    if len(names) <= 1:
-        var = names[0] if names else "x"
-        return LaurentRing(PolynomialRing(PrimeField(p), var))
-    if len(names) == 2:
-        return BivariateRing(tuple(names), p)
-    raise RepError(f"too many indeterminates in parameters: {names}")
+    if len(names) > 1:
+        raise RepError(f"parameters may use one indeterminate, got {names}")
+    var = names[0] if names else "x"
+    return LaurentRing(PolynomialRing(PrimeField(p), var))
 
 
 def _charp_value(ring, value):
-    if isinstance(ring, LaurentRing):
-        if isinstance(value, int):
-            return ring.from_int(value)
-        return parse_laurent(str(value), ring)
-    # two-variable ring: each parameter may mention at most one name
     if isinstance(value, int):
         return ring.from_int(value)
-    from .rings import _parse_terms
-    terms = _parse_terms(str(value), None)
-    names = _indeterminates([value])
-    out = ring.zero
-    for e, c in terms.items():
-        if c.denominator != 1:
-            raise RepError(f"fractional coefficient not allowed here: {value!r}")
-        if e and not names:
-            raise RepError(f"cannot parse {value!r}")
-        if not names:
-            out = out + ring.from_int(c.numerator)
-        else:
-            idx = ring.vars.index(names[0])
-            out = out + ring.monomial(e if idx == 0 else 0, e if idx == 1 else 0,
-                                      c.numerator)
-    return out
+    return parse_laurent(str(value), ring)
 
 
 def _q_context(p):
@@ -233,17 +193,6 @@ def _q_context(p):
 # families
 # ---------------------------------------------------------------------------
 
-def _charp_inverse(ring, val):
-    if isinstance(ring, LaurentRing):
-        return val.inv()
-    # the two-variable ring carries no negative exponents, so only scalars
-    # can be inverted there
-    if len(val.terms) == 1 and (0, 0) in val.terms:
-        return ring.from_int(pow(val.terms[(0, 0)], ring.p - 2, ring.p))
-    raise RepError(f"{val!r} must be an invertible scalar when two "
-                   "indeterminates are in play")
-
-
 def family_char_p_bidiagonal(n: int, p: int, x, y, a) -> MatrixRep:
     """U upper bidiagonal (diagonal x, superdiagonal a_i), V lower
     bidiagonal (diagonal y, subdiagonal i/a_i); q = 1, valid when p | n."""
@@ -269,11 +218,10 @@ def family_char_p_bidiagonal(n: int, p: int, x, y, a) -> MatrixRep:
         row = [zero] * n
         row[r] = yv
         if r >= 1:
-            row[r - 1] = ring.from_int(r) * _charp_inverse(ring, av[r - 1])
+            row[r - 1] = ring.from_int(r) * av[r - 1].inv()
         vrows.append(row)
-    rep = MatrixRep(Matrix(urows, ring), Matrix(vrows, ring), ring.one,
-                    label=f"char_p_bidiagonal(n={n},p={p})")
-    return _validated(rep)
+    return MatrixRep(Matrix(urows, ring), Matrix(vrows, ring), ring.one,
+                     label=f"char_p_bidiagonal(n={n},p={p})")
 
 
 def truncated_k_sequence(i_vals, length: int):
@@ -308,8 +256,6 @@ def family_truncated(n: int, p: int, i_coeffs, j_coeffs) -> MatrixRep:
     if n % p != 0:
         raise RepError(f"characteristic {p} must divide the dimension {n}")
     ring = _charp_ring(p, list(i_coeffs) + list(j_coeffs))
-    if not isinstance(ring, LaurentRing):
-        raise RepError("truncated family needs scalar or single-variable parameters")
     ivals = [_charp_value(ring, c) for c in i_coeffs]
     jvals = [_charp_value(ring, c) for c in j_coeffs]
     ivals += [ring.zero] * (n - len(ivals))
@@ -333,10 +279,7 @@ def family_truncated(n: int, p: int, i_coeffs, j_coeffs) -> MatrixRep:
     U, V = Matrix(urows, ring), Matrix(vrows, ring)
     if p != 2:
         U, V = U.transpose(), V.transpose()
-    du = det_exact(U)
-    if du.is_zero():
-        raise RepError("singular u: the parameters fail the determinant condition")
-    return _validated(MatrixRep(U, V, ring.one, label=f"truncated(n={n},p={p})"))
+    return MatrixRep(U, V, ring.one, label=f"truncated(n={n},p={p})")
 
 
 def family_q_bidiagonal(n: int, q, a, b, p: int | None = None) -> MatrixRep:
@@ -386,9 +329,8 @@ def family_q_bidiagonal(n: int, q, a, b, p: int | None = None) -> MatrixRep:
             urows[r][r - 1] = bv[r - 1]
         if r < n - 1:
             vrows[r][r + 1] = beta[r] / bv[r]
-    rep = MatrixRep(Matrix(urows, ring), Matrix(vrows, ring), qv,
-                    label=f"q_bidiagonal(n={n})")
-    return _validated(rep)
+    return MatrixRep(Matrix(urows, ring), Matrix(vrows, ring), qv,
+                     label=f"q_bidiagonal(n={n})")
 
 
 def family_q_upper(n: int, q, a, b, d, e, p: int | None = None) -> MatrixRep:
@@ -412,13 +354,8 @@ def family_q_upper(n: int, q, a, b, d, e, p: int | None = None) -> MatrixRep:
         if r < n - 1:
             urows[r][r + 1] = bvv ** (n - 2 - r) * dv
             vrows[r][r + 1] = (qv * binv) ** r * ev
-    rep = MatrixRep(Matrix(urows, ring), Matrix(vrows, ring), qv,
-                    label=f"q_upper(n={n})")
-    report = validate_rep(rep)
-    if not report.ok:
-        logger.warning("q_upper(n=%d) failed validation: %s", n, report.describe())
-        raise RepError(f"{rep.label}: {report.describe()}")
-    return rep
+    return MatrixRep(Matrix(urows, ring), Matrix(vrows, ring), qv,
+                     label=f"q_upper(n={n})")
 
 
 # ---------------------------------------------------------------------------

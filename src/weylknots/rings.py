@@ -14,8 +14,8 @@ Representation conventions:
 * ``LaurentPolynomial`` is a ``UniPolynomial`` with a nonzero constant term
   plus an integer ``offset`` (the lowest exponent), so the stored pair is
   unique.  Values with negative offset print as ``p(x)/x^k``.
-* ``BivariatePolynomial`` maps exponent pairs to nonzero integer (or
-  prime-field) coefficients.
+* ``BivariatePolynomial`` maps exponent pairs to nonzero integer
+  coefficients; it is the coefficient domain of the symbolic Weyl engine.
 * ``FractionElement`` keeps numerator/denominator in a declared domain.
   Over a univariate domain the pair is reduced by gcd and the denominator
   made monic; over a bivariate domain only integer content and common
@@ -495,20 +495,6 @@ class UniPolynomial:
     def is_constant(self):
         return len(self.coeffs) <= 1
 
-    def leading_scalar(self) -> FieldScalar:
-        if not self.coeffs:
-            return FieldScalar(self.ring.field, self.ring.field.czero)
-        return FieldScalar(self.ring.field, self.coeffs[-1])
-
-    def constant_scalar(self) -> FieldScalar:
-        if not self.coeffs:
-            return FieldScalar(self.ring.field, self.ring.field.czero)
-        return FieldScalar(self.ring.field, self.coeffs[0])
-
-    def coefficient(self, k: int) -> FieldScalar:
-        raw = self.coeffs[k] if 0 <= k < len(self.coeffs) else self.ring.field.czero
-        return FieldScalar(self.ring.field, raw)
-
     def _coerce(self, other):
         if isinstance(other, UniPolynomial):
             _check_same_ring(self, other)
@@ -583,16 +569,6 @@ class UniPolynomial:
         f = self.ring.field
         inv = f.cinv(self.coeffs[-1])
         return self.ring.from_raw([f.cmul(c, inv) for c in self.coeffs])
-
-    def evaluate(self, point):
-        """Horner evaluation; accepts and returns raw coefficient values."""
-        if isinstance(point, FieldScalar):
-            point = point.value
-        f = self.ring.field
-        acc = f.czero
-        for c in reversed(self.coeffs):
-            acc = f.cadd(f.cmul(acc, point), c)
-        return acc
 
     def scale(self, scalar):
         scalar = scalar.value if isinstance(scalar, FieldScalar) else scalar
@@ -918,9 +894,6 @@ class UnitRecord:
         self.coeff = coeff
         self.exponent = exponent
 
-    def element(self, ring: LaurentRing) -> LaurentPolynomial:
-        return ring.monomial(self.exponent, self.coeff)
-
     def __eq__(self, other):
         return (isinstance(other, UnitRecord)
                 and other.coeff == self.coeff and other.exponent == self.exponent)
@@ -969,24 +942,18 @@ def parse_laurent(text: str, ring: LaurentRing) -> LaurentPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# bivariate polynomials (integer or prime-field coefficients)
+# bivariate polynomials (integer coefficients)
 # ---------------------------------------------------------------------------
 
 class BivariateRing:
-    """Polynomials in two named variables with int (or Z_p) coefficients."""
+    """Polynomials in two named variables with integer coefficients."""
 
-    __slots__ = ("vars", "p")
+    __slots__ = ("vars",)
 
-    def __init__(self, variables=("q", "h"), p: int | None = None):
+    def __init__(self, variables=("q", "h")):
         if len(variables) != 2:
             raise ValueError("exactly two variable names required")
-        if p is not None and not _is_prime(p):
-            raise ValueError(f"modulus must be prime, got {p}")
         self.vars = tuple(variables)
-        self.p = p
-
-    def _red(self, c: int) -> int:
-        return c % self.p if self.p is not None else c
 
     def __call__(self, value) -> BivariatePolynomial:
         if isinstance(value, BivariatePolynomial):
@@ -994,15 +961,9 @@ class BivariateRing:
                 raise RingMismatchError(f"{value!r} is not in {self}")
             return value
         if isinstance(value, int):
-            c = self._red(value)
-            return BivariatePolynomial(self, {(0, 0): c} if c else {})
+            return BivariatePolynomial(self, {(0, 0): value} if value else {})
         if isinstance(value, dict):
-            terms = {}
-            for (e1, e2), c in value.items():
-                c = self._red(c)
-                if c:
-                    terms[(e1, e2)] = c
-            return BivariatePolynomial(self, terms)
+            return BivariatePolynomial(self, {e: c for e, c in value.items() if c})
         raise TypeError(f"cannot build a bivariate polynomial from {value!r}")
 
     def monomial(self, e1: int, e2: int, coeff: int = 1):
@@ -1016,22 +977,17 @@ class BivariateRing:
     def one(self):
         return self(1)
 
-    def gen(self, index: int):
-        return self.monomial(1, 0) if index == 0 else self.monomial(0, 1)
-
     def from_int(self, n: int):
         return self(n)
 
     def __eq__(self, other):
-        return (isinstance(other, BivariateRing)
-                and other.vars == self.vars and other.p == self.p)
+        return isinstance(other, BivariateRing) and other.vars == self.vars
 
     def __hash__(self):
-        return hash(("BivariateRing", self.vars, self.p))
+        return hash(("BivariateRing", self.vars))
 
     def __repr__(self):
-        base = f"Z_{self.p}" if self.p is not None else "Z"
-        return f"{base}[{self.vars[0]},{self.vars[1]}]"
+        return f"Z[{self.vars[0]},{self.vars[1]}]"
 
 
 class BivariatePolynomial:
@@ -1070,9 +1026,8 @@ class BivariatePolynomial:
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
-        red = self.ring._red
         for e, c in other.terms.items():
-            s = red(out.get(e, 0) + c)
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -1091,19 +1046,17 @@ class BivariatePolynomial:
         return self._coerce(other).__sub__(self)
 
     def __neg__(self):
-        red = self.ring._red
-        return BivariatePolynomial(self.ring, {e: red(-c) for e, c in self.terms.items()})
+        return BivariatePolynomial(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
-        red = self.ring._red
         for (a1, a2), ca in self.terms.items():
             for (b1, b2), cb in other.terms.items():
                 e = (a1 + b1, a2 + b2)
-                s = red(out.get(e, 0) + ca * cb)
+                s = out.get(e, 0) + ca * cb
                 if s:
                     out[e] = s
                 else:
@@ -1126,18 +1079,6 @@ class BivariatePolynomial:
             exps[index] = 0
             out = out + self.ring.monomial(exps[0], exps[1], scalar)
         return out
-
-    def as_unipoly(self, index: int, target: PolynomialRing) -> UniPolynomial:
-        """View as univariate in the given variable; the other must not occur."""
-        other = 1 - index
-        coeffs: dict[int, int] = {}
-        for e, c in self.terms.items():
-            if e[other] != 0:
-                raise RingError(f"{self} is not univariate in {self.ring.vars[index]}")
-            coeffs[e[index]] = c
-        deg = max(coeffs) if coeffs else 0
-        raw = [target.field.cfrom_int(coeffs.get(k, 0)) for k in range(deg + 1)]
-        return target.from_raw(raw)
 
     def content_and_monomials(self):
         """(integer content, min exponent pair); content of 0 is 0."""

@@ -6,9 +6,9 @@ exact matrix identities: the braid relation on three blocks, the Hecke
 quadratic S^2 = (1-q)S + qI for the switch's declared scalar, and S^2 = I
 when q = 1 (the flat case).
 
-``weyl_switch`` builds the canonical switch of a validated representation:
-A = V'U', B = U, C = A'B'A(I - A) and D = (1-q)I - U'V', and requires
-det(C) to be a unit.  ``LinearSwitch.inverse`` is the Hecke closed form
+``weyl_switch`` builds the canonical switch of a representation (valid by
+construction of ``MatrixRep``): A = V'U', B = U, C = A'B'A(I - A) and
+D = (1-q)I - U'V', and requires det(C) to be a unit.  ``LinearSwitch.inverse`` is the Hecke closed form
 S^-1 = q^-1(S - (1-q)I), checked by one product S S^-1 = I.
 
 The checks that only re-verify this construction live in
@@ -20,7 +20,7 @@ and the inverse against the elementary-factorization inverse and against
 from __future__ import annotations
 
 from .linalg import Matrix, _is_unit_in, det_exact, mat_inverse
-from .reps import MatrixRep, validate_rep
+from .reps import MatrixRep
 from .rings import (
     QQ,
     LaurentRing,
@@ -81,19 +81,12 @@ class LinearSwitch:
                 self._S_inv = inv
         return self._S_inv
 
-    def det_b(self):
-        """det of the B block; the normalization ambiguity of closures."""
-        return det_exact(self.B)
-
     def __repr__(self):
         return f"LinearSwitch({self.label}, k={self.k}, ring={self.ring})"
 
 
 def weyl_switch(rep: MatrixRep, label=None) -> LinearSwitch:
     """The canonical switch of a representation; det(C) must be a unit."""
-    report = validate_rep(rep)
-    if not report.ok:
-        raise SwitchError(f"representation fails validation: {report.describe()}")
     U, V, q = rep.U, rep.V, rep.q
     Uinv, Vinv = mat_inverse(U), mat_inverse(V)
     identity = Matrix.identity(rep.ring, rep.dim)

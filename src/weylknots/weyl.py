@@ -122,22 +122,17 @@ class EngineMode:
         return self.skew_scalar(self.coeff_field.one)
 
     def images(self) -> dict:
-        """Images of u, v, u', v'; validated as two-sided inverses once."""
+        """Images of u, v, u', v' (u' and v' are two-sided inverses of u and
+        v; ``tests/test_weyl.py`` checks this)."""
         if self._images is None:
             q = self.q_coeff()
             h = self.h_coeff()
-            imgs = {
+            self._images = {
                 "u": self.skew({-1: h}),
                 "v": self.skew({1: self.coeff_field.one}),
                 "u'": self.skew({1: q / (h - 1)}),
                 "v'": self.skew({-1: self.coeff_field.one}),
             }
-            for g, gi in (("u", "u'"), ("v", "v'")):
-                left = skew_mul(imgs[g], imgs[gi])
-                right = skew_mul(imgs[gi], imgs[g])
-                if not (left.is_one() and right.is_one()):
-                    raise RingError(f"generator inverse self-check failed for {g}")
-            self._images = imgs
         return self._images
 
 

@@ -114,6 +114,17 @@ class TestDeterminant:
             assert det_exact(a * b) == det_exact(a) * det_exact(b)
 
 
+def _roundtrip_entry(rng, ring):
+    if ring == L3y:
+        return L3y.from_poly(R3y.from_raw([rng.randrange(3) for _ in range(2)]),
+                             rng.randrange(-1, 2))
+    if isinstance(ring, PrimeField):
+        return ring(rng.randrange(ring.p))
+    dom = ring.domain
+    return ring(dom([rng.randint(-2, 2), rng.randint(-2, 2)]),
+                dom([rng.randint(1, 2), rng.randint(0, 1)]))
+
+
 class TestInverse:
     def test_char2_involution(self):
         assert mat_inverse(V_FLAT) == V_FLAT
@@ -138,18 +149,18 @@ class TestInverse:
             mat_inverse(m)
 
     def test_inverse_roundtrip_random(self):
+        # every ring mat_inverse serves: Laurent, Z_p and Frac(Q[q])
         rng = random.Random(3)
-        made = 0
-        while made < 5:
-            m = Matrix([[L3y.from_poly(R3y.from_raw([rng.randrange(3)
-                                                     for _ in range(2)]),
-                                       rng.randrange(-1, 2))
-                         for _ in range(3)] for _ in range(3)], L3y)
-            d = det_exact(m)
-            if not d.is_unit():
-                continue
-            made += 1
-            assert (mat_inverse(m) * m).is_identity()
+        for ring in (L3y, PrimeField(101), FractionField(PolynomialRing(QQ, "q"))):
+            made = 0
+            while made < 5:
+                m = Matrix([[_roundtrip_entry(rng, ring) for _ in range(3)]
+                            for _ in range(3)], ring)
+                if not _is_unit_in(det_exact(m), ring):
+                    continue
+                made += 1
+                inv = mat_inverse(m)
+                assert (m * inv).is_identity() and (inv * m).is_identity()
 
 
 class TestRank:
@@ -232,14 +243,10 @@ class TestCharPoly:
 
 
 class TestIsUnit:
-    def test_bivariate_monomial_units(self):
+    def test_unknown_ring_raises(self):
         zqh = BivariateRing(("q", "h"))
-        assert _is_unit_in(zqh.monomial(1, 0), zqh)
-        assert _is_unit_in(zqh.monomial(1, 0, -1), zqh)
-        assert not _is_unit_in(zqh.monomial(1, 0, 2), zqh)
-        assert not _is_unit_in(zqh.monomial(1, 0) + zqh.one, zqh)
-        z5qh = BivariateRing(("q", "h"), p=5)
-        assert _is_unit_in(z5qh.monomial(1, 0, 2), z5qh)
+        with pytest.raises(RingError, match="no unit test"):
+            _is_unit_in(zqh.monomial(1, 0), zqh)
 
 
 # oracles for the invariant factors -----------------------------------------
@@ -321,11 +328,17 @@ def oracle_cases(ring, seed):
         yield Matrix(rows, ring)
 
 
+# seed 1 over Q holds the dense 6x6 rank-5 matrix whose coefficients grew to
+# 27,000 bits before each reduced row was divided by its rational content
+ORACLE_SEEDS = {"Q": (0, 1), "Z2": (1,), "Z3": (2,)}
+
+
 class TestInvariantFactors:
     @pytest.mark.parametrize("name", sorted(LAURENT_RINGS))
     def test_matches_brute_force_minors_and_gaussian_rank(self, name):
         ring = LAURENT_RINGS[name]
-        for m in oracle_cases(ring, seed=sorted(LAURENT_RINGS).index(name)):
+        for m in itertools.chain.from_iterable(
+                oracle_cases(ring, seed) for seed in ORACLE_SEEDS[name]):
             factors = invariant_factors(m)
             assert len(factors) == rank_over_fractions(m) == gaussian_rank(m)
             for d, e in zip(factors, factors[1:]):

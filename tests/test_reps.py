@@ -45,9 +45,16 @@ class TestValidate:
 
     def test_identity_pair_invalid(self):
         i2 = Matrix.identity(L2x, 2)
-        report = validate_rep(MatrixRep(i2, i2, L2x.one))
-        assert not report.ok and not report.relation_ok
-        assert report.first_failure[:2] == (0, 0)
+        with pytest.raises(RepError, match=r"UV - qVU != I at entry \(0,0\)"):
+            MatrixRep(i2, i2, L2x.one)
+
+    def test_non_unit_determinant_rejected(self):
+        # flat2 with diagonal x + 1: UV - VU = I still holds over
+        # Z_2[x, x^-1], but det(U) = (x + 1)^2 is not a unit there
+        u = lmat(L2x, [["x + 1", 1], [0, "x + 1"]])
+        v = lmat(L2x, [[1, 0], [1, 1]])
+        with pytest.raises(RepError, match=r"det\(U\) = x\^2 \+ 1 is not a unit"):
+            MatrixRep(u, v, L2x.one)
 
     def test_char0_q1_guard(self):
         i2 = Matrix.identity(PolynomialRing(QQ, "t"), 2)
@@ -77,15 +84,18 @@ class TestCharPBidiagonal:
         with pytest.raises(RepError, match="nonzero"):
             family_char_p_bidiagonal(2, 2, "0", "1", ["1"])
 
-    def test_two_symbolic_parameters_validate(self):
-        # x and y both indeterminate: entries live in Z_p[x, y]
-        rep = family_char_p_bidiagonal(2, 2, "x", "y", ["1"])
-        assert validate_rep(rep).ok
+    @pytest.mark.parametrize("build", [
+        lambda: family_char_p_bidiagonal(2, 2, "x", "y", ["1"]),
+        lambda: family_truncated(2, 2, ["1", "x"], ["y"]),
+    ], ids=["char_p_bidiagonal", "truncated"])
+    def test_two_indeterminates_rejected(self, build):
+        with pytest.raises(RepError, match=r"one indeterminate, got \['x', 'y'\]"):
+            build()
 
     @pytest.mark.parametrize("n,p", [(2, 2), (3, 3), (4, 2), (5, 5), (6, 2), (6, 3)])
     def test_symbolic_family_members(self, n, p):
         a = [str(i + 1) if (i + 1) % p else "1" for i in range(n - 1)]
-        rep = family_char_p_bidiagonal(n, p, "x", "y", a)
+        rep = family_char_p_bidiagonal(n, p, "x", "1", a)
         assert validate_rep(rep).ok
 
 
@@ -109,7 +119,7 @@ class TestTruncated:
 
     def test_singular_u_rejected(self):
         # J = 0 makes u singular, which the determinant condition rejects
-        with pytest.raises(RepError, match="singular"):
+        with pytest.raises(RepError, match=r"det\(U\) = 0 is not a unit"):
             family_truncated(2, 2, [1, 1], [0])
 
     def test_i1_zero_rejected(self):
@@ -122,7 +132,8 @@ class TestTruncated:
         ring = LaurentRing(PolynomialRing(F3, "x"))
         u_rows = lmat(ring, [[0, 1, 0], [1, 1, 2], [0, 2, 2]])
         v_rows = lmat(ring, [[1, 1, 1], [0, 1, 1], [0, 0, 1]])
-        assert not validate_rep(MatrixRep(u_rows, v_rows, ring.one)).relation_ok
+        with pytest.raises(RepError, match=r"UV - qVU != I at entry \(0,0\)"):
+            MatrixRep(u_rows, v_rows, ring.one)
         rep = family_truncated(3, 3, [1, 1, 1], [0, 1, 0])
         assert rep.U == u_rows.transpose() and rep.V == v_rows.transpose()
         assert validate_rep(rep).ok
@@ -219,7 +230,7 @@ class TestSpecs:
         with pytest.raises(RepError, match="needs parameter"):
             RepSpec("q_upper", n=2, p=7, params={"q": 3}).build()
 
-    def test_det_b_is_unit(self):
+    def test_det_u_is_unit(self):
         for name in BUILTIN_SPECS:
             rep = build_rep(name)
             assert det_exact(rep.U).is_unit()

@@ -217,11 +217,6 @@ class TestBivariate:
         f = ZQH.monomial(2, 1) + ZQH.monomial(0, 1) - ZQH.monomial(1, 0)
         assert f.substitute(0, 1) == ZQH.monomial(0, 1, 2) - ZQH.one
 
-    def test_as_unipoly(self):
-        f = ZQH.monomial(0, 2) + ZQH.monomial(0, 0, 3)
-        Rh = PolynomialRing(QQ, "h")
-        assert f.as_unipoly(1, Rh) == Rh("h^2 + 3")
-
 
 # property-based ring axioms -------------------------------------------------
 

@@ -5,6 +5,7 @@ import pytest
 from weylknots.linalg import Matrix, mat_inverse
 from weylknots.reps import (
     MatrixRep,
+    RepError,
     build_rep,
     family_q_bidiagonal,
     family_q_upper,
@@ -144,9 +145,10 @@ class TestWeylSwitch:
             weyl_switch(rep)
 
     def test_invalid_rep_rejected(self):
+        # weyl_switch takes a MatrixRep, whose constructor is the gate
         i2 = Matrix.identity(F7, 2)
-        with pytest.raises(SwitchError, match="fails validation"):
-            weyl_switch(MatrixRep(i2, i2, F7(2)))
+        with pytest.raises(RepError, match=r"UV - qVU != I at entry \(0,0\)"):
+            MatrixRep(i2, i2, F7(2))
 
     @pytest.mark.parametrize("name", sorted(WEYL_REPS) + [
         f"{family}-seed{seed}" for family in ("q_bidiagonal", "q_upper")
