@@ -7,8 +7,9 @@ first cleared row by row to the polynomial ring with the extracted monomial
 unit tracked, which keeps intermediate entries polynomial.  Any other ring
 falls back to a division-free minor-expansion determinant, which also
 serves as the independent oracle for the Bareiss path in the test suite.
-``mat_inverse`` eliminates over the fraction field and maps back; its
-roundtrip M M^-1 = I is asserted in the tests, not at run time.
+``mat_inverse`` eliminates over the fraction field, reads the determinant
+off its pivots and maps back; its roundtrip M M^-1 = I is asserted in the
+tests, not at run time.
 
 Elementary ideals and ranks of Laurent and polynomial matrices come from
 one Euclidean elimination over F[x] (``invariant_factors``): F[x, x^-1] is
@@ -348,29 +349,38 @@ def _as_fraction_matrix(m: Matrix):
 
 
 def mat_inverse(m: Matrix) -> Matrix:
-    """Exact inverse; raises NonUnitError carrying the determinant when it
-    is not a unit of the entry ring."""
+    """Exact inverse by Gauss-Jordan elimination over the fraction field.
+
+    The determinant is the signed product of the pivots, mapped back to the
+    entry ring; when it is not a unit there, NonUnitError carries it (zero
+    as soon as a pivot column is zero)."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
-    d = det_exact(m)
-    if not _is_unit_in(d, m.ring):
-        raise NonUnitError(f"determinant {d!r} is not a unit in {m.ring}", d)
     fm, field = _as_fraction_matrix(m)
     n = m.nrows
     aug = [list(fr) + list(Matrix.identity(field, n).rows[i])
            for i, fr in enumerate(fm.rows)]
+    det = field.one
     for k in range(n):
         if aug[k][k].is_zero():
             for i in range(k + 1, n):
                 if not aug[i][k].is_zero():
                     aug[k], aug[i] = aug[i], aug[k]
+                    det = -det
                     break
+            else:
+                det = field.zero
+                break
+        det = det * aug[k][k]
         inv = aug[k][k].inv()
         aug[k] = [e * inv for e in aug[k]]
         for i in range(n):
             if i != k and not aug[i][k].is_zero():
                 f = aug[i][k]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
+    det = from_fraction(det, m.ring)
+    if not _is_unit_in(det, m.ring):
+        raise NonUnitError(f"determinant {det!r} is not a unit in {m.ring}", det)
     inv_rows = [row[n:] for row in aug]
     if field == m.ring:
         return Matrix(inv_rows, field)

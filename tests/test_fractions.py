@@ -1,0 +1,197 @@
+"""Canonical form of Frac(F[x]) and Frac(Z[q,h]) and the paths that skip
+the Euclidean gcd."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from weylknots import rings
+from weylknots.rings import (
+    QQ,
+    BivariateRing,
+    FractionElement,
+    FractionField,
+    PolynomialRing,
+    PrimeField,
+    poly_gcd,
+)
+
+QX = PolynomialRing(QQ, "x")
+FQ = FractionField(QX)
+R3y = PolynomialRing(PrimeField(3), "y")
+F3 = FractionField(R3y)
+ZQH = BivariateRing(("q", "h"))
+FQH = FractionField(ZQH)
+
+
+def euclid_fraction(ring, num, den):
+    """The Frac(F[x]) normalization before the gcd-free paths, copied
+    verbatim: Euclidean gcd, then a monic denominator."""
+    if den.is_zero():
+        raise ZeroDivisionError(f"zero denominator in {ring}")
+    if num.is_zero():
+        return FractionElement(ring, num, ring.domain.one)
+    g = poly_gcd(num, den)
+    if not g.is_one():
+        num = num.exact_div(g)
+        den = den.exact_div(g)
+    lead = den.coeffs[-1]
+    field = ring.domain.field
+    if not field.ceq(lead, field.cone):
+        inv = field.cinv(lead)
+        num = num.scale(inv)
+        den = den.scale(inv)
+    return FractionElement(ring, num, den)
+
+
+def sympy_pair(num, den):
+    """(num, den) coefficient tuples of sympy's cancel, den made monic."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+
+    def expr(p):
+        return sum((sympy.Rational(c.numerator, c.denominator) * x ** k
+                    for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+    n, d = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
+    n, d = sympy.Poly(n, x, domain="QQ"), sympy.Poly(d, x, domain="QQ")
+    n, d = n.quo_ground(d.LC()), d.monic()
+
+    def coeffs(p):
+        if p.is_zero:
+            return ()
+        return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+    return coeffs(n), coeffs(d)
+
+
+def random_poly(rng, degree, low=0):
+    coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(degree + 1)]
+    coeffs[:low] = [Fraction(0)] * low
+    if not coeffs[-1]:
+        coeffs[-1] = Fraction(1)
+    return QX.from_raw(coeffs)
+
+
+def random_denominator(rng, kind):
+    if kind == "constant":
+        return QX([Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 4))])
+    if kind == "monomial":
+        k = rng.randint(1, 3)
+        return QX.from_raw([Fraction(0)] * k + [Fraction(rng.choice((-2, 1, 3)), 2)])
+    return random_poly(rng, rng.randint(1, 3))
+
+
+def random_fraction(rng, kind):
+    # numerators with a power of x as often as not, so valuations cancel
+    num = random_poly(rng, rng.randint(0, 4), low=rng.randint(0, 2))
+    if rng.random() < 0.15:
+        num = QX.zero
+    return FQ(num, random_denominator(rng, kind))
+
+
+def is_canonical(f):
+    return (f.den.coeffs[-1] == 1
+            and (f.num.is_zero() and f.den.is_one() or poly_gcd(f.num, f.den).is_one()))
+
+
+def results(a, b):
+    """(name, library result, unreduced num, unreduced den) per operation."""
+    out = [("a + b", a + b, a.num * b.den + b.num * a.den, a.den * b.den),
+           ("a - b", a - b, a.num * b.den - b.num * a.den, a.den * b.den),
+           ("a * b", a * b, a.num * b.num, a.den * b.den)]
+    if not b.is_zero():
+        out.append(("a / b", a / b, a.num * b.den, a.den * b.num))
+        out.append(("b.inv()", b.inv(), b.den, b.num))
+    return out
+
+
+KINDS = ("constant", "monomial", "general")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_canonical_form_matches_euclid_and_sympy(seed):
+    rng = random.Random(seed)
+    for _ in range(12):
+        a = random_fraction(rng, rng.choice(KINDS))
+        b = random_fraction(rng, rng.choice(KINDS))
+        pairs = [(a, b)]
+        if not a.is_zero():
+            # a and a + p share a's denominator: the equal-denominator sums
+            pairs.append((a, a + FQ(random_poly(rng, 2))))
+        for left, right in pairs:
+            for name, got, num, den in results(left, right):
+                assert is_canonical(got), name
+                want = euclid_fraction(FQ, num, den)
+                assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs), name
+                assert (got.num.coeffs, got.den.coeffs) == sympy_pair(num, den), name
+
+
+def test_canonical_form_over_a_prime_field():
+    rng = random.Random(7)
+    for _ in range(60):
+        num = R3y([rng.randint(0, 2) for _ in range(rng.randint(1, 5))])
+        den = R3y([0] * rng.randint(0, 2) + [rng.randint(0, 2) for _ in range(rng.randint(0, 3))]
+                  + [rng.randint(1, 2)])
+        got, want = F3(num, den), euclid_fraction(F3, num, den)
+        assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+
+
+class TestGcdFreePaths:
+    """The fast paths, pinned by making the slow operation raise."""
+
+    @pytest.fixture
+    def no_euclid(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError(f"Euclidean gcd of {a} and {b}")
+        monkeypatch.setattr(rings, "poly_gcd", refuse)
+
+    @pytest.fixture
+    def no_products(self, monkeypatch):
+        def refuse(field, a, b):
+            raise AssertionError("polynomial product")
+        monkeypatch.setattr(rings, "_mul_raw", refuse)
+
+    def test_monomial_denominators(self, no_euclid):
+        x = FQ(QX.gen)
+        fs = [FQ(QX("3x^2 - x + 1/2")), FQ(QX("x^3 + 2x"), QX("2x^2")),
+              FQ(QX("x - 1"), QX("5x")), FQ(QX("x^4 - 1"), QX("-3/2")), x ** 2 / x ** 5]
+        for a in fs:
+            assert (a * x ** 3 / x ** 2) * x.inv() == a
+            inv = a.inv()
+            assert (inv.inv().num, inv.inv().den) == (a.num, a.den)
+            for b in fs:
+                assert (a + b) - b == a
+                assert a * b == b * a
+                assert (a - a).is_zero() and (a - a).den.is_one()
+
+    def test_monomial_cancellation(self, no_euclid):
+        f = FQ(QX("2x^3 + x^2"), QX("4x^5"))
+        assert f.num == QX("1/2 x + 1/4") and f.den == QX("x^3")
+        assert F3(R3y("y^2"), R3y("2y^4")).den == R3y("y^2")
+
+    def test_equal_denominator_sums(self, no_products):
+        b = QX("x^2 - 1")
+        a, c = FQ(QX("x"), b), FQ(QX.one, b)
+        assert (a.den, c.den) == (b, b)
+        s = a + c
+        assert (s.num, s.den) == (QX.one, QX("x - 1"))
+        assert (a - c).num.is_one() and (a - c).den == QX("x + 1")
+
+    def test_equal_monomial_denominator_sums(self, no_euclid, no_products):
+        b = QX("x^3")
+        a, c = FQ(QX("x^2 + 1"), b), FQ(QX("2 - x^2"), b)
+        s = a + c
+        assert (s.num, s.den) == (QX("3"), b)
+        d = a - c
+        assert (d.num, d.den) == (QX("2x^2 - 1"), b)
+
+    def test_bivariate_sums_keep_the_denominator(self):
+        b = ZQH({(1, 0): 1, (0, 1): 1, (0, 0): -1})  # q + h - 1
+        total = FQH.zero
+        for n in range(1, 7):
+            total = total + FQH(ZQH({(n, 1): n, (0, 0): 1}), b)
+            assert total.den == b
+        total = total - FQH(ZQH({(1, 1): 1}), b)
+        assert total.den == b

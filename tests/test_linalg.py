@@ -148,6 +148,23 @@ class TestInverse:
         with pytest.raises(NonUnitError):
             mat_inverse(m)
 
+    @pytest.mark.parametrize("m", [
+        Matrix([[PrimeField(5)(e) for e in row]
+                for row in [[1, 2, 3], [2, 4, 1], [3, 1, 4]]], PrimeField(5)),
+        Matrix([[PrimeField(7)(e) for e in row]
+                for row in [[1, 2, 3], [2, 4, 6], [0, 1, 5]]], PrimeField(7)),
+        lmat(L2x, [["x+1", 0], [0, "x+1"]]),
+        lmat(L3y, [[0, "y+1"], [1, 0]]),
+        lmat(L3y, [["1/y", 1], [0, "y^2+1"]]),
+        lmat(L3y, [["y", "1/y"], ["y^2", 1]]),
+    ], ids=["Z5-singular", "Z7-zero-pivot-column", "Z2-diagonal-x+1",
+            "row-swap-sign", "negative-offset", "laurent-singular"])
+    def test_error_carries_the_exact_determinant(self, m):
+        with pytest.raises(NonUnitError) as exc:
+            mat_inverse(m)
+        assert exc.value.value.ring == m.ring
+        assert exc.value.value == det_exact(m)
+
     def test_inverse_roundtrip_random(self):
         # every ring mat_inverse serves: Laurent, Z_p and Frac(Q[q])
         rng = random.Random(3)

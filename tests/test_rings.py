@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ R2x = PolynomialRing(F2, "x")
 R3y = PolynomialRing(F3, "y")
 L2x = LaurentRing(R2x)
 L3y = LaurentRing(R3y)
+QX = PolynomialRing(QQ, "x")
 ZQH = BivariateRing(("q", "h"))
 FQH = FractionField(ZQH)
 
@@ -79,6 +82,29 @@ class TestPolynomials:
         for i, c in enumerate(f.coeffs):
             slow = slow + g.scale(c).shift(i)
         assert f * g == slow
+
+    def test_rational_product_matches_schoolbook(self):
+        # mixed denominators, negative and interior-zero coefficients,
+        # length-1 operands and the zero polynomial
+        F = Fraction
+        operands = [
+            [F(1, 2), F(-2, 3), F(0), F(5, 7)],
+            [F(-3, 4), F(0), F(0), F(1, 6)],
+            [F(7, 3)],
+            [F(-1)],
+            [],
+            [F(4, 9), F(3), F(-9, 4), F(0), F(1, 10)],
+            [F(6, 5), F(-10, 3)],
+        ]
+        rng = random.Random(5)
+        operands += [[F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(rng.randint(1, 12))]
+                     for _ in range(6)]
+        for a, b in itertools.product(operands, repeat=2):
+            slow = [F(0)] * (len(a) + len(b))
+            for i, ai in enumerate(a):
+                for j, bj in enumerate(b):
+                    slow[i + j] += ai * bj
+            assert (QX.from_raw(a) * QX.from_raw(b)).coeffs == QX.from_raw(slow).coeffs
 
 
     def test_shift(self):
