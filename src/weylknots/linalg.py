@@ -1,21 +1,20 @@
 """Exact dense linear algebra over the rings of ``weylknots.rings``.
 
-Matrices are immutable grids of ring elements sharing one ring tag.
-Determinants run fraction-free (Bareiss) over fields, fraction fields and
-F[x], the entry rings of representations and switches; Laurent matrices are
-first cleared row by row to the polynomial ring with the extracted monomial
-unit tracked, which keeps intermediate entries polynomial.  Any other ring
-falls back to a division-free minor-expansion determinant, which also
-serves as the independent oracle for the Bareiss path in the test suite.
-``mat_inverse`` eliminates over the fraction field, reads the determinant
-off its pivots and maps back; its roundtrip M M^-1 = I is asserted in the
-tests, not at run time.
+Matrices are immutable grids of ring elements sharing one ring tag.  Each
+ring kind has one elimination:
 
-Elementary ideals and ranks of Laurent and polynomial matrices come from
-one Euclidean elimination over F[x] (``invariant_factors``): F[x, x^-1] is
-a principal ideal domain, so the gcd of the s x s minors is the product of
-the first s invariant factors, and their number is the rank.  Matrices
-over a field keep Gaussian elimination.
+* fields (Z_p, Q and Frac(F[x])): one forward Gaussian pass gives the rank
+  and the determinant, the signed product of its pivots; ``mat_inverse``
+  runs Gauss-Jordan over the fraction field of the entry ring, reads the
+  determinant off its pivots and maps back;
+* Laurent and polynomial matrices: one Euclidean elimination over F[x]
+  (``_smith_diagonal``) gives the determinant, the rank and the elementary
+  ideals.  Laurent rows are first cleared to F[x] by powers of x, which are
+  units; F[x, x^-1] is a principal ideal domain, so the gcd of the s x s
+  minors is the product of the first s invariant factors, and their number
+  is the rank.
+
+Determinants over any other ring raise ``RingError``.
 """
 
 from __future__ import annotations
@@ -41,9 +40,7 @@ from .rings import (
     power,
 )
 
-
-def _ring_of(entry):
-    return entry.ring
+_FIELDS = (PrimeField, RationalField, FractionField)
 
 
 class Matrix:
@@ -59,7 +56,7 @@ class Matrix:
         if any(len(r) != width for r in rows):
             raise ValueError("ragged rows")
         if ring is None:
-            ring = _ring_of(rows[0][0])
+            ring = rows[0][0].ring
         for r in rows:
             for e in r:
                 if e.ring != ring:
@@ -192,70 +189,6 @@ class Matrix:
 # determinants
 # ---------------------------------------------------------------------------
 
-def _bareiss_det(rows, zero, one):
-    """Fraction-free elimination; every division is exact in the domain."""
-    n = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            row_i, row_k = m[i], m[k]
-            if mik.is_zero():
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j]).exact_div(prev)
-            else:
-                for j in range(k + 1, n):
-                    row_i[j] = (pivot * row_i[j] - mik * row_k[j]).exact_div(prev)
-            row_i[k] = zero
-        prev = pivot
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
-
-
-def det_division_free(m: Matrix):
-    """Minor expansion over column subsets; works in any commutative ring.
-
-    O(2^n * n) ring operations, used for rings without exact division and
-    as the oracle the Bareiss path is tested against.
-    """
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    n = m.nrows
-    zero = m.ring.zero
-    minors = {0: m.ring.one}
-    for r in range(n):
-        nxt = {}
-        row = m.rows[r]
-        for mask, val in minors.items():
-            if val.is_zero():
-                continue
-            pos = 0
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit:
-                    pos += 1
-                    continue
-                e = row[j]
-                if not e.is_zero():
-                    term = val * e if (r + pos) % 2 == 0 else -(val * e)
-                    key = mask | bit
-                    acc = nxt.get(key)
-                    nxt[key] = term if acc is None else acc + term
-        minors = nxt
-    return minors.get((1 << n) - 1, zero)
-
-
 def _laurent_clear_rows(m: Matrix):
     """Multiply each row by x^-k to make it polynomial; returns (poly matrix,
     total extracted exponent)."""
@@ -272,22 +205,71 @@ def _laurent_clear_rows(m: Matrix):
     return Matrix(rows, pring), total
 
 
+def _gaussian_pass(m: Matrix):
+    """(rank, det) of a field matrix by one forward Gaussian pass; det is
+    the signed product of the pivots, zero unless m is square of full rank.
+    Row operations skip the zero entries of the (unscaled) pivot row."""
+    rows = [list(r) for r in m.rows]
+    det = m.ring.one
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < m.ncols:
+        pivot = None
+        for i in range(rank, len(rows)):
+            if not rows[i][col].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            col += 1
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        pivot_row = rows[rank]
+        det = det * pivot_row[col]
+        inv = pivot_row[col].inv()
+        for i in range(rank + 1, len(rows)):
+            if not rows[i][col].is_zero():
+                f = rows[i][col] * inv
+                rows[i] = [a if b.is_zero() else a - f * b
+                           for a, b in zip(rows[i], pivot_row)]
+        rank += 1
+        col += 1
+    return rank, (det if rank == m.nrows == m.ncols else m.ring.zero)
+
+
+def _poly_det(m: Matrix):
+    """Determinant of a square F[x] matrix: u * d_1 ... d_N from the
+    Euclidean pass, zero when it finds fewer than N factors."""
+    diag, unit = _smith_diagonal(m.rows)
+    if len(diag) < m.nrows:
+        return m.ring.zero
+    det = m.ring.one
+    for d in diag:
+        det = det * d
+    return det.scale(unit)
+
+
 def det_exact(m: Matrix):
-    """Exact determinant in the entry ring (Laurent results stay Laurent)."""
+    """Exact determinant in the entry ring (Laurent results stay Laurent).
+
+    Field matrices take the Gaussian pass, Laurent and polynomial matrices
+    the Euclidean pass over F[x]; any other ring raises RingError."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     ring = m.ring
+    if isinstance(ring, _FIELDS):
+        return _gaussian_pass(m)[1]
     if isinstance(ring, LaurentRing):
         poly_m, shift = _laurent_clear_rows(m)
-        d = _bareiss_det(poly_m.rows, poly_m.ring.zero, poly_m.ring.one)
-        return ring.from_poly(d, shift)
-    if isinstance(ring, (PolynomialRing, PrimeField, RationalField, FractionField)):
-        return _bareiss_det(m.rows, ring.zero, ring.one)
-    return det_division_free(m)
+        return ring.from_poly(_poly_det(poly_m), shift)
+    if isinstance(ring, PolynomialRing):
+        return _poly_det(m)
+    raise RingError(f"no determinant over {ring}")
 
 
 def _is_unit_in(value, ring):
-    if isinstance(ring, (PrimeField, RationalField, FractionField)):
+    if isinstance(ring, _FIELDS):
         return not value.is_zero()
     if isinstance(ring, LaurentRing):
         return value.is_unit()
@@ -302,7 +284,7 @@ def _is_unit_in(value, ring):
 
 def fraction_field_over(ring):
     """The smallest supported field containing the given entry ring."""
-    if isinstance(ring, (PrimeField, RationalField, FractionField)):
+    if isinstance(ring, _FIELDS):
         return ring
     if isinstance(ring, LaurentRing):
         return FractionField(ring.poly_ring)
@@ -392,38 +374,16 @@ def rank_over_fractions(m: Matrix) -> int:
     """Rank over the fraction field of the entry ring.
 
     Laurent and polynomial matrices count their invariant factors (one
-    Euclidean elimination, see ``invariant_factors``); field matrices run
-    Gaussian elimination.
+    Euclidean elimination, see ``invariant_factors``); field matrices take
+    the Gaussian pass.
     """
     if isinstance(m.ring, (LaurentRing, PolynomialRing)):
         return len(invariant_factors(m))
-    fm, _ = _as_fraction_matrix(m)
-    rows = [list(r) for r in fm.rows]
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < fm.ncols:
-        pivot = None
-        for i in range(rank, len(rows)):
-            if not rows[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inv()
-        rows[rank] = [e * inv for e in rows[rank]]
-        for i in range(rank + 1, len(rows)):
-            if not rows[i][col].is_zero():
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return _gaussian_pass(_as_fraction_matrix(m)[0])[0]
 
 
 # ---------------------------------------------------------------------------
-# invariant factors, elementary ideals and characteristic polynomials
+# invariant factors and elementary ideals
 # ---------------------------------------------------------------------------
 
 def _least_degree(cells):
@@ -435,20 +395,25 @@ def _least_degree(cells):
 
 def _divide_rational_content(row, start):
     """Divide row[start:] over Q[x] by the rational content of its
-    coefficients, a unit, so that they become coprime integers."""
+    coefficients, a unit, so that they become coprime integers; returns the
+    scale applied (1 when the content is 0 or 1)."""
     num, den = 0, 1
     for e in row[start:]:
         for c in e.coeffs:
             num = math.gcd(num, c.numerator)
             den = math.lcm(den, c.denominator)
-    if num and (num, den) != (1, 1):
-        scale = Fraction(den, num)
-        row[start:] = [e.scale(scale) for e in row[start:]]
+    if not num or (num, den) == (1, 1):
+        return 1
+    scale = Fraction(den, num)
+    row[start:] = [e.scale(scale) for e in row[start:]]
+    return scale
 
 
-def _smith_diagonal(rows) -> list:
-    """Nonzero diagonal of the Smith form of a matrix over F[x]: monic
-    d_1 | d_2 | ..., as many as the rank.
+def _smith_diagonal(rows):
+    """Nonzero diagonal of the Smith form of a matrix over F[x], monic
+    d_1 | d_2 | ..., as many as the rank, and the unit u in F^x that the
+    steps multiplied the determinant by: det = u * d_1 ... d_N when all N
+    factors are found.
 
     Euclidean elimination: move a least-degree entry of the trailing block
     to the pivot, reduce its column by row operations and then its row by
@@ -458,10 +423,18 @@ def _smith_diagonal(rows) -> list:
     then orders the diagonal by divisibility.  Over Q[x] each reduced row
     is divided by its rational content, which keeps the coefficients from
     growing; Z_p[x] has no such growth and skips it.
+
+    Adding a multiple of one row or column to another leaves the
+    determinant alone, and so does the sweep, since d_i d_j = gcd * lcm for
+    monic factors.  u collects the rest: -1 per row or column swap, the
+    leading coefficient of each pivot made monic, and the inverse of each
+    content scale.
     """
     a = [list(r) for r in rows]
     nrows, ncols = len(a), len(a[0])
-    rational = isinstance(a[0][0].ring.field, RationalField)
+    field = a[0][0].ring.field
+    rational = isinstance(field, RationalField)
+    unit = field.cone
     diag = []
     for t in range(min(nrows, ncols)):
         at = _least_degree((i, j, a[i][j])
@@ -470,10 +443,13 @@ def _smith_diagonal(rows) -> list:
             break
         while at is not None:
             i, j = at
-            a[t], a[i] = a[i], a[t]
+            if i != t:
+                a[t], a[i] = a[i], a[t]
+                unit = field.cneg(unit)
             if j != t:
                 for row in a[t:]:
                     row[t], row[j] = row[j], row[t]
+                unit = field.cneg(unit)
             pivot_row = a[t]
             pivot = pivot_row[t]
             for row in a[t + 1:]:
@@ -484,13 +460,14 @@ def _smith_diagonal(rows) -> list:
                             if pivot_row[j].coeffs:
                                 row[j] = row[j] - quo * pivot_row[j]
                     if rational:
-                        _divide_rational_content(row, t)
+                        unit /= _divide_rational_content(row, t)
             at = _least_degree((i, t, a[i][t]) for i in range(t + 1, nrows))
             if at is None:
                 # the column is clear, so column operations change row t only
                 for j in range(t + 1, ncols):
                     pivot_row[j] = pivot_row[j] % pivot
                 at = _least_degree((t, j, pivot_row[j]) for j in range(t + 1, ncols))
+        unit = field.cmul(unit, pivot.coeffs[-1])
         diag.append(pivot.monic())
     for i, d in enumerate(diag):
         for j in range(i + 1, len(diag)):
@@ -500,7 +477,7 @@ def _smith_diagonal(rows) -> list:
             diag[j] = (d * diag[j]).exact_div(g)
             d = g
         diag[i] = d
-    return diag
+    return diag, unit
 
 
 def invariant_factors(m: Matrix) -> list:
@@ -517,9 +494,9 @@ def invariant_factors(m: Matrix) -> list:
     if isinstance(ring, LaurentRing):
         poly_m, _ = _laurent_clear_rows(m)
         return [laurent_canonicalize(ring.from_poly(d))[0]
-                for d in _smith_diagonal(poly_m.rows)]
+                for d in _smith_diagonal(poly_m.rows)[0]]
     if isinstance(ring, PolynomialRing):
-        return _smith_diagonal(m.rows)
+        return _smith_diagonal(m.rows)[0]
     raise RingError(f"invariant factors need a Laurent or polynomial matrix, "
                     f"got ring {ring}")
 
@@ -546,32 +523,3 @@ def minors_gcd(m: Matrix, r: int) -> UniPolynomial:
     for d in factors[:n - r]:
         acc = acc * d
     return acc
-
-
-def _raw_coeff(entry, field):
-    # FieldScalar raw values are ints/Fractions; FractionElement is its own
-    # raw value under the FractionField coefficient protocol.
-    if isinstance(entry, FieldScalar):
-        return entry.value
-    return entry
-
-
-def char_poly(m: Matrix) -> UniPolynomial:
-    """det(lambda*I - m) as a polynomial in lambda over the entry fraction
-    field, computed fraction-free."""
-    if not m.is_square():
-        raise ValueError("characteristic polynomial of a non-square matrix")
-    fm, field = _as_fraction_matrix(m)
-    lring = PolynomialRing(field, "λ")
-    lam = lring.gen
-    n = m.nrows
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            c = lring.from_raw([field.cneg(_raw_coeff(fm.rows[i][j], field))])
-            if i == j:
-                c = c + lam
-            row.append(c)
-        rows.append(row)
-    return _bareiss_det(rows, lring.zero, lring.one)

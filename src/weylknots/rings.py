@@ -1190,9 +1190,8 @@ class FractionField:
     multivariate gcd); equal-denominator sums keep den instead of squaring
     it.
 
-    Also implements the raw-coefficient protocol with FractionElement raw
-    values, so UniPolynomial can take coefficients in a fraction field
-    (used for characteristic polynomials).
+    Fractions are matrix entries and Weyl-engine coefficients; a fraction
+    field is not a coefficient field of ``PolynomialRing``.
     """
 
     __slots__ = ("domain",)
@@ -1221,48 +1220,6 @@ class FractionField:
 
     def from_int(self, n: int):
         return FractionElement(self, self.domain.from_int(n), self.domain.one)
-
-    # raw-coefficient protocol (raw values are FractionElement)
-    @property
-    def czero(self):
-        return self.zero
-
-    @property
-    def cone(self):
-        return self.one
-
-    def cadd(self, a, b):
-        return a + b
-
-    def csub(self, a, b):
-        return a - b
-
-    def cmul(self, a, b):
-        return a * b
-
-    def cneg(self, a):
-        return -a
-
-    def cinv(self, a):
-        return a.inv()
-
-    def cdiv(self, a, b):
-        return a / b
-
-    def cpow(self, a, n):
-        return a ** n
-
-    def ceq(self, a, b):
-        return a == b
-
-    def ciszero(self, a):
-        return a.is_zero()
-
-    def cfrom_int(self, n):
-        return self.from_int(n)
-
-    def cstr(self, a):
-        return repr(a)
 
     def __eq__(self, other):
         return isinstance(other, FractionField) and other.domain == self.domain

@@ -8,8 +8,11 @@ when q = 1 (the flat case).
 
 ``weyl_switch`` builds the canonical switch of a representation (valid by
 construction of ``MatrixRep``): A = V'U', B = U, C = A'B'A(I - A) and
-D = (1-q)I - U'V', and requires det(C) to be a unit.  ``LinearSwitch.inverse`` is the Hecke closed form
-S^-1 = q^-1(S - (1-q)I), checked by one product S S^-1 = I.
+D = (1-q)I - U'V', and requires det(C) to be a unit.  UV - I = qVU gives
+det(C) = q^n / det(U), and ``MatrixRep`` makes det(U) a unit, so that is
+a unit test on q; det(C) is computed only for the error message.
+``LinearSwitch.inverse`` is the Hecke closed form S^-1 = q^-1(S - (1-q)I),
+checked by one product S S^-1 = I.
 
 The checks that only re-verify this construction live in
 ``tests/test_switches.py``: C against the q-scaled 9-letter word in U, V,
@@ -86,16 +89,16 @@ class LinearSwitch:
 
 
 def weyl_switch(rep: MatrixRep, label=None) -> LinearSwitch:
-    """The canonical switch of a representation; det(C) must be a unit."""
+    """The canonical switch of a representation; det(C) = q^n / det(U) must
+    be a unit, that is, q must be."""
     U, V, q = rep.U, rep.V, rep.q
     Uinv, Vinv = mat_inverse(U), mat_inverse(V)
     identity = Matrix.identity(rep.ring, rep.dim)
     A = Vinv * Uinv
     C = U * V * Uinv * A * (identity - A)
     D = identity.scale(rep.ring.one - q) - Uinv * Vinv
-    det_c = det_exact(C)
-    if not _is_unit_in(det_c, rep.ring):
-        raise SwitchError(f"block C is singular: det = {det_c!r}")
+    if not _is_unit_in(q, rep.ring):
+        raise SwitchError(f"block C is singular: det = {det_exact(C)!r}")
     return LinearSwitch(A, U, C, D, q, label=label or f"weyl({rep.label})")
 
 

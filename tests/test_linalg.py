@@ -7,8 +7,6 @@ import pytest
 from weylknots.linalg import (
     Matrix,
     _is_unit_in,
-    char_poly,
-    det_division_free,
     det_exact,
     fraction_field_over,
     invariant_factors,
@@ -42,6 +40,87 @@ L3y = LaurentRing(R3y)
 
 def lmat(ring, rows):
     return Matrix([[ring(e) for e in row] for row in rows], ring)
+
+
+# determinant oracles, independent of the eliminations in weylknots.linalg -----
+
+def _bareiss_det(rows, zero, one):
+    """Fraction-free elimination; every division is exact in the domain."""
+    n = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = one
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            for i in range(k + 1, n):
+                if not m[i][k].is_zero():
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return zero
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            mik = m[i][k]
+            row_i, row_k = m[i], m[k]
+            if mik.is_zero():
+                for j in range(k + 1, n):
+                    row_i[j] = (pivot * row_i[j]).exact_div(prev)
+            else:
+                for j in range(k + 1, n):
+                    row_i[j] = (pivot * row_i[j] - mik * row_k[j]).exact_div(prev)
+            row_i[k] = zero
+        prev = pivot
+    d = m[n - 1][n - 1]
+    return -d if sign < 0 else d
+
+
+def bareiss_det(m):
+    """Bareiss over the entry ring itself; Laurent entries divide exactly."""
+    return _bareiss_det(m.rows, m.ring.zero, m.ring.one)
+
+
+def det_division_free(m: Matrix):
+    """Minor expansion over column subsets; works in any commutative ring.
+
+    O(2^n * n) ring operations, used for rings without exact division and
+    as the oracle the Bareiss path is tested against.
+    """
+    if not m.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    n = m.nrows
+    zero = m.ring.zero
+    minors = {0: m.ring.one}
+    for r in range(n):
+        nxt = {}
+        row = m.rows[r]
+        for mask, val in minors.items():
+            if val.is_zero():
+                continue
+            pos = 0
+            for j in range(n):
+                bit = 1 << j
+                if mask & bit:
+                    pos += 1
+                    continue
+                e = row[j]
+                if not e.is_zero():
+                    term = val * e if (r + pos) % 2 == 0 else -(val * e)
+                    key = mask | bit
+                    acc = nxt.get(key)
+                    nxt[key] = term if acc is None else acc + term
+        minors = nxt
+    return minors.get((1 << n) - 1, zero)
+
+
+def minor_rank(m):
+    """The size of the largest nonzero minor, by Bareiss on each."""
+    for size in range(min(m.nrows, m.ncols), 0, -1):
+        for rows_sel in itertools.combinations(range(m.nrows), size):
+            for cols_sel in itertools.combinations(range(m.ncols), size):
+                if not bareiss_det(m.submatrix(rows_sel, cols_sel)).is_zero():
+                    return size
+    return 0
 
 
 # matrices of the 2x2 flat representation over Z_2[x]
@@ -90,7 +169,7 @@ class TestDeterminant:
         expected = L2x("1/x^2") * L2x(1) - L2x("1/x") * L2x("1/x")
         assert det_exact(m) == expected
 
-    def test_bareiss_matches_division_free(self):
+    def test_matches_division_free(self):
         rng = random.Random(7)
         for n in range(1, 5):
             for _ in range(6):
@@ -202,7 +281,7 @@ class TestRank:
 class TestMinorsGcd:
     def test_r0_is_canonical_det(self):
         from weylknots.rings import laurent_canonicalize
-        assert minors_gcd(V3, 0) == laurent_canonicalize(det_exact(V3))[0]
+        assert minors_gcd(V3, 0) == laurent_canonicalize(bareiss_det(V3))[0]
 
     def test_identity_minors(self):
         assert minors_gcd(Matrix.identity(L2x, 2), 1) == R2x.one
@@ -229,34 +308,6 @@ class TestMinorsGcd:
                     if not d.is_zero():
                         acc = poly_gcd(acc, laurent_canonicalize(d)[0])
             assert got == acc
-
-
-class TestCharPoly:
-    def test_zero_matrix(self):
-        cp = char_poly(Matrix.zeros(F3, 2))
-        lring = cp.ring
-        assert cp == lring.gen ** 2
-
-    def test_diagonal_units(self):
-        m = Matrix([[L2x.gen, L2x.zero], [L2x.zero, L2x.gen.inv()]], L2x)
-        cp = char_poly(m)
-        lring = cp.ring
-        field = lring.field
-        x = field(R2x.gen)
-        expected = lring.gen ** 2 + lring.from_raw([field.czero, x + x.inv()]) \
-            + lring.one
-        assert cp == expected
-
-    def test_root_extraction_by_division(self):
-        m = Matrix([[L2x.gen, L2x.one], [L2x.zero, L2x.gen]], L2x)
-        cp = char_poly(m)
-        field = cp.ring.field
-        x = field(R2x.gen)
-        lin = cp.ring.from_raw([field.cneg(x), field.cone])
-        q, r = divmod(cp, lin)
-        assert r.is_zero()
-        q, r = divmod(q, lin)
-        assert r.is_zero() and q.is_one()
 
 
 class TestIsUnit:
@@ -289,7 +340,7 @@ def brute_force_minors_gcd(m, r):
     one = pring.one
     for rows_sel in itertools.combinations(range(n), size):
         for cols_sel in itertools.combinations(range(n), size):
-            d = det_exact(m.submatrix(rows_sel, cols_sel))
+            d = bareiss_det(m.submatrix(rows_sel, cols_sel))
             if d.is_zero():
                 continue
             acc = poly_gcd(acc, _canonical_of_det(d))
@@ -387,38 +438,161 @@ class TestInvariantFactors:
             invariant_factors(Matrix.identity(F3, 2))
 
 
-def _sympy_factors(m, pring):
-    """sympy's invariant factors of the row-cleared polynomial matrix, with
-    zeros dropped, powers of x stripped and each made monic."""
+def _exact_det_entry(rng, ring, degree):
+    """A nonzero Laurent entry with offset in -2..1; over Q the coefficients
+    are fractions, so a row's rational content is rarely 1."""
+    field = ring.field
+    while True:
+        if isinstance(field, PrimeField):
+            coeffs = [rng.randrange(field.p) for _ in range(degree + 1)]
+        else:
+            coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5)))
+                      for _ in range(degree + 1)]
+        e = ring.from_poly(ring.poly_ring(coeffs), rng.randint(-2, 1))
+        if not e.is_zero():
+            return e
+
+
+def det_cases(ring, seed):
+    """Seeded square Laurent matrices of sizes 1-7: random ones with zero
+    entries, rank-deficient products of N x k and k x N matrices, and
+    permuted diagonals, which force row and column swaps."""
+    rng = random.Random(seed)
+    entry = lambda degree: _exact_det_entry(rng, ring, degree)
+    for n in range(1, 8):
+        degree = 2 if n <= 5 else 1
+        for _ in range(2):
+            yield Matrix([[ring.zero if rng.random() < 0.2 else entry(degree)
+                           for _ in range(n)] for _ in range(n)], ring)
+        k = rng.randint(0, n - 1)
+        if k:
+            left = Matrix([[entry(1) for _ in range(k)] for _ in range(n)], ring)
+            right = Matrix([[entry(1) for _ in range(n)] for _ in range(k)], ring)
+            yield left * right
+        else:
+            yield Matrix.zeros(ring, n)
+        cols = list(range(n))
+        rng.shuffle(cols)
+        rows = [[ring.zero] * n for _ in range(n)]
+        for i, j in enumerate(cols):
+            rows[i][j] = entry(rng.randint(0, 2))
+        yield Matrix(rows, ring)
+
+
+def _polynomial(m):
+    """m times the least power of x that makes every entry polynomial."""
+    low = min([0] + [e.min_exp for r in m.rows for e in r if not e.is_zero()])
+    return m.map_entries(lambda e: e.poly.shift(e.offset - low), m.ring.poly_ring)
+
+
+class TestExactDeterminant:
+    @pytest.mark.parametrize("name", sorted(LAURENT_RINGS))
+    def test_matches_bareiss_and_division_free(self, name):
+        ring = LAURENT_RINGS[name]
+        for m in det_cases(ring, seed=20 + sorted(LAURENT_RINGS).index(name)):
+            for a in (m, _polynomial(m)):
+                d = det_exact(a)
+                assert d.ring == a.ring
+                assert d == bareiss_det(a), a
+                if a.nrows <= 5:
+                    assert d == det_division_free(a), a
+
+    @pytest.mark.parametrize("name", sorted(LAURENT_RINGS))
+    def test_matches_sympy(self, name):
+        pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+        ring = LAURENT_RINGS[name]
+        for m in det_cases(ring, seed=30 + sorted(LAURENT_RINGS).index(name)):
+            rows, domain, total, to_poly = _sympy_cleared(m)
+            d = DomainMatrix.from_Matrix(rows).convert_to(domain).det()
+            assert det_exact(m) == ring.from_poly(to_poly(domain.to_sympy(d)), total), m
+
+    def test_unsupported_ring_raises(self):
+        with pytest.raises(RingError, match="no determinant"):
+            det_exact(Matrix.identity(BivariateRing(("q", "h")), 2))
+
+
+FIELDS = {"Z101": PrimeField(101), "Q": QQ,
+          "FracQq": FractionField(PolynomialRing(QQ, "q"))}
+
+
+def field_cases(field, seed):
+    """Seeded field matrices: random square ones with zero entries (sizes
+    1-6, 1-4 over Frac(Q[q])), rank-deficient products and rectangular
+    ones."""
+    rng = random.Random(seed)
+    if field == QQ:
+        entry = lambda: QQ(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    else:
+        entry = lambda: _roundtrip_entry(rng, field)
+    rand = lambda nrows, ncols: Matrix(
+        [[field.zero if rng.random() < 0.2 else entry() for _ in range(ncols)]
+         for _ in range(nrows)], field)
+    largest = 4 if isinstance(field, FractionField) else 6
+    for n in range(1, largest + 1):
+        yield rand(n, n)
+        yield rand(n, n)
+        k = rng.randint(1, n)
+        yield rand(n, k) * rand(k, n)
+    for nrows, ncols in [(1, 3), (2, 4), (4, 2), (3, 1)]:
+        yield rand(nrows, ncols)
+
+
+class TestFieldDeterminantAndRank:
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_matches_the_oracles(self, name):
+        field = FIELDS[name]
+        for m in field_cases(field, seed=40 + sorted(FIELDS).index(name)):
+            if m.nrows <= 4 and m.ncols <= 4:
+                assert rank_over_fractions(m) == minor_rank(m), m
+            if not m.is_square():
+                continue
+            d = det_exact(m)
+            assert d == bareiss_det(m), m
+            if m.nrows <= 4:
+                assert d == det_division_free(m), m
+
+
+def _sympy_cleared(m):
+    """m as a sympy Matrix, each row cleared by its least power of x; its
+    domain GF(p)[x] or QQ[x]; the total exponent extracted; and a map from
+    sympy polynomials in x back to m's polynomial ring."""
     sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import invariant_factors as sympy_factors
     x = sympy.symbols("x")
+    pring = m.ring.poly_ring
+    field = pring.field
 
     def entry(e, low):
         return sum(sympy.Rational(c.numerator, c.denominator) * x ** (k + e.offset - low)
                    for k, c in enumerate(e.poly.coeffs))
 
     rows = []
+    total = 0
     for row in m.rows:
         low = min((e.min_exp for e in row if not e.is_zero()), default=0)
+        total += low
         rows.append([entry(e, low) for e in row])
-    field = pring.field
     if isinstance(field, PrimeField):
         domain = sympy.GF(field.p)[x]
     else:
         domain = sympy.QQ[x]
-    out = []
-    for d in sympy_factors(sympy.Matrix(rows), domain=domain):
-        if d == 0:
-            continue
-        coeffs = sympy.Poly(d, x).all_coeffs()[::-1]
+
+    def to_poly(expr):
+        coeffs = sympy.Poly(expr, x).all_coeffs()[::-1]
         if isinstance(field, PrimeField):
-            coeffs = [int(c) % field.p for c in coeffs]
-        else:
-            coeffs = [Fraction(int(c.p), int(c.q)) for c in coeffs]
-        poly = pring(coeffs)
-        out.append(laurent_canonicalize(LaurentRing(pring).from_poly(poly))[0])
-    return out
+            return pring([int(c) % field.p for c in coeffs])
+        return pring([Fraction(int(c.p), int(c.q)) for c in coeffs])
+
+    return sympy.Matrix(rows), domain, total, to_poly
+
+
+def _sympy_factors(m):
+    """sympy's invariant factors of the row-cleared polynomial matrix, with
+    zeros dropped, powers of x stripped and each made monic."""
+    rows, domain, _, to_poly = _sympy_cleared(m)
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+    return [laurent_canonicalize(m.ring.from_poly(to_poly(d)))[0]
+            for d in sympy_factors(rows, domain=domain) if d != 0]
 
 
 class TestAgainstSympy:
@@ -427,4 +601,4 @@ class TestAgainstSympy:
         ring = LAURENT_RINGS[name]
         for m in oracle_cases(ring, seed=10 + sorted(LAURENT_RINGS).index(name)):
             if m.nrows <= 4:
-                assert invariant_factors(m) == _sympy_factors(m, ring.poly_ring), m
+                assert invariant_factors(m) == _sympy_factors(m), m

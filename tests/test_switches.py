@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from test_linalg import bareiss_det
 
 from weylknots.linalg import Matrix, mat_inverse
 from weylknots.reps import (
@@ -134,6 +135,25 @@ class TestInverse:
 
 
 class TestWeylSwitch:
+    @pytest.mark.parametrize("p", [None, 101], ids=["symbolic", "mod101"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("family", ["q_bidiagonal", "q_upper"])
+    def test_det_c_is_q_to_the_n_over_det_u(self, family, n, p):
+        # weyl_switch tests q for a unit in place of det(C)
+        if family == "q_bidiagonal":
+            rep = family_q_bidiagonal(n, "q" if p is None else 3, 2,
+                                      list(range(1, n)), p=p)
+        else:
+            rep = family_q_upper(n, "q" if p is None else 3, 2, 3, 1, 5, p=p)
+        s = weyl_switch(rep)
+        assert bareiss_det(s.C) * bareiss_det(rep.U) == rep.q ** n
+
+    @pytest.mark.parametrize("name", ["kishino3", "flat2"])
+    def test_det_c_is_q_to_the_n_over_det_u_builtin(self, name):
+        rep = build_rep(name)
+        s = weyl_switch(rep)
+        assert bareiss_det(s.C) * bareiss_det(rep.U) == rep.q ** rep.dim
+
     def test_singular_c_names_its_determinant(self):
         # UV - qVU = I forces UV - I = qVU, so det(C) = q^n / det(U) and no
         # member of q_bidiagonal has a singular C.  With q = 0 the pair in
