@@ -14,7 +14,11 @@ ring kind has one elimination:
   minors is the product of the first s invariant factors, and their number
   is the rank.
 
-Determinants over any other ring raise ``RingError``.
+Each matrix runs its elimination at most once: the result is kept on the
+``Matrix`` (which is immutable, so it cannot go stale), and
+``rank_over_fractions``, ``det_exact``, ``invariant_factors`` and
+``minors_gcd`` all read that one result.  Determinants over any other ring
+raise ``RingError``.
 """
 
 from __future__ import annotations
@@ -44,9 +48,10 @@ _FIELDS = (PrimeField, RationalField, FractionField)
 
 
 class Matrix:
-    """Immutable rectangular matrix over one declared ring."""
+    """Immutable rectangular matrix over one declared ring; ``_elim`` holds
+    its elimination once run (see ``_elimination``)."""
 
-    __slots__ = ("ring", "rows", "nrows", "ncols")
+    __slots__ = ("ring", "rows", "nrows", "ncols", "_elim")
 
     def __init__(self, rows, ring=None):
         rows = tuple(tuple(r) for r in rows)
@@ -59,12 +64,13 @@ class Matrix:
             ring = rows[0][0].ring
         for r in rows:
             for e in r:
-                if e.ring != ring:
+                if e.ring is not ring and e.ring != ring:
                     raise RingMismatchError(f"entry {e!r} not in {ring}")
         self.ring = ring
         self.rows = rows
         self.nrows = len(rows)
         self.ncols = width
+        self._elim = None
 
     @classmethod
     def identity(cls, ring, n: int):
@@ -190,10 +196,9 @@ class Matrix:
 # ---------------------------------------------------------------------------
 
 def _laurent_clear_rows(m: Matrix):
-    """Multiply each row by x^-k to make it polynomial; returns (poly matrix,
+    """Multiply each row by x^-k to make it polynomial; returns (F[x] rows,
     total extracted exponent)."""
-    lring: LaurentRing = m.ring
-    pring = lring.poly_ring
+    pring = m.ring.poly_ring
     total = 0
     rows = []
     for row in m.rows:
@@ -202,7 +207,7 @@ def _laurent_clear_rows(m: Matrix):
         total += k
         rows.append([e.poly.shift(e.offset - k) if not e.is_zero() else pring.zero
                      for e in row])
-    return Matrix(rows, pring), total
+    return rows, total
 
 
 def _gaussian_pass(m: Matrix):
@@ -238,34 +243,49 @@ def _gaussian_pass(m: Matrix):
     return rank, (det if rank == m.nrows == m.ncols else m.ring.zero)
 
 
-def _poly_det(m: Matrix):
-    """Determinant of a square F[x] matrix: u * d_1 ... d_N from the
-    Euclidean pass, zero when it finds fewer than N factors."""
-    diag, unit = _smith_diagonal(m.rows)
-    if len(diag) < m.nrows:
-        return m.ring.zero
-    det = m.ring.one
-    for d in diag:
-        det = det * d
-    return det.scale(unit)
+def _elimination(m: Matrix):
+    """The one elimination of m, run on first use and kept on m.
+
+    A field matrix gives (rank, det) from the Gaussian pass.  A Laurent or
+    polynomial matrix gives (factors, unit, shift) from the Euclidean pass
+    over F[x] (``_smith_diagonal``) on its rows cleared by x^-shift (shift
+    0 over F[x]), the factors as a tuple.  Any other ring raises RingError.
+    """
+    if m._elim is None:
+        ring = m.ring
+        if isinstance(ring, _FIELDS):
+            m._elim = _gaussian_pass(m)
+        elif isinstance(ring, (LaurentRing, PolynomialRing)):
+            rows, shift = (_laurent_clear_rows(m) if isinstance(ring, LaurentRing)
+                           else (m.rows, 0))
+            diag, unit = _smith_diagonal(rows)
+            m._elim = (tuple(diag), unit, shift)
+        else:
+            raise RingError(f"no determinant or rank over {ring}")
+    return m._elim
 
 
 def det_exact(m: Matrix):
     """Exact determinant in the entry ring (Laurent results stay Laurent).
 
-    Field matrices take the Gaussian pass, Laurent and polynomial matrices
-    the Euclidean pass over F[x]; any other ring raises RingError."""
+    Field matrices take the Gaussian pass.  Laurent and polynomial matrices
+    take the Euclidean pass over F[x]: det = u * d_1 ... d_N, shifted back
+    by the exponent cleared from the rows, and zero with fewer than N
+    factors.  Any other ring raises RingError."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     ring = m.ring
+    elim = _elimination(m)
     if isinstance(ring, _FIELDS):
-        return _gaussian_pass(m)[1]
-    if isinstance(ring, LaurentRing):
-        poly_m, shift = _laurent_clear_rows(m)
-        return ring.from_poly(_poly_det(poly_m), shift)
-    if isinstance(ring, PolynomialRing):
-        return _poly_det(m)
-    raise RingError(f"no determinant over {ring}")
+        return elim[1]
+    factors, unit, shift = elim
+    if len(factors) < m.nrows:
+        return ring.zero
+    det = factors[0].ring.one
+    for d in factors:
+        det = det * d
+    det = det.scale(unit)
+    return ring.from_poly(det, shift) if isinstance(ring, LaurentRing) else det
 
 
 def _is_unit_in(value, ring):
@@ -323,25 +343,20 @@ def from_fraction(entry, ring):
     raise RingError(f"cannot map a fraction into {ring}")
 
 
-def _as_fraction_matrix(m: Matrix):
-    field = fraction_field_over(m.ring)
-    if field == m.ring:
-        return m, field
-    return m.map_entries(lambda e: to_fraction(e, field), field), field
-
-
 def mat_inverse(m: Matrix) -> Matrix:
     """Exact inverse by Gauss-Jordan elimination over the fraction field.
 
     The determinant is the signed product of the pivots, mapped back to the
     entry ring; when it is not a unit there, NonUnitError carries it (zero
-    as soon as a pivot column is zero)."""
+    as soon as a pivot column is zero).  Scaling and row operations skip
+    the zero entries of the pivot row."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
-    fm, field = _as_fraction_matrix(m)
+    field = fraction_field_over(m.ring)
     n = m.nrows
-    aug = [list(fr) + list(Matrix.identity(field, n).rows[i])
-           for i, fr in enumerate(fm.rows)]
+    z, o = field.zero, field.one
+    aug = [[to_fraction(e, field) for e in row] + [o if i == j else z for j in range(n)]
+           for i, row in enumerate(m.rows)]
     det = field.one
     for k in range(n):
         if aug[k][k].is_zero():
@@ -355,11 +370,12 @@ def mat_inverse(m: Matrix) -> Matrix:
                 break
         det = det * aug[k][k]
         inv = aug[k][k].inv()
-        aug[k] = [e * inv for e in aug[k]]
+        pivot_row = aug[k] = [e if e.is_zero() else e * inv for e in aug[k]]
         for i in range(n):
             if i != k and not aug[i][k].is_zero():
                 f = aug[i][k]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[k])]
+                aug[i] = [a if b.is_zero() else a - f * b
+                          for a, b in zip(aug[i], pivot_row)]
     det = from_fraction(det, m.ring)
     if not _is_unit_in(det, m.ring):
         raise NonUnitError(f"determinant {det!r} is not a unit in {m.ring}", det)
@@ -373,13 +389,11 @@ def mat_inverse(m: Matrix) -> Matrix:
 def rank_over_fractions(m: Matrix) -> int:
     """Rank over the fraction field of the entry ring.
 
-    Laurent and polynomial matrices count their invariant factors (one
-    Euclidean elimination, see ``invariant_factors``); field matrices take
-    the Gaussian pass.
+    Laurent and polynomial matrices count their invariant factors; field
+    matrices take the Gaussian pass (see ``_elimination``).
     """
-    if isinstance(m.ring, (LaurentRing, PolynomialRing)):
-        return len(invariant_factors(m))
-    return _gaussian_pass(_as_fraction_matrix(m)[0])[0]
+    elim = _elimination(m)
+    return elim[0] if isinstance(m.ring, _FIELDS) else len(elim[0])
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +505,13 @@ def invariant_factors(m: Matrix) -> list:
     ideal of all s x s minors.
     """
     ring = m.ring
+    if not isinstance(ring, (LaurentRing, PolynomialRing)):
+        raise RingError(f"invariant factors need a Laurent or polynomial matrix, "
+                        f"got ring {ring}")
+    factors = _elimination(m)[0]
     if isinstance(ring, LaurentRing):
-        poly_m, _ = _laurent_clear_rows(m)
-        return [laurent_canonicalize(ring.from_poly(d))[0]
-                for d in _smith_diagonal(poly_m.rows)[0]]
-    if isinstance(ring, PolynomialRing):
-        return _smith_diagonal(m.rows)[0]
-    raise RingError(f"invariant factors need a Laurent or polynomial matrix, "
-                    f"got ring {ring}")
+        return [laurent_canonicalize(ring.from_poly(d))[0] for d in factors]
+    return list(factors)
 
 
 def minors_gcd(m: Matrix, r: int) -> UniPolynomial:

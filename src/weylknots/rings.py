@@ -1,8 +1,10 @@
 """Exact scalar, polynomial, Laurent and fraction arithmetic.
 
 Every value is immutable and carries a reference to its ring, so mixed-ring
-operations fail loudly instead of coercing.  The ring objects double as
-factories: ``ring(x)`` builds an element from ints, strings or raw data.
+operations fail loudly instead of coercing.  Ring equality is structural,
+so two equal ring objects mix freely; it short-circuits on identity, and the
+ring checks test identity first.  The ring objects double as factories:
+``ring(x)`` builds an element from ints, strings or raw data.
 
 Representation conventions:
 
@@ -25,8 +27,7 @@ Representation conventions:
 
 Multiplication of prime-field polynomials goes through Kronecker
 substitution (pack into one big int, multiply, unpack mod p), which keeps
-the fraction-free determinant code in ``linalg`` fast enough for the 9x9
-minor sweeps the invariants need.
+the Euclidean elimination in ``linalg`` fast over Z_p[x].
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class NonUnitError(RingError):
 
 
 def _check_same_ring(a, b):
-    if a.ring != b.ring:
+    if a.ring is not b.ring and a.ring != b.ring:
         raise RingMismatchError(f"mixed rings: {a.ring} vs {b.ring}")
 
 
@@ -251,7 +252,7 @@ class PrimeField:
         return str(a % self.p)
 
     def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
+        return other is self or (isinstance(other, PrimeField) and other.p == self.p)
 
     def __hash__(self):
         return hash(("PrimeField", self.p))
@@ -483,8 +484,8 @@ class PolynomialRing:
         return self.from_raw([self.field.cfrom_int(n)])
 
     def __eq__(self, other):
-        return (isinstance(other, PolynomialRing)
-                and other.field == self.field and other.var == self.var)
+        return other is self or (isinstance(other, PolynomialRing)
+                                 and other.field == self.field and other.var == self.var)
 
     def __hash__(self):
         return hash(("PolynomialRing", self.field, self.var))
@@ -787,7 +788,8 @@ class LaurentRing:
         return self.from_poly(self.poly_ring.from_int(n))
 
     def __eq__(self, other):
-        return isinstance(other, LaurentRing) and other.poly_ring == self.poly_ring
+        return other is self or (isinstance(other, LaurentRing)
+                                 and other.poly_ring == self.poly_ring)
 
     def __hash__(self):
         return hash(("LaurentRing", self.poly_ring))
@@ -1179,7 +1181,9 @@ class FractionField:
     * the inverse of a canonical fraction is already reduced and is only
       made monic;
     * equal denominators: a/b +- c/b normalizes (a +- c)/b, with no cross
-      products.
+      products;
+    * a zero operand: a +- 0 is a, 0 + b is b, 0 - b is -b, and a product
+      with a zero factor is zero, with no normalization at all.
 
     Over Q[x], products (``_mul_raw``) convolve the operands scaled to
     integers and build one ``Fraction`` per output coefficient, not one per
@@ -1222,7 +1226,8 @@ class FractionField:
         return FractionElement(self, self.domain.from_int(n), self.domain.one)
 
     def __eq__(self, other):
-        return isinstance(other, FractionField) and other.domain == self.domain
+        return other is self or (isinstance(other, FractionField)
+                                 and other.domain == self.domain)
 
     def __hash__(self):
         return hash(("FractionField", self.domain))
@@ -1303,6 +1308,10 @@ class FractionElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return other
         if self.den == other.den:
             return _make_fraction(self.ring, self.num + other.num, self.den)
         return _make_fraction(self.ring,
@@ -1315,6 +1324,10 @@ class FractionElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if other.num.is_zero():
+            return self
+        if self.num.is_zero():
+            return -other
         if self.den == other.den:
             return _make_fraction(self.ring, self.num - other.num, self.den)
         return _make_fraction(self.ring,
@@ -1331,6 +1344,8 @@ class FractionElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.num.is_zero() or other.num.is_zero():
+            return self.ring.zero
         return _make_fraction(self.ring, self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

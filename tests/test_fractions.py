@@ -195,3 +195,41 @@ class TestGcdFreePaths:
             assert total.den == b
         total = total - FQH(ZQH({(1, 1): 1}), b)
         assert total.den == b
+
+
+ZERO_OPERAND_CASES = {
+    "Q[x]": (FQ, FQ(QX("x^2 - 1/2"), QX("3x + 1"))),
+    "Z3[y]": (F3, F3(R3y("y^2 + 1"), R3y("y + 2"))),
+    "Z[q,h]": (FQH, FQH(ZQH({(1, 0): 2, (0, 1): 1}), ZQH({(1, 1): 1, (0, 0): -1}))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_OPERAND_CASES))
+def test_zero_operands_skip_normalization(name, monkeypatch):
+    """a +- 0, 0 +- a and products with a zero factor equal the general
+    path's canonical pair without calling ``_make_fraction``."""
+    ring, a = ZERO_OPERAND_CASES[name]
+    z = ring.zero
+    general = lambda num, den: rings._make_fraction(ring, num, den)
+    want = {
+        "a + 0": general(a.num * z.den + z.num * a.den, a.den * z.den),
+        "0 + a": general(z.num * a.den + a.num * z.den, z.den * a.den),
+        "a - 0": general(a.num * z.den - z.num * a.den, a.den * z.den),
+        "0 - a": general(z.num * a.den - a.num * z.den, z.den * a.den),
+        "a * 0": general(a.num * z.num, a.den * z.den),
+        "0 * a": general(z.num * a.num, z.den * a.den),
+        "0 + 0": general(z.num, z.den),
+        "0 * 0": general(z.num, z.den),
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_make_fraction called")
+    monkeypatch.setattr(rings, "_make_fraction", refuse)
+    got = {"a + 0": (a + z, a + 0), "0 + a": (z + a, 0 + a),
+           "a - 0": (a - z, a - 0), "0 - a": (z - a, 0 - a),
+           "a * 0": (a * z, a * 0), "0 * a": (z * a, 0 * a),
+           "0 + 0": (z + z,), "0 * 0": (z * z,)}
+    for case, results in got.items():
+        for result in results:
+            assert result.ring == ring, case
+            assert (result.num, result.den) == (want[case].num, want[case].den), case

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from weylknots import linalg
 from weylknots.linalg import (
     Matrix,
     _is_unit_in,
@@ -602,3 +603,89 @@ class TestAgainstSympy:
         for m in oracle_cases(ring, seed=10 + sorted(LAURENT_RINGS).index(name)):
             if m.nrows <= 4:
                 assert invariant_factors(m) == _sympy_factors(m), m
+
+
+# one elimination per Matrix --------------------------------------------------
+
+def _copy(m):
+    return Matrix(m.rows, m.ring)
+
+
+def _outcome(fn, m):
+    """fn(m), or the type of the exception it raised."""
+    try:
+        return fn(m)
+    except (RingError, ValueError) as err:
+        return type(err)
+
+
+STEPS = {
+    "rank": rank_over_fractions,
+    "det": det_exact,
+    "factors": invariant_factors,
+    "minors": lambda m: [minors_gcd(m, r) for r in range(m.nrows)],
+}
+ORDERS = list(itertools.permutations(STEPS))
+
+
+def elimination_cases():
+    """Laurent matrices over Z_2, Z_3 and Q (rank-deficient ones included),
+    their polynomial multiples, and field matrices over Z_101, Q and
+    Frac(Q[q]), square and rectangular."""
+    for name, ring in sorted(LAURENT_RINGS.items()):
+        for m in oracle_cases(ring, seed=50 + sorted(LAURENT_RINGS).index(name)):
+            yield m
+            yield _polynomial(m)
+    for name, field in sorted(FIELDS.items()):
+        yield from field_cases(field, seed=60 + sorted(FIELDS).index(name))
+
+
+class TestOneElimination:
+    """rank, det, invariant factors and every E_r read one elimination, run
+    once per Matrix and kept on it."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        count = {}
+        for name in ("_smith_diagonal", "_gaussian_pass"):
+            def counted(*args, _run=getattr(linalg, name), _name=name):
+                count[_name] = count.get(_name, 0) + 1
+                return _run(*args)
+            monkeypatch.setattr(linalg, name, counted)
+        return count
+
+    def test_closure_sequence_eliminates_once(self, passes):
+        for m in elimination_cases():
+            if m.is_square():
+                m = m - Matrix.identity(m.ring, m.nrows)
+            passes.clear()
+            rank_over_fractions(m)
+            if m.is_square():
+                det_exact(m)
+                if isinstance(m.ring, LaurentRing):
+                    for r in range(m.nrows):
+                        minors_gcd(m, r)
+            field = isinstance(m.ring, linalg._FIELDS)
+            assert passes == {"_gaussian_pass" if field else "_smith_diagonal": 1}, m
+
+    def test_any_order_matches_fresh_copies(self):
+        for i, m in enumerate(elimination_cases()):
+            want = {name: _outcome(fn, _copy(m)) for name, fn in STEPS.items()}
+            for order in (ORDERS[i % len(ORDERS)], ORDERS[-1 - i % len(ORDERS)]):
+                c = _copy(m)
+                for name in order + order[::-1]:
+                    assert _outcome(STEPS[name], c) == want[name], (name, order, m)
+
+    def test_returned_factors_are_fresh(self):
+        for m in (lmat(L3y, [["y^2", "y"], [0, "y^2 + y"]]),
+                  lmat(R3y, [["y^2", "y"], [0, "y^2 + y"]])):
+            fresh = _copy(m)
+            factors = invariant_factors(m)
+            factors.append(R3y.zero)
+            factors[0] = R3y("y + 2")
+            assert invariant_factors(m) == invariant_factors(fresh)
+            assert invariant_factors(m) is not invariant_factors(m)
+            assert det_exact(m) == det_exact(fresh)
+            assert rank_over_fractions(m) == 2
+            if isinstance(m.ring, LaurentRing):
+                assert minors_gcd(m, 0) == minors_gcd(fresh, 0)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylknots.linalg import Matrix
 from weylknots.rings import (
     QQ,
     BivariateRing,
@@ -264,6 +265,49 @@ fraction_qh = st.tuples(
     st.lists(st.integers(-2, 2), min_size=1, max_size=5),
     st.lists(st.integers(-2, 2), min_size=1, max_size=5),
 ).filter(lambda t: any(t[1])).map(lambda t: FQH(biv(t[0]), biv(t[1])))
+
+
+# Each entry: a maker of fresh ring objects, two element texts, and a ring
+# that differs from the made one.
+EQUAL_RINGS = {
+    "Z7": (lambda: PrimeField(7), "3", "5", PrimeField(5)),
+    "Z3[x,x^-1]": (lambda: LaurentRing(PolynomialRing(PrimeField(3), "x")),
+                   "x + 2", "2x^2 + 1", LaurentRing(PolynomialRing(PrimeField(5), "x"))),
+    "Frac(Q[q])": (lambda: FractionField(PolynomialRing(QQ, "q")),
+                   "q + 1", "q^2 - 3", FractionField(PolynomialRing(PrimeField(5), "q"))),
+}
+
+
+class TestRingEquality:
+    """Ring equality is structural: distinct equal ring objects mix, and
+    unequal ones raise RingMismatchError."""
+
+    @pytest.mark.parametrize("name", sorted(EQUAL_RINGS))
+    def test_distinct_equal_rings_mix(self, name):
+        make, a_text, b_text, _ = EQUAL_RINGS[name]
+        r, s = make(), make()
+        assert r is not s and r == s and hash(r) == hash(s)
+        a, b = r(a_text), s(b_text)
+        assert a + b == r(a_text) + r(b_text)
+        assert a * b == r(a_text) * r(b_text)
+        m = Matrix([[a, b], [b, a]], r)
+        assert m * Matrix.identity(s, 2) == m
+        assert m + Matrix.zeros(s, 2) == Matrix([[a, b], [b, a]], s)
+
+    @pytest.mark.parametrize("name", sorted(EQUAL_RINGS))
+    def test_unequal_rings_raise(self, name):
+        make, a_text, b_text, other = EQUAL_RINGS[name]
+        r = make()
+        assert r != other
+        a, c = r(a_text), other(b_text)
+        with pytest.raises(RingMismatchError):
+            a + c
+        with pytest.raises(RingMismatchError):
+            a * c
+        with pytest.raises(RingMismatchError):
+            Matrix([[a, c]], r)
+        with pytest.raises(RingMismatchError):
+            Matrix.identity(r, 2) * Matrix.identity(other, 2)
 
 
 @settings(max_examples=60, deadline=None)
