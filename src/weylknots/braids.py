@@ -17,7 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .linalg import Matrix
+from .linalg import Matrix, _row_times
+from .rings import LETTER_BUDGET
 from .switches import LinearSwitch, SwitchError
 
 CLASSICAL, VIRTUAL, FLAT = "classical", "virtual", "flat"
@@ -84,7 +85,9 @@ _LETTER_RE = re.compile(r"([st])(\d+)(?:\^(-?\d+))?$")
 
 def parse_braid(text: str, flavor: str = VIRTUAL, strands: int | None = None
                 ) -> BraidWord:
-    """Parse whitespace/comma separated letters; n defaults to 1 + max index."""
+    """Parse whitespace/comma separated letters; n defaults to 1 + max index.
+    A word expanding to more than ``LETTER_BUDGET`` letters raises
+    ValueError."""
     if flavor not in _FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     letters = []
@@ -100,6 +103,9 @@ def parse_braid(text: str, flavor: str = VIRTUAL, strands: int | None = None
             raise ValueError(f"strand index must be positive in {token!r}")
         if exp == 0:
             continue
+        if len(letters) + abs(exp) > LETTER_BUDGET:
+            raise ValueError(f"braid word longer than {LETTER_BUDGET} letters "
+                             f"at {token!r}")
         max_index = max(max_index, index)
         sign = 1 if exp > 0 else -1
         for _ in range(abs(exp)):
@@ -124,6 +130,8 @@ def word_l(n: int) -> BraidWord:
     """(t1 s1)^n on two strands (flat)."""
     if n < 1:
         raise ValueError("l(n) needs n >= 1")
+    if 2 * n > LETTER_BUDGET:
+        raise ValueError(f"l({n}) has more than {LETTER_BUDGET} letters")
     return parse_braid("t1 s1 " * n, FLAT)
 
 
@@ -131,6 +139,8 @@ def word_whorl(n: int) -> BraidWord:
     """t1..tn t(n-1)..t2 s1..sn on n+1 strands (flat)."""
     if n < 2:
         raise ValueError("whorl(n) needs n >= 2")
+    if 3 * n - 2 > LETTER_BUDGET:
+        raise ValueError(f"whorl({n}) has more than {LETTER_BUDGET} letters")
     ups = " ".join(f"t{i}" for i in range(1, n + 1))
     downs = " ".join(f"t{i}" for i in range(n - 1, 1, -1))
     sigmas = " ".join(f"s{i}" for i in range(1, n + 1))
@@ -169,7 +179,9 @@ def represent(word: BraidWord, switch: LinearSwitch) -> Matrix:
     order.  Flat words require an involutive switch.
 
     Each letter touches only block columns i and i+1 of the running
-    product: t_i swaps them and s_i^+-1 mixes them through S or S^-1.
+    product: t_i swaps them and s_i^+-1 mixes them through S or S^-1, each
+    row's pair of blocks times S^+-1 by the ``Matrix`` product kernel
+    ``linalg._row_times``.
     """
     if word.flavor == FLAT and not switch.is_flat():
         raise SwitchError("flat braid words need an involutive switch (S^2 = I)")
@@ -186,16 +198,5 @@ def represent(word: BraidWord, switch: LinearSwitch) -> Matrix:
             continue
         block = (switch.S if let.exp == 1 else switch.inverse()).rows
         for row in rows:
-            terms = [(block[r], e) for r, e in enumerate(row[lo:hi])
-                     if not e.is_zero()]
-            if not terms:
-                continue
-            out = []
-            for c in range(2 * k):
-                acc = zero
-                for brow, e in terms:
-                    if not brow[c].is_zero():
-                        acc = acc + e * brow[c]
-                out.append(acc)
-            row[lo:hi] = out
+            row[lo:hi] = _row_times(row[lo:hi], block, zero)
     return Matrix(rows, ring)

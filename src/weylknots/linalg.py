@@ -3,16 +3,20 @@
 Matrices are immutable grids of ring elements sharing one ring tag.  Each
 ring kind has one elimination:
 
-* fields (Z_p, Q and Frac(F[x])): one forward Gaussian pass gives the rank
-  and the determinant, the signed product of its pivots; ``mat_inverse``
-  runs Gauss-Jordan over the fraction field of the entry ring, reads the
-  determinant off its pivots and maps back;
+* fields (Z_p, Q and Frac(F[x])): one forward Gaussian pass
+  (``_gaussian_pass``) gives the rank and the determinant, the signed
+  product of its pivots; ``mat_inverse`` runs the same pass on [M | I] over
+  the fraction field of the entry ring, reads the determinant off its
+  pivots, back-substitutes and maps back;
 * Laurent and polynomial matrices: one Euclidean elimination over F[x]
   (``_smith_diagonal``) gives the determinant, the rank and the elementary
   ideals.  Laurent rows are first cleared to F[x] by powers of x, which are
   units; F[x, x^-1] is a principal ideal domain, so the gcd of the s x s
   minors is the product of the first s invariant factors, and their number
   is the rank.
+
+Products, in ``Matrix.__mul__`` and in ``braids.represent``, go through one
+row-times-matrix kernel, ``_row_times``.
 
 Each matrix runs its elimination at most once: the result is kept on the
 ``Matrix`` (which is immutable, so it cannot go stale), and
@@ -41,7 +45,6 @@ from .rings import (
     UniPolynomial,
     laurent_canonicalize,
     poly_gcd,
-    power,
 )
 
 _FIELDS = (PrimeField, RationalField, FractionField)
@@ -148,28 +151,12 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} "
                              f"by {other.nrows}x{other.ncols}")
-        cols = other.transpose().rows
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in cols:
-                acc = self.ring.zero
-                for a, b in zip(row, col):
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(out, self.ring)
+        zero = self.ring.zero
+        return Matrix([_row_times(row, other.rows, zero) for row in self.rows],
+                      self.ring)
 
     def scale(self, scalar):
         return Matrix([[scalar * a for a in r] for r in self.rows], self.ring)
-
-    def __pow__(self, n: int):
-        if not self.is_square():
-            raise ValueError("power of a non-square matrix")
-        if n < 0:
-            return mat_inverse(self) ** (-n)
-        return power(self, n, Matrix.identity(self.ring, self.nrows))
 
     def __eq__(self, other):
         if not isinstance(other, Matrix) or other.ring != self.ring:
@@ -191,6 +178,22 @@ class Matrix:
         return f"[{body}]"
 
 
+def _row_times(row, rows, zero):
+    """The vector row * rows, for a row of len(rows) entries and a list of
+    equally long rows.  Sums run in row order and skip every product with a
+    zero factor, so a zero entry of row costs nothing."""
+    terms = [(r, a) for r, a in zip(rows, row) if not a.is_zero()]
+    out = []
+    for c in range(len(rows[0])):
+        acc = zero
+        for r, a in terms:
+            b = r[c]
+            if not b.is_zero():
+                acc = acc + a * b
+        out.append(acc)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # determinants
 # ---------------------------------------------------------------------------
@@ -210,15 +213,19 @@ def _laurent_clear_rows(m: Matrix):
     return rows, total
 
 
-def _gaussian_pass(m: Matrix):
-    """(rank, det) of a field matrix by one forward Gaussian pass; det is
-    the signed product of the pivots, zero unless m is square of full rank.
-    Row operations skip the zero entries of the (unscaled) pivot row."""
-    rows = [list(r) for r in m.rows]
-    det = m.ring.one
+def _gaussian_pass(rows, width):
+    """(rank, det) of a list of field rows by one forward Gaussian pass,
+    reducing the rows in place to echelon form.  Pivots are taken only in
+    the first ``width`` columns, but row operations run over whole rows,
+    so an augmented block rides along.  det is the signed product of the
+    pivots, zero unless the rows are square in those columns and of full
+    rank.  Row operations skip the zero entries of the (unscaled) pivot
+    row."""
+    ring = rows[0][0].ring
+    det = ring.one
     rank = 0
     col = 0
-    while rank < len(rows) and col < m.ncols:
+    while rank < len(rows) and col < width:
         pivot = None
         for i in range(rank, len(rows)):
             if not rows[i][col].is_zero():
@@ -240,7 +247,7 @@ def _gaussian_pass(m: Matrix):
                            for a, b in zip(rows[i], pivot_row)]
         rank += 1
         col += 1
-    return rank, (det if rank == m.nrows == m.ncols else m.ring.zero)
+    return rank, (det if rank == len(rows) == width else ring.zero)
 
 
 def _elimination(m: Matrix):
@@ -254,7 +261,7 @@ def _elimination(m: Matrix):
     if m._elim is None:
         ring = m.ring
         if isinstance(ring, _FIELDS):
-            m._elim = _gaussian_pass(m)
+            m._elim = _gaussian_pass([list(r) for r in m.rows], m.ncols)
         elif isinstance(ring, (LaurentRing, PolynomialRing)):
             rows, shift = (_laurent_clear_rows(m) if isinstance(ring, LaurentRing)
                            else (m.rows, 0))
@@ -344,11 +351,14 @@ def from_fraction(entry, ring):
 
 
 def mat_inverse(m: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan elimination over the fraction field.
+    """Exact inverse over the fraction field of the entry ring.
 
-    The determinant is the signed product of the pivots, mapped back to the
-    entry ring; when it is not a unit there, NonUnitError carries it (zero
-    as soon as a pivot column is zero).  Scaling and row operations skip
+    One Gaussian pass (``_gaussian_pass``) reduces [m | I] to echelon form
+    and gives det(m), mapped back to the entry ring; when it is not a unit
+    there, NonUnitError carries it (zero when m is singular).  Back
+    substitution then clears the columns above each pivot, bottom up, on
+    the right half only: the left half is triangular, and each step
+    changes it in the pivot column alone.  Scaling and row operations skip
     the zero entries of the pivot row."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
@@ -357,29 +367,18 @@ def mat_inverse(m: Matrix) -> Matrix:
     z, o = field.zero, field.one
     aug = [[to_fraction(e, field) for e in row] + [o if i == j else z for j in range(n)]
            for i, row in enumerate(m.rows)]
-    det = field.one
-    for k in range(n):
-        if aug[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not aug[i][k].is_zero():
-                    aug[k], aug[i] = aug[i], aug[k]
-                    det = -det
-                    break
-            else:
-                det = field.zero
-                break
-        det = det * aug[k][k]
-        inv = aug[k][k].inv()
-        pivot_row = aug[k] = [e if e.is_zero() else e * inv for e in aug[k]]
-        for i in range(n):
-            if i != k and not aug[i][k].is_zero():
-                f = aug[i][k]
-                aug[i] = [a if b.is_zero() else a - f * b
-                          for a, b in zip(aug[i], pivot_row)]
-    det = from_fraction(det, m.ring)
+    det = from_fraction(_gaussian_pass(aug, n)[1], m.ring)
     if not _is_unit_in(det, m.ring):
         raise NonUnitError(f"determinant {det!r} is not a unit in {m.ring}", det)
     inv_rows = [row[n:] for row in aug]
+    for k in range(n - 1, -1, -1):
+        inv = aug[k][k].inv()
+        pivot_row = inv_rows[k] = [e if e.is_zero() else e * inv for e in inv_rows[k]]
+        for i in range(k):
+            f = aug[i][k]
+            if not f.is_zero():
+                inv_rows[i] = [a if b.is_zero() else a - f * b
+                               for a, b in zip(inv_rows[i], pivot_row)]
     if field == m.ring:
         return Matrix(inv_rows, field)
     return Matrix([[from_fraction(e, m.ring) for e in row] for row in inv_rows],

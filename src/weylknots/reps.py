@@ -228,7 +228,7 @@ def truncated_k_sequence(i_vals, length: int):
     """Coefficients of (I')^-1 from the difference equation; i_vals are the
     coefficients of I in the entry ring, i_1 a unit."""
     i1 = i_vals[1]
-    k = [i1.inv() if hasattr(i1, "inv") else i1 ** -1]
+    k = [i1.inv()]
     for r in range(1, length):
         acc = None
         for m in range(1, r + 1):

@@ -70,6 +70,13 @@ def power(base, n: int, one):
     return result
 
 
+# Most letters a braid word, and most factors a Weyl-algebra product, may
+# expand to from its text.  The longest benchmark word has 80 letters and
+# whorl(48), the largest word timed so far, has 142; 1024 leaves room above
+# both and refuses text such as s1^1000000000 before it is expanded.
+LETTER_BUDGET = 1024
+
+
 # ---------------------------------------------------------------------------
 # scalar fields
 # ---------------------------------------------------------------------------
@@ -183,8 +190,6 @@ class PrimeField:
             raise ValueError(f"modulus must be a prime below 2^31, got {p!r}")
         self.p = p
 
-    characteristic = property(lambda self: self.p)
-
     def __call__(self, value) -> FieldScalar:
         if isinstance(value, FieldScalar):
             if value.ring != self:
@@ -266,8 +271,6 @@ class RationalField:
     singleton."""
 
     __slots__ = ()
-
-    characteristic = 0
 
     def __call__(self, value) -> FieldScalar:
         if isinstance(value, FieldScalar):
@@ -380,14 +383,7 @@ def _mul_raw(field, a, b):
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return [c % p for c in out]
-    if isinstance(field, RationalField):
-        return _rational_mul(a, b)
-    out = [field.czero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not field.ciszero(ai):
-            for j, bj in enumerate(b):
-                out[i + j] = field.cadd(out[i + j], field.cmul(ai, bj))
-    return out
+    return _rational_mul(a, b)
 
 
 def _rational_mul(a, b):
@@ -436,11 +432,14 @@ def _divmod_raw(field, a, b):
 
 
 class PolynomialRing:
-    """K[var] for a coefficient field K implementing the raw protocol."""
+    """K[var] for K a ``PrimeField`` or ``QQ``, the coefficient fields of the
+    raw protocol."""
 
     __slots__ = ("field", "var")
 
     def __init__(self, field, var: str = "x"):
+        if not isinstance(field, (PrimeField, RationalField)):
+            raise TypeError(f"polynomial coefficients must be Z_p or Q, got {field!r}")
         self.field = field
         self.var = var
 
@@ -674,11 +673,14 @@ _TERM_RE = re.compile(
 )
 
 
-def _parse_terms(text: str, varname: str | None):
-    """Parse `2y^3 + y + 1`-style text into {exponent: int-or-Fraction}."""
+def _parse_terms(text: str, ring):
+    """Parse `2y^3 + y + 1`-style text in ring's indeterminate into
+    {exponent: raw coefficient of ring.field}.  Each coefficient goes
+    through the field's own conversion; a denominator that is zero there
+    raises ValueError naming the term."""
+    field = ring.field
     pos = 0
     terms: dict[int, object] = {}
-    seen_var = None
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial string")
@@ -687,37 +689,33 @@ def _parse_terms(text: str, varname: str | None):
         if not m or m.end() == pos or (m.group("coeff") is None and m.group("var") is None):
             raise ValueError(f"bad polynomial syntax near {text[pos:]!r}")
         pos = m.end()
-        sign = -1 if m.group("sign") == "-" else 1
         if m.group("sign") is None and m.start() != 0:
             raise ValueError(f"missing +/- before {text[m.start():]!r}")
-        coeff_s = m.group("coeff")
-        coeff = Fraction(coeff_s) if coeff_s else Fraction(1)
+        try:
+            coeff = field(Fraction(m.group("coeff") or 1)).value
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator over {field} in the term "
+                             f"{m.group(0).strip()!r}") from None
+        if m.group("sign") == "-":
+            coeff = field.cneg(coeff)
         var = m.group("var")
         if var is not None:
-            if seen_var is None:
-                seen_var = var
-            elif seen_var != var:
-                raise ValueError(f"two indeterminates in one polynomial: {seen_var}, {var}")
-            if varname is not None and var != varname:
-                raise ValueError(f"expected indeterminate {varname!r}, got {var!r}")
+            if var != ring.var:
+                raise ValueError(f"expected indeterminate {ring.var!r}, got {var!r}")
             exp = int(m.group("exp")) if m.group("exp") else 1
         else:
             exp = 0
-        terms[exp] = terms.get(exp, Fraction(0)) + sign * coeff
+        terms[exp] = field.cadd(terms.get(exp, field.czero), coeff)
     return terms
 
 
 def parse_polynomial(text: str, ring: PolynomialRing) -> UniPolynomial:
-    terms = _parse_terms(text, ring.var)
+    terms = _parse_terms(text, ring)
     if any(e < 0 for e in terms):
         raise ValueError(f"negative exponent in plain polynomial: {text!r}")
-    deg = max(terms) if terms else 0
-    coeffs = [ring.field.czero] * (deg + 1)
+    coeffs = [ring.field.czero] * (max(terms) + 1)
     for e, c in terms.items():
-        if c.denominator != 1 and isinstance(ring.field, PrimeField):
-            c = Fraction(c.numerator * ring.field.cinv(c.denominator % ring.field.p), 1)
-        raw = ring.field.cfrom_int(c.numerator) if c.denominator == 1 else c
-        coeffs[e] = raw
+        coeffs[e] = c
     return ring.from_raw(coeffs)
 
 
@@ -954,18 +952,9 @@ def parse_laurent(text: str, ring: LaurentRing) -> LaurentPolynomial:
         k = int(m.group("k") or 1)
         num = parse_polynomial(m.group("num"), ring.poly_ring)
         return ring.from_poly(num, -k)
-    terms = _parse_terms(text, ring.var)
     out = ring.zero
-    field = ring.field
-    for e, c in terms.items():
-        if c.denominator != 1:
-            if isinstance(field, PrimeField):
-                raw = field.cdiv(c.numerator % field.p, c.denominator % field.p)
-            else:
-                raw = c
-        else:
-            raw = field.cfrom_int(c.numerator)
-        out = out + ring.monomial(e, FieldScalar(field, raw))
+    for e, c in _parse_terms(text, ring).items():
+        out = out + ring.monomial(e, FieldScalar(ring.field, c))
     return out
 
 

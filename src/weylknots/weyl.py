@@ -20,6 +20,11 @@ Engine modes:
 * finite(p, q) -- coefficients in Frac(Z_p[h]) with q a fixed invertible
   scalar; cheap randomized corroboration of the symbolic runs.
 
+Both modes twist coefficients by one substitution (``sigma_apply``): a
+mode holds its q and h as elements of its domain, Z[q, h] or Z_p[h], and
+derives from them the pair (z, d) with sigma^k(h) = z/d.  Only the split
+of a domain element into its coefficients in h depends on the domain.
+
 ``parse_expression`` accepts the text grammar used by the CLI: whitespace
 or juxtaposition for products, ``u'`` or ``u^-1`` for inverses, ``q`` for
 the ground scalar, integer constants, parentheses, ``+`` and ``-``.
@@ -31,6 +36,7 @@ import re
 from dataclasses import dataclass
 
 from .rings import (
+    LETTER_BUDGET,
     BivariateRing,
     FractionElement,
     FractionField,
@@ -44,7 +50,9 @@ FINITE = "finite"
 
 
 class EngineMode:
-    """Coefficient context for the skew-Laurent engine."""
+    """Coefficient context for the skew-Laurent engine: the domain, its
+    fraction field, q and h as domain elements, and the generator images
+    and sigma pairs, each computed on first use."""
 
     def __init__(self, kind, p=None, q=None, _token=None):
         if _token is not _MODE_TOKEN:
@@ -54,11 +62,15 @@ class EngineMode:
         self.q_int = q
         if kind == SYMBOLIC:
             self.domain = BivariateRing(("q", "h"))
-            self.coeff_field = FractionField(self.domain)
+            self.q = self.domain.monomial(1, 0)
+            self.h = self.domain.monomial(0, 1)
         else:
             self.domain = PolynomialRing(PrimeField(p), "h")
-            self.coeff_field = FractionField(self.domain)
+            self.q = self.domain.from_int(q)
+            self.h = self.domain.gen
+        self.coeff_field = FractionField(self.domain)
         self._images = None
+        self._sigma = {}
 
     @classmethod
     def symbolic(cls) -> EngineMode:
@@ -92,14 +104,23 @@ class EngineMode:
     # coefficient helpers ---------------------------------------------------
 
     def q_coeff(self) -> FractionElement:
-        if self.kind == SYMBOLIC:
-            return self.coeff_field(self.domain.monomial(1, 0))
-        return self.coeff_field(self.domain.from_int(self.q_int))
+        return self.coeff_field(self.q)
 
     def h_coeff(self) -> FractionElement:
-        if self.kind == SYMBOLIC:
-            return self.coeff_field(self.domain.monomial(0, 1))
-        return self.coeff_field(self.domain.gen)
+        return self.coeff_field(self.h)
+
+    def sigma_pair(self, k: int):
+        """Domain elements (z, d) with sigma^k(h) = z/d, computed once per k:
+        (h - [k]_q, q^k) for k > 0 and (q^m h + [m]_q, 1) for k = -m, where
+        [m]_q = 1 + q + ... + q^(m-1)."""
+        pair = self._sigma.get(k)
+        if pair is None:
+            s, qk = self.domain.zero, self.domain.one
+            for _ in range(abs(k)):
+                s, qk = s + qk, qk * self.q
+            pair = (self.h - s, qk) if k > 0 else (qk * self.h + s, self.domain.one)
+            self._sigma[k] = pair
+        return pair
 
     def coeff_from_int(self, n: int) -> FractionElement:
         return self.coeff_field.from_int(n)
@@ -140,95 +161,57 @@ _MODE_TOKEN = object()
 
 
 # ---------------------------------------------------------------------------
-# the twist sigma(h) = (h - 1)/q and its powers
+# the twist sigma(h) = (h - 1)/q and its powers, one substitution for both
+# modes
 # ---------------------------------------------------------------------------
 
-def _geometric_sum(mode, k: int):
-    """1 + q + ... + q^(k-1) as a domain element."""
-    if mode.kind == SYMBOLIC:
-        return mode.domain({(j, 0): 1 for j in range(k)})
-    acc = 0
-    qp = 1
-    for _ in range(k):
-        acc += qp
-        qp = qp * mode.q_int
-    return mode.domain.from_int(acc)
-
-
-def _h_parts_symbolic(poly, ring):
+def _h_parts(poly, mode):
+    """The coefficients c_0, ..., c_top of poly = sum_b c_b h^b, each a
+    domain element free of h."""
+    ring = mode.domain
+    if mode.kind == FINITE:
+        return [ring.from_raw([c]) for c in poly.coeffs]
     by_b: dict[int, dict] = {}
     for (a, b), c in poly.terms.items():
         by_b.setdefault(b, {})[(a, 0)] = c
-    top = max(by_b) if by_b else 0
-    return [ring({**by_b[b]}) if b in by_b else ring.zero for b in range(top + 1)]
+    return [ring(by_b[b]) if b in by_b else ring.zero for b in range(max(by_b) + 1)]
 
 
-def _subst_h_symbolic(poly, k: int, mode):
-    """poly with h replaced by sigma^k(h); returns (numerator, q-exponent of
-    the denominator)."""
-    ring = mode.domain
-    if not poly.terms or k == 0:
-        return poly, 0
-    parts = _h_parts_symbolic(poly, ring)
-    top = len(parts) - 1
-    if k > 0:
-        z = ring.monomial(0, 1) - _geometric_sum(mode, k)
-        qk = ring.monomial(k, 0)
-        acc = parts[top]
-        qp = ring.one
-        for b in range(top - 1, -1, -1):
-            qp = qp * qk
-            acc = acc * z + parts[b] * qp
-        return acc, k * top
-    m = -k
-    z = ring.monomial(m, 1) + _geometric_sum(mode, m)
-    acc = parts[top]
-    for b in range(top - 1, -1, -1):
-        acc = acc * z + parts[b]
-    return acc, 0
-
-
-def _geosum_int(mode, k: int) -> int:
-    acc, qp = 0, 1
-    for _ in range(k):
-        acc = (acc + qp) % mode.p
-        qp = (qp * mode.q_int) % mode.p
-    return acc
-
-
-def _subst_h_finite(poly, k: int, mode):
-    ring = mode.domain
-    p = mode.p
+def _subst_h(poly, k: int, mode):
+    """poly with h replaced by sigma^k(h) = z/d (see ``EngineMode.sigma_pair``)
+    times d^top, by Horner's rule; returns (that numerator, top), where top
+    is the h-degree of poly."""
     if poly.is_zero() or k == 0:
-        return poly
-    if k > 0:
-        s = _geosum_int(mode, k)
-        qk_inv = pow(pow(mode.q_int, k, p), p - 2, p)
-        z = ring.from_raw([(-s * qk_inv) % p, qk_inv])
-    else:
-        m = -k
-        s = _geosum_int(mode, m)
-        z = ring.from_raw([s % p, pow(mode.q_int, m, p)])
-    acc = ring.from_raw([poly.coeffs[-1]])
-    for b in range(len(poly.coeffs) - 2, -1, -1):
-        acc = acc * z + ring.from_raw([poly.coeffs[b]])
-    return acc
+        return poly, 0
+    z, d = mode.sigma_pair(k)
+    parts = _h_parts(poly, mode)
+    top = len(parts) - 1
+    acc = parts[top]
+    dp = mode.domain.one
+    for b in range(top - 1, -1, -1):
+        dp = dp * d
+        acc = acc * z + parts[b] * dp
+    return acc, top
 
 
 def sigma_apply(f: FractionElement, k: int, mode: EngineMode) -> FractionElement:
     """Apply sigma^k to a coefficient, where sigma(h) = (h-1)/q and
-    sigma^-1(h) = qh + 1, extended to fractions componentwise."""
+    sigma^-1(h) = qh + 1, extended to fractions componentwise: with
+    sigma^k(h) = z/d, num/den maps to N d^b / (D d^a), where N and D are
+    num and den after ``_subst_h`` and a, b their h-degrees; only the
+    power d^|a - b| is multiplied in."""
     if f.ring != mode.coeff_field:
         raise RingError(f"{f!r} is not a coefficient of {mode!r}")
     if k == 0:
         return f
-    if mode.kind == FINITE:
-        return mode.coeff_field(_subst_h_finite(f.num, k, mode),
-                                _subst_h_finite(f.den, k, mode))
-    num, en = _subst_h_symbolic(f.num, k, mode)
-    den, ed = _subst_h_symbolic(f.den, k, mode)
-    ring = mode.domain
-    return mode.coeff_field(num * ring.monomial(ed, 0), den * ring.monomial(en, 0))
+    num, en = _subst_h(f.num, k, mode)
+    den, ed = _subst_h(f.den, k, mode)
+    d = mode.sigma_pair(k)[1]
+    if ed > en:
+        num = num * d ** (ed - en)
+    elif en > ed:
+        den = den * d ** (en - ed)
+    return mode.coeff_field(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +257,6 @@ class SkewLaurentElement:
 
     def __mul__(self, other):
         return skew_mul(self, other)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers need an explicit inverse word")
-        result = self.mode.one
-        for _ in range(n):
-            result = skew_mul(result, self)
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, SkewLaurentElement) or other.mode != self.mode:
@@ -497,6 +472,9 @@ class _Parser:
                 val = -val
             if val == 0:
                 return ONE
+            size = len(atom.factors) if isinstance(atom, Mul) else 1
+            if size * val > LETTER_BUDGET:
+                raise ValueError(f"power of more than {LETTER_BUDGET} factors")
             return mul(*([atom] * val))
         return atom
 

@@ -17,6 +17,7 @@ from weylknots.braids import (
 )
 from weylknots.linalg import Matrix
 from weylknots.reps import build_rep, family_q_bidiagonal, family_q_upper
+from weylknots.rings import LETTER_BUDGET
 from weylknots.switches import SwitchError, burau_switch, weyl_switch
 
 
@@ -113,6 +114,14 @@ class TestParsing:
         with pytest.raises(ValueError, match="unknown flavor"):
             parse_braid("s1", "welded")
 
+    def test_letter_budget(self):
+        assert len(parse_braid(f"s1^{LETTER_BUDGET}").letters) == LETTER_BUDGET
+        half = LETTER_BUDGET // 2
+        for text in (f"s1^{LETTER_BUDGET + 1}", f"s1^-{LETTER_BUDGET + 1}",
+                     f"s1^{half + 1} t1^{half}", f"t1 s1^{LETTER_BUDGET}"):
+            with pytest.raises(ValueError, match="longer than"):
+                parse_braid(text)
+
 
 class TestBuiltinWords:
     def test_kishino(self):
@@ -142,6 +151,14 @@ class TestBuiltinWords:
     def test_argument_errors(self, text, match):
         with pytest.raises(ValueError, match=match):
             builtin_word(text)
+
+    def test_letter_budget(self):
+        assert len(word_l(LETTER_BUDGET // 2).letters) == LETTER_BUDGET
+        assert len(word_whorl((LETTER_BUDGET + 2) // 3).letters) <= LETTER_BUDGET
+        for text in (f"l({LETTER_BUDGET // 2 + 1})",
+                     f"whorl({(LETTER_BUDGET + 2) // 3 + 1})"):
+            with pytest.raises(ValueError, match="more than"):
+                builtin_word(text)
 
 
 class TestRepresent:

@@ -668,6 +668,29 @@ class TestOneElimination:
             field = isinstance(m.ring, linalg._FIELDS)
             assert passes == {"_gaussian_pass" if field else "_smith_diagonal": 1}, m
 
+    def test_inverse_runs_one_gaussian_pass(self, passes):
+        # Laurent and polynomial matrices over Z_2, Z_3 and Q, and field
+        # matrices over Z_101, Q and Frac(Q[q]); singular ones included
+        inverted = set()
+        for m in [U_FLAT, V_FLAT, U3, V3, _polynomial(U3), _polynomial(V3),
+                  *elimination_cases()]:
+            if not m.is_square():
+                continue
+            passes.clear()
+            try:
+                inv = mat_inverse(m)
+            except NonUnitError as err:
+                inv, det = None, err.value
+            assert passes == {"_gaussian_pass": 1}, m
+            if inv is None:
+                assert det == det_exact(_copy(m)), m
+                assert not _is_unit_in(det, m.ring), m
+            else:
+                assert (m * inv).is_identity(), m
+                inverted.add(type(m.ring).__name__)
+        assert inverted == {"LaurentRing", "PolynomialRing", "PrimeField",
+                            "RationalField", "FractionField"}
+
     def test_any_order_matches_fresh_copies(self):
         for i, m in enumerate(elimination_cases()):
             want = {name: _outcome(fn, _copy(m)) for name, fn in STEPS.items()}

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylknots.linalg import Matrix
+from weylknots.reps import family_char_p_bidiagonal
 from weylknots.rings import (
     QQ,
     BivariateRing,
@@ -125,6 +126,18 @@ class TestPolynomials:
                 acc = acc * base
         u = L3y("y^2")
         assert u ** -3 == u.inv() ** 3 == L3y("1/y^6")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QX("1/0"),
+    lambda: R3y("1/3 y"),
+    lambda: L3y("2/3y^-1"),
+    lambda: LaurentRing(QX)("x^-1 - 1/0"),
+    lambda: family_char_p_bidiagonal(3, 3, "1/3", "y", ["1", "1"]),
+], ids=["Q-1/0", "Z3-poly", "Z3-laurent", "Q-laurent", "char-p-spec"])
+def test_zero_denominator_coefficient_is_a_value_error(build):
+    with pytest.raises(ValueError, match="zero denominator .* in the term"):
+        build()
 
 
 class TestPolyGcd:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from weylknots.rings import RingError
+from weylknots.rings import LETTER_BUDGET, RingError
 from weylknots.weyl import (
     IDENTITY_SUITE,
     ONE,
@@ -66,6 +66,41 @@ class TestSigma:
     def test_power_composition(self):
         h = SYM.h_coeff()
         assert sigma_apply(h, 2, SYM) == sigma_apply(sigma_apply(h, 1, SYM), 1, SYM)
+
+    def test_finite_mode_is_symbolic_mode_reduced(self):
+        # sigma^k commutes with q := q0 followed by reduction mod p
+        rng = random.Random(29)
+        checked = 0
+        for p, q0 in ((101, 3), (13, 5), (7, 6)):
+            mode = EngineMode.finite(p, q0)
+            for _ in range(8):
+                f = SYM.coeff_field(_random_biv(rng), _random_biv(rng) + SYM.domain.one)
+                if _reduce(f.den, mode).is_zero():
+                    continue
+                for k in (1, 2, 3, -1, -2, -3):
+                    image = sigma_apply(f, k, SYM)
+                    den = _reduce(image.den, mode)
+                    assert not den.is_zero()
+                    want = mode.coeff_field(_reduce(image.num, mode), den)
+                    reduced = mode.coeff_field(_reduce(f.num, mode), _reduce(f.den, mode))
+                    assert sigma_apply(reduced, k, mode) == want, (f, k, mode)
+                    checked += 1
+        assert checked >= 120
+
+
+def _random_biv(rng):
+    """A seeded element of Z[q, h] with q- and h-degree at most 2."""
+    return SYM.domain({(a, b): rng.randint(-3, 3) for a in range(3) for b in range(3)
+                       if rng.random() < 0.5})
+
+
+def _reduce(poly, mode):
+    """An element of Z[q, h] with q := mode.q_int, as an element of Z_p[h]."""
+    coeffs = {}
+    for (a, b), c in poly.terms.items():
+        coeffs[b] = coeffs.get(b, 0) + c * pow(mode.q_int, a, mode.p)
+    top = max(coeffs, default=-1)
+    return mode.domain([coeffs.get(b, 0) % mode.p for b in range(top + 1)])
 
 
 class TestSkewArithmetic:
@@ -203,6 +238,13 @@ class TestParser:
         assert evaluate(parse_expression("u^2"), SYM) == evaluate(mul(U, U), SYM)
         assert evaluate(parse_expression("(uv)^2"), SYM) == \
             evaluate(mul(U, V, U, V), SYM)
+
+    def test_power_budget(self):
+        assert parse_expression(f"u^{LETTER_BUDGET}") == mul(*[U] * LETTER_BUDGET)
+        for text in (f"u^{LETTER_BUDGET + 1}", f"(u v)^{LETTER_BUDGET // 2 + 1}",
+                     f"v^-{LETTER_BUDGET + 1}"):
+            with pytest.raises(ValueError, match="more than"):
+                parse_expression(text)
 
     def test_negative_group_power_rejected(self):
         with pytest.raises(ValueError):
