@@ -176,7 +176,7 @@ def braid_from_text(text: str, flavor: str = FLAT, strands=None) -> BraidWord:
 
 def represent(word: BraidWord, switch: LinearSwitch) -> Matrix:
     """The nk x nk image of the word: letter matrices multiplied in written
-    order.  Flat words require an involutive switch.
+    order.  Flat words need a flat switch: one declaring q = 1, so S^2 = I.
 
     Each letter touches only block columns i and i+1 of the running
     product: t_i swaps them and s_i^+-1 mixes them through S or S^-1, each

@@ -87,11 +87,6 @@ class Matrix:
         return cls([[z] * ncols for _ in range(nrows)], ring)
 
     @classmethod
-    def scalar(cls, ring, n: int, value):
-        z = ring.zero
-        return cls([[value if i == j else z for j in range(n)] for i in range(n)], ring)
-
-    @classmethod
     def block(cls, grid):
         """Assemble from a 2D grid of equally-ringed matrices."""
         rows = []

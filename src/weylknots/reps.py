@@ -4,7 +4,8 @@ A representation is a pair of invertible matrices U, V with UV - qVU = I.
 ``MatrixRep`` is the one gate: its constructor runs ``validate_rep`` and
 raises ``RepError`` on failure, so every ``MatrixRep`` is valid, and a typo
 in a family's assembly formula surfaces as a hard failure instead of a
-silently wrong invariant downstream.
+silently wrong invariant downstream.  The gate inverts U and V, one
+elimination each, and the rep keeps both inverses for ``weyl_switch``.
 
 Families:
 
@@ -32,11 +33,12 @@ import json
 import re
 from dataclasses import dataclass, field
 
-from .linalg import Matrix, det_exact, _is_unit_in
+from .linalg import Matrix, mat_inverse
 from .rings import (
     QQ,
     FractionField,
     LaurentRing,
+    NonUnitError,
     PolynomialRing,
     PrimeField,
     RationalField,
@@ -66,10 +68,9 @@ def _characteristic(ring) -> int:
 class RepReport:
     ok: bool
     relation_ok: bool
-    det_u: object
-    det_v: object
-    det_u_unit: bool
-    det_v_unit: bool
+    det_u: object               # det(U) when it is not a unit, else None
+    det_v: object               # det(V) likewise
+    inverses: tuple             # (U^-1, V^-1), None for a non-unit det
     first_failure: tuple | None = None
 
     def describe(self) -> str:
@@ -79,16 +80,17 @@ class RepReport:
         if not self.relation_ok:
             i, j, got = self.first_failure
             parts.append(f"UV - qVU != I at entry ({i},{j}): got {got!r}")
-        if not self.det_u_unit:
+        if self.det_u is not None:
             parts.append(f"det(U) = {self.det_u!r} is not a unit")
-        if not self.det_v_unit:
+        if self.det_v is not None:
             parts.append(f"det(V) = {self.det_v!r} is not a unit")
         return "; ".join(parts)
 
 
 class MatrixRep:
     """A pair (U, V) with UV - qVU = I over a common entry ring; the
-    constructor raises ``RepError`` for any pair that fails ``validate_rep``."""
+    constructor raises ``RepError`` for any pair that fails ``validate_rep``
+    and keeps the pair (U^-1, V^-1) that it computes as ``inverses``."""
 
     def __init__(self, U: Matrix, V: Matrix, q, label: str = "custom"):
         if not (U.is_square() and V.is_square() and U.nrows == V.nrows):
@@ -108,6 +110,7 @@ class MatrixRep:
         report = validate_rep(self)
         if not report.ok:
             raise RepError(f"{label}: {report.describe()}")
+        self.inverses = report.inverses
 
     def __repr__(self):
         return (f"MatrixRep({self.label}, dim={self.dim}, ring={self.ring}, "
@@ -115,24 +118,25 @@ class MatrixRep:
 
 
 def validate_rep(rep: MatrixRep) -> RepReport:
-    """Check UV - qVU = I exactly and that both determinants are units."""
+    """Check UV - qVU = I exactly and that both determinants are units.
+
+    ``mat_inverse`` inverts U and V, one elimination each; a determinant
+    that is not a unit comes from its ``NonUnitError``."""
     got = rep.U * rep.V - (rep.V * rep.U).scale(rep.q)
     identity = Matrix.identity(rep.ring, rep.dim)
-    relation_ok = True
-    first = None
-    for i in range(rep.dim):
-        for j in range(rep.dim):
-            if got.rows[i][j] != identity.rows[i][j]:
-                relation_ok = False
-                first = (i, j, got.rows[i][j])
-                break
-        if not relation_ok:
-            break
-    du, dv = det_exact(rep.U), det_exact(rep.V)
-    du_unit = _is_unit_in(du, rep.ring)
-    dv_unit = _is_unit_in(dv, rep.ring)
-    return RepReport(relation_ok and du_unit and dv_unit, relation_ok,
-                     du, dv, du_unit, dv_unit, first)
+    first = next(((i, j, got.rows[i][j]) for i in range(rep.dim)
+                  for j in range(rep.dim) if got.rows[i][j] != identity.rows[i][j]),
+                 None)
+    relation_ok = first is None
+    found = []
+    for m in (rep.U, rep.V):
+        try:
+            found.append((mat_inverse(m), None))
+        except NonUnitError as err:
+            found.append((None, err.value))
+    (u_inv, du), (v_inv, dv) = found
+    return RepReport(relation_ok and du is None and dv is None, relation_ok,
+                     du, dv, (u_inv, v_inv), first)
 
 
 # ---------------------------------------------------------------------------

@@ -73,7 +73,9 @@ def power(base, n: int, one):
 # Most letters a braid word, and most factors a Weyl-algebra product, may
 # expand to from its text.  The longest benchmark word has 80 letters and
 # whorl(48), the largest word timed so far, has 142; 1024 leaves room above
-# both and refuses text such as s1^1000000000 before it is expanded.
+# both and refuses text such as s1^1000000000 before it is expanded.  It
+# bounds each exponent in polynomial and Laurent text too, as a polynomial
+# stores one coefficient per degree: q^1000000000 is refused, not allocated.
 LETTER_BUDGET = 1024
 
 
@@ -160,7 +162,9 @@ class FieldScalar:
         return FieldScalar(self.ring, self.ring.cneg(self.value))
 
     def __pow__(self, n):
-        return FieldScalar(self.ring, self.ring.cpow(self.value, n))
+        if n < 0:
+            return self.inv() ** (-n)
+        return power(self, n, self.ring.one)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -239,11 +243,6 @@ class PrimeField:
     def cdiv(self, a, b):
         return (a * self.cinv(b)) % self.p
 
-    def cpow(self, a, n):
-        if n < 0:
-            return pow(self.cinv(a), -n, self.p)
-        return pow(a, n, self.p)
-
     def ceq(self, a, b):
         return (a - b) % self.p == 0
 
@@ -318,11 +317,6 @@ class RationalField:
         if b == 0:
             raise ZeroDivisionError("division by 0 in Q")
         return a / b
-
-    def cpow(self, a, n):
-        if n < 0 and a == 0:
-            raise ZeroDivisionError("inverse of 0 in Q")
-        return a ** n
 
     def ceq(self, a, b):
         return a == b
@@ -703,6 +697,9 @@ def _parse_terms(text: str, ring):
             if var != ring.var:
                 raise ValueError(f"expected indeterminate {ring.var!r}, got {var!r}")
             exp = int(m.group("exp")) if m.group("exp") else 1
+            if abs(exp) > LETTER_BUDGET:
+                raise ValueError(f"exponent above {LETTER_BUDGET} in the term "
+                                 f"{m.group(0).strip()!r}")
         else:
             exp = 0
         terms[exp] = field.cadd(terms.get(exp, field.czero), coeff)
@@ -950,6 +947,9 @@ def parse_laurent(text: str, ring: LaurentRing) -> LaurentPolynomial:
         if m.group("var") != ring.var:
             raise ValueError(f"expected indeterminate {ring.var!r} in {text!r}")
         k = int(m.group("k") or 1)
+        if k > LETTER_BUDGET:
+            raise ValueError(f"exponent above {LETTER_BUDGET} in the term "
+                             f"'/{m.group('var')}^{k}'")
         num = parse_polynomial(m.group("num"), ring.poly_ring)
         return ring.from_poly(num, -k)
     out = ring.zero

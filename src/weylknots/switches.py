@@ -2,22 +2,23 @@
 
 A linear switch is the block matrix S = [[A, B], [C, D]] acting on pairs
 of k-dimensional strand blocks.  ``check_switch`` verifies the axioms as
-exact matrix identities: the braid relation on three blocks, the Hecke
-quadratic S^2 = (1-q)S + qI for the switch's declared scalar, and S^2 = I
-when q = 1 (the flat case).
+exact matrix identities: the braid relation on three blocks and the Hecke
+quadratic S^2 = (1-q)S + qI for the switch's declared scalar q, which at
+q = 1 is S^2 = I: a flat switch is one that declares q = 1.
 
-``weyl_switch`` builds the canonical switch of a representation (valid by
-construction of ``MatrixRep``): A = V'U', B = U, C = A'B'A(I - A) and
-D = (1-q)I - U'V', and requires det(C) to be a unit.  UV - I = qVU gives
-det(C) = q^n / det(U), and ``MatrixRep`` makes det(U) a unit, so that is
-a unit test on q; det(C) is computed only for the error message.
-``LinearSwitch.inverse`` is the Hecke closed form S^-1 = q^-1(S - (1-q)I),
-checked by one product S S^-1 = I.
+Only the factories build a ``LinearSwitch``, and each declares a q that
+satisfies the quadratic: ``weyl_switch`` because ``MatrixRep`` enforces
+UV - qVU = I (``hecke-scalar`` in ``weyl.IDENTITY_SUITE``), Burau and
+scalar Sawollek switches by direct algebra, and ``custom_switch`` by
+gating on ``check_switch``.  So ``inverse`` is the closed form
+S^-1 = q^-1(S - (1-q)I) and ``is_flat`` reads q, neither with a check.
 
-The checks that only re-verify this construction live in
-``tests/test_switches.py``: C against the q-scaled 9-letter word in U, V,
-and the inverse against the elementary-factorization inverse and against
-``mat_inverse(S)``.
+``weyl_switch`` takes U^-1, V^-1 from ``MatrixRep``: A = V'U', B = U,
+C = A'B'A(I - A) and D = (1-q)I - U'V'.  UV - I = qVU gives det(C) =
+q^n / det(U), a unit exactly when q is; det(C) is computed only for the
+error message.  ``tests/test_switches.py`` re-verifies the construction:
+the quadratic for every factory, C against the q-scaled 9-letter word in
+U, V, and the inverse against two reference inverses.
 """
 
 from __future__ import annotations
@@ -39,9 +40,13 @@ class SwitchError(RingError):
 
 class LinearSwitch:
     """Blocks A, B, C, D (k x k) with the assembled 2k x 2k matrix S and a
-    declared Hecke scalar q (None when the switch has no such scalar)."""
+    declared Hecke scalar q (None when the switch has no such scalar).
+    Built only by the factories below."""
 
-    def __init__(self, A, B, C, D, q, label="custom"):
+    def __init__(self, A, B, C, D, q, label, _token=None):
+        if _token is not _SWITCH_TOKEN:
+            raise TypeError("build switches with weyl_switch, burau_switch, "
+                            "sawollek_switch or custom_switch")
         for m in (B, C, D):
             if m.ring != A.ring or m.nrows != A.nrows or not m.is_square():
                 raise SwitchError("blocks must be square, equal-sized, one ring")
@@ -62,44 +67,46 @@ class LinearSwitch:
         return self._S
 
     def is_flat(self) -> bool:
-        s = self.S
-        return (s * s).is_identity()
+        """The switch declares q = 1, where the Hecke quadratic is S^2 = I."""
+        return self.q is not None and self.q.is_one()
 
     def inverse(self) -> Matrix:
-        """S^-1 = q^-1 (S - (1-q)I), which the Hecke quadratic makes exact,
-        checked by S S^-1 = I; ``mat_inverse(S)`` when q is not a unit."""
+        """S^-1 = q^-1 (S - (1-q)I), which the declared q makes exact;
+        ``mat_inverse(S)`` when q is None or not a unit."""
         if self._S_inv is None:
             s, q, ring = self.S, self.q, self.ring
-            if q is None or not _is_unit_in(q, ring):
+            if q is not None and _is_unit_in(q, ring):
+                i2k = Matrix.identity(ring, 2 * self.k)
+                self._S_inv = (s - i2k.scale(ring.one - q)).scale(ring.one.exact_div(q))
+            else:
                 try:
                     self._S_inv = mat_inverse(s)
                 except NonUnitError as err:
                     raise SwitchError(f"switch is singular: det = {err.value!r}"
                                       ) from None
-            else:
-                i2k = Matrix.identity(ring, 2 * self.k)
-                inv = (s - i2k.scale(ring.one - q)).scale(ring.one.exact_div(q))
-                if not (s * inv).is_identity():
-                    raise SwitchError(f"Hecke quadratic fails for q = {q!r}")
-                self._S_inv = inv
         return self._S_inv
 
     def __repr__(self):
         return f"LinearSwitch({self.label}, k={self.k}, ring={self.ring})"
 
 
+_SWITCH_TOKEN = object()
+
+
 def weyl_switch(rep: MatrixRep, label=None) -> LinearSwitch:
-    """The canonical switch of a representation; det(C) = q^n / det(U) must
-    be a unit, that is, q must be."""
+    """The canonical switch of a representation, from the U^-1 and V^-1
+    that ``MatrixRep`` keeps; det(C) = q^n / det(U) must be a unit, that
+    is, q must be."""
     U, V, q = rep.U, rep.V, rep.q
-    Uinv, Vinv = mat_inverse(U), mat_inverse(V)
+    Uinv, Vinv = rep.inverses
     identity = Matrix.identity(rep.ring, rep.dim)
     A = Vinv * Uinv
     C = U * V * Uinv * A * (identity - A)
     D = identity.scale(rep.ring.one - q) - Uinv * Vinv
     if not _is_unit_in(q, rep.ring):
         raise SwitchError(f"block C is singular: det = {det_exact(C)!r}")
-    return LinearSwitch(A, U, C, D, q, label=label or f"weyl({rep.label})")
+    return LinearSwitch(A, U, C, D, q, label=label or f"weyl({rep.label})",
+                        _token=_SWITCH_TOKEN)
 
 
 def burau_switch(t=None, ring=None) -> LinearSwitch:
@@ -117,34 +124,34 @@ def burau_switch(t=None, ring=None) -> LinearSwitch:
         raise SwitchError(f"Burau parameter must be a unit, got {t!r}")
     one, zero = ring.one, ring.zero
     mk = lambda e: Matrix([[e]], ring)
-    return LinearSwitch(mk(zero), mk(one), mk(t), mk(one - t), t, label="burau")
+    return LinearSwitch(mk(zero), mk(one), mk(t), mk(one - t), t, label="burau",
+                        _token=_SWITCH_TOKEN)
 
 
 def sawollek_switch(b, c, ring=None) -> LinearSwitch:
-    """[[1 - BC, B], [C, 0]]; for commuting scalar blocks the Hecke scalar
-    is BC, and C = 1 recovers the Burau form with t = B."""
+    """[[1 - BC, B], [C, 0]]; for scalar blocks, or matrix blocks with
+    BC = CB = cI, the Hecke scalar is c = BC, and C = 1 recovers the Burau
+    form with t = B.  Matrix blocks are the caller's, so they pass the
+    ``custom_switch`` gate."""
     if isinstance(b, Matrix):
         B, C = b, c
         ring = B.ring
-        identity = Matrix.identity(ring, B.nrows)
-        q = None
-        bc = B * C
-        diag = bc.rows[0][0]
-        if bc == Matrix.scalar(ring, B.nrows, diag):
-            q = diag
-        return LinearSwitch(identity - bc, B, C, Matrix.zeros(ring, B.nrows),
-                            q, label="sawollek")
+        identity, bc = Matrix.identity(ring, B.nrows), B * C
+        scalar = identity.scale(bc.rows[0][0])
+        q = bc.rows[0][0] if bc == scalar and C * B == scalar else None
+        return custom_switch(identity - bc, B, C, Matrix.zeros(ring, B.nrows), q,
+                             label="sawollek")
     if ring is None:
         raise SwitchError("scalar blocks need an explicit ring")
     b, c = ring(b), ring(c)
     mk = lambda e: Matrix([[e]], ring)
     return LinearSwitch(mk(ring.one - b * c), mk(b), mk(c), mk(ring.zero),
-                        b * c, label="sawollek")
+                        b * c, label="sawollek", _token=_SWITCH_TOKEN)
 
 
 def custom_switch(A, B, C, D, q, label="custom") -> LinearSwitch:
     """Assemble and gate on check_switch; axiom failures raise."""
-    switch = LinearSwitch(A, B, C, D, q, label=label)
+    switch = LinearSwitch(A, B, C, D, q, label=label, _token=_SWITCH_TOKEN)
     report = check_switch(switch)
     if not report.ok:
         raise SwitchError(f"switch axioms fail: {report.describe()}")
@@ -152,26 +159,24 @@ def custom_switch(A, B, C, D, q, label="custom") -> LinearSwitch:
 
 
 class SwitchReport:
-    def __init__(self, yang_baxter, hecke, involution, failures):
+    def __init__(self, yang_baxter, hecke, failures):
         self.yang_baxter = yang_baxter
         self.hecke = hecke          # None = no declared scalar to check
-        self.involution = involution  # None = not a q=1 switch
         self.failures = failures
 
     @property
     def ok(self):
-        return (self.yang_baxter and self.hecke is not False
-                and self.involution is not False)
+        return self.yang_baxter and self.hecke is not False
 
     def describe(self) -> str:
         if self.ok:
-            return "yang-baxter, hecke and flat checks pass"
+            return "yang-baxter and hecke checks pass"
         return "; ".join(self.failures)
 
 
 def check_switch(switch: LinearSwitch) -> SwitchReport:
-    """Exact verification of the braid relation on three blocks, the Hecke
-    quadratic, and (at q = 1) involutivity."""
+    """Exact verification of the braid relation on three blocks and of the
+    Hecke quadratic, which at q = 1 is S^2 = I."""
     k = switch.k
     ring = switch.ring
     ik = Matrix.identity(ring, k)
@@ -185,15 +190,10 @@ def check_switch(switch: LinearSwitch) -> SwitchReport:
     if not yb:
         failures.append("braid relation S1 S2 S1 = S2 S1 S2 fails")
     hecke = None
-    involution = None
     if switch.q is not None:
         q = switch.q
         i2k = Matrix.identity(ring, 2 * k)
         hecke = (s * s) == s.scale(ring.one - q) + i2k.scale(q)
         if not hecke:
             failures.append(f"Hecke quadratic fails for q = {q!r}")
-        if q.is_one():
-            involution = (s * s).is_identity()
-            if not involution:
-                failures.append("S^2 = I fails although q = 1")
-    return SwitchReport(yb, hecke, involution, failures)
+    return SwitchReport(yb, hecke, failures)

@@ -11,6 +11,7 @@ from weylknots.reps import family_char_p_bidiagonal
 from weylknots.rings import (
     QQ,
     BivariateRing,
+    LETTER_BUDGET,
     FractionField,
     LaurentRing,
     PolynomialRing,
@@ -52,6 +53,21 @@ class TestScalars:
     def test_non_prime_rejected(self):
         with pytest.raises(ValueError):
             PrimeField(6)
+
+    @pytest.mark.parametrize("ring", [F3, PrimeField(101), QQ], ids=str)
+    def test_powers_match_repeated_products(self, ring):
+        for value in (1, 2, -1):
+            base, acc = ring(value), ring.one
+            for n in range(8):
+                assert base ** n == acc
+                assert base ** -n == acc.inv()
+                acc = acc * base
+        assert ring.zero ** 0 == ring.one
+
+    @pytest.mark.parametrize("ring", [F3, QQ], ids=str)
+    def test_zero_to_a_negative_power(self, ring):
+        with pytest.raises(ZeroDivisionError):
+            ring.zero ** -1
 
 
 class TestPolynomials:
@@ -177,6 +193,22 @@ class TestPolyGcd:
             assert (a % g).is_zero() and (b % g).is_zero()
             if not (a.is_zero() or b.is_zero()) and a.degree + b.degree <= 4:
                 assert g == brute_gcd(a, b)
+
+
+@pytest.mark.parametrize("build", [
+    lambda e: QX(f"x^{e}"),
+    lambda e: R3y(f"2y^{e} + 1"),
+    lambda e: L3y(f"y^{e} + 1"),
+    lambda e: L3y(f"y^-{e}"),
+    lambda e: parse_laurent(f"1/y^{e}", L3y),
+    lambda e: parse_laurent(f"(y + 1)/y^{e}", L3y),
+], ids=["Q-poly", "Z3-poly", "Z3-laurent", "Z3-negative", "Z3-over-y^k", "Z3-paren"])
+def test_exponent_budget(build):
+    # one coefficient per degree: an exponent above the budget is refused
+    # before it is allocated, and one at the budget still parses
+    assert build(LETTER_BUDGET) is not None
+    with pytest.raises(ValueError, match=rf"exponent above {LETTER_BUDGET} in the term"):
+        build(LETTER_BUDGET + 1)
 
 
 class TestLaurent:

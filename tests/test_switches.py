@@ -3,16 +3,19 @@ import random
 import pytest
 from test_linalg import bareiss_det
 
+from weylknots import linalg
 from weylknots.linalg import Matrix, mat_inverse
 from weylknots.reps import (
     MatrixRep,
     RepError,
     build_rep,
+    family_char_p_bidiagonal,
     family_q_bidiagonal,
     family_q_upper,
+    family_truncated,
     validate_rep,
 )
-from weylknots.rings import LaurentRing, PolynomialRing, PrimeField
+from weylknots.rings import QQ, LaurentRing, PolynomialRing, PrimeField
 from weylknots.switches import (
     LinearSwitch,
     SwitchError,
@@ -44,14 +47,29 @@ def _factorization_inverse(switch: LinearSwitch) -> Matrix:
     return m1 * m2 * m3 * m4
 
 
-def _seeded_q_rep(family, seed, p=101):
-    """A Z_p member of a q-family with seeded parameters."""
+def _seeded_rep(family, seed, n=3, p=101):
+    """A member of a rep family with seeded parameters; the q-families take
+    q symbolic when p is None.  A draw that the gate rejects is redrawn."""
     rng = random.Random(seed)
-    unit = lambda: rng.randrange(1, p)
-    q = rng.randrange(2, p)
-    if family == "q_bidiagonal":
-        return family_q_bidiagonal(3, q, unit(), [unit(), unit()], p=p)
-    return family_q_upper(3, q, unit(), unit(), unit(), unit(), p=p)
+    unit = lambda: rng.randrange(1, p or 10)
+    for _ in range(20):
+        try:
+            if family == "char_p_bidiagonal":
+                mono = lambda: f"{unit()}x^{rng.randrange(-2, 3)}"
+                return family_char_p_bidiagonal(n, p, mono(), mono(),
+                                                [unit() for _ in range(n - 1)])
+            if family == "truncated":
+                return family_truncated(
+                    n, p, [unit(), unit()] + [rng.randrange(p) for _ in range(n - 2)],
+                    [rng.randrange(p) for _ in range(n)])
+            q = "q" if p is None else rng.randrange(2, p)
+            if family == "q_bidiagonal":
+                return family_q_bidiagonal(n, q, unit(), [unit() for _ in range(n - 1)],
+                                           p=p)
+            return family_q_upper(n, q, unit(), unit(), unit(), unit(), p=p)
+        except RepError:
+            continue
+    raise AssertionError(f"no valid {family} draw for seed {seed}")
 
 
 WEYL_REPS = {
@@ -80,20 +98,90 @@ class TestCheckSwitch:
         assert report.hecke
 
     def test_flat2_is_involutive(self):
-        report = check_switch(weyl_switch(build_rep("flat2")))
-        assert report.involution
+        s = weyl_switch(build_rep("flat2"))
+        assert s.is_flat() and (s.S * s.S).is_identity()
 
     def test_perturbed_block_fails(self):
         s = weyl_switch(build_rep("kishino3"))
         ring = s.ring
         bump = Matrix([[ring.one if (i, j) == (0, 0) else ring.zero
                         for j in range(s.k)] for i in range(s.k)], ring)
-        blocks = (s.A, s.B, s.C + bump, s.D)
-        report = check_switch(LinearSwitch(*blocks, s.q))
-        assert not report.ok
-        assert "braid relation" in report.describe()
-        with pytest.raises(SwitchError, match="axioms fail"):
-            custom_switch(*blocks, s.q)
+        with pytest.raises(SwitchError, match="axioms fail: braid relation"):
+            custom_switch(s.A, s.B, s.C + bump, s.D, s.q)
+
+    def test_direct_construction_refused(self):
+        s = burau_switch()
+        with pytest.raises(TypeError, match="custom_switch"):
+            LinearSwitch(s.A, s.B, s.C, s.D, s.q, label="burau")
+
+    def test_non_commuting_sawollek_blocks_rejected(self):
+        # BC = 0 but CB != 0: no Hecke scalar, and no switch
+        B = Matrix([[F7(0), F7(1)], [F7(0), F7(0)]])
+        C = Matrix([[F7(1), F7(0)], [F7(0), F7(0)]])
+        with pytest.raises(SwitchError, match="braid relation"):
+            sawollek_switch(B, C)
+
+
+# A seeded switch of every factory that declares q without checking it
+SEEDED_SWITCHES = {
+    **{f"{family}-n{n}-{'symbolic' if p is None else f'mod{p}'}":
+       (lambda family=family, n=n, p=p: weyl_switch(_seeded_rep(family, n, n=n, p=p)))
+       for family in ("q_bidiagonal", "q_upper") for n in range(2, 6)
+       for p in (None, 101)},
+    **{f"{family}-n{n}-p{p}":
+       (lambda family=family, n=n, p=p: weyl_switch(_seeded_rep(family, n, n=n, p=p)))
+       for family in ("char_p_bidiagonal", "truncated")
+       for n, p in ((2, 2), (3, 3), (4, 2))},
+    "burau-Q": burau_switch,
+    "burau-Z5": lambda: burau_switch(ring=L5t),
+    "sawollek-Q": lambda: sawollek_switch(2, 5, ring=QQ),
+    "sawollek-Z7-flat": lambda: sawollek_switch(3, 5, ring=F7),
+}
+
+
+class TestHeckeByConstruction:
+    """The declared q satisfies the Hecke quadratic, so the closed-form
+    inverse and the q = 1 flat test need no check of their own."""
+
+    @pytest.mark.parametrize("name", sorted(SEEDED_SWITCHES))
+    def test_declared_q_is_a_hecke_scalar(self, name):
+        s = SEEDED_SWITCHES[name]()
+        assert check_switch(s).hecke
+        assert s.inverse() == mat_inverse(s.S)
+        assert s.is_flat() == (s.S * s.S).is_identity()
+
+
+class TestWorkCounts:
+    """The rep gate eliminates U and V once each; weyl_switch reuses those
+    inverses, and inverse() and is_flat() read the declared q."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        count = {"elim": 0, "mul": 0}
+        for name in ("_smith_diagonal", "_gaussian_pass"):
+            def counted(*args, _run=getattr(linalg, name)):
+                count["elim"] += 1
+                return _run(*args)
+            monkeypatch.setattr(linalg, name, counted)
+        mul = Matrix.__mul__
+
+        def counted_mul(self, other):
+            count["mul"] += 1
+            return mul(self, other)
+        monkeypatch.setattr(Matrix, "__mul__", counted_mul)
+        return count
+
+    @pytest.mark.parametrize("name", sorted(WEYL_REPS))
+    def test_switch_runs_no_elimination(self, counts, name):
+        rep = WEYL_REPS[name]()
+        assert counts["elim"] == 2
+        counts.update(elim=0, mul=0)
+        s = weyl_switch(rep)
+        assert counts["elim"] == 0
+        counts["mul"] = 0
+        s.inverse()
+        s.is_flat()
+        assert counts == {"elim": 0, "mul": 0}
 
 
 class TestInverse:
@@ -128,10 +216,8 @@ class TestInverse:
     def test_wrong_hecke_scalar_raises(self):
         s = burau_switch(ring=L5t)
         t = L5t.gen
-        switch = LinearSwitch(s.A, s.B, s.C, s.D, t * t)
-        assert check_switch(switch).hecke is False
         with pytest.raises(SwitchError, match="Hecke quadratic fails"):
-            switch.inverse()
+            custom_switch(s.A, s.B, s.C, s.D, t * t)
 
 
 class TestWeylSwitch:
@@ -178,7 +264,7 @@ class TestWeylSwitch:
             rep = WEYL_REPS[name]()
         else:
             family, seed = name.split("-seed")
-            rep = _seeded_q_rep(family, int(seed))
+            rep = _seeded_rep(family, int(seed))
         U, V = rep.U, rep.V
         Uinv, Vinv = mat_inverse(U), mat_inverse(V)
         word = (U * V * Uinv * Vinv * Uinv * Vinv * Uinv * V * U).scale(rep.q)
