@@ -67,17 +67,16 @@ def _characteristic(ring) -> int:
 @dataclass
 class RepReport:
     ok: bool
-    relation_ok: bool
     det_u: object               # det(U) when it is not a unit, else None
     det_v: object               # det(V) likewise
     inverses: tuple             # (U^-1, V^-1), None for a non-unit det
-    first_failure: tuple | None = None
+    first_failure: tuple | None  # first (i, j, entry) where UV - qVU != I
 
     def describe(self) -> str:
         if self.ok:
             return "valid: UV - qVU = I, det(U) and det(V) are units"
         parts = []
-        if not self.relation_ok:
+        if self.first_failure is not None:
             i, j, got = self.first_failure
             parts.append(f"UV - qVU != I at entry ({i},{j}): got {got!r}")
         if self.det_u is not None:
@@ -124,10 +123,14 @@ def validate_rep(rep: MatrixRep) -> RepReport:
     that is not a unit comes from its ``NonUnitError``."""
     got = rep.U * rep.V - (rep.V * rep.U).scale(rep.q)
     identity = Matrix.identity(rep.ring, rep.dim)
-    first = next(((i, j, got.rows[i][j]) for i in range(rep.dim)
-                  for j in range(rep.dim) if got.rows[i][j] != identity.rows[i][j]),
-                 None)
-    relation_ok = first is None
+    first = None
+    for i in range(rep.dim):
+        for j in range(rep.dim):
+            if got.rows[i][j] != identity.rows[i][j]:
+                first = (i, j, got.rows[i][j])
+                break
+        if first is not None:
+            break
     found = []
     for m in (rep.U, rep.V):
         try:
@@ -135,7 +138,7 @@ def validate_rep(rep: MatrixRep) -> RepReport:
         except NonUnitError as err:
             found.append((None, err.value))
     (u_inv, du), (v_inv, dv) = found
-    return RepReport(relation_ok and du is None and dv is None, relation_ok,
+    return RepReport(first is None and du is None and dv is None,
                      du, dv, (u_inv, v_inv), first)
 
 

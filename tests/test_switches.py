@@ -49,27 +49,21 @@ def _factorization_inverse(switch: LinearSwitch) -> Matrix:
 
 def _seeded_rep(family, seed, n=3, p=101):
     """A member of a rep family with seeded parameters; the q-families take
-    q symbolic when p is None.  A draw that the gate rejects is redrawn."""
+    q symbolic when p is None."""
     rng = random.Random(seed)
     unit = lambda: rng.randrange(1, p or 10)
-    for _ in range(20):
-        try:
-            if family == "char_p_bidiagonal":
-                mono = lambda: f"{unit()}x^{rng.randrange(-2, 3)}"
-                return family_char_p_bidiagonal(n, p, mono(), mono(),
-                                                [unit() for _ in range(n - 1)])
-            if family == "truncated":
-                return family_truncated(
-                    n, p, [unit(), unit()] + [rng.randrange(p) for _ in range(n - 2)],
-                    [rng.randrange(p) for _ in range(n)])
-            q = "q" if p is None else rng.randrange(2, p)
-            if family == "q_bidiagonal":
-                return family_q_bidiagonal(n, q, unit(), [unit() for _ in range(n - 1)],
-                                           p=p)
-            return family_q_upper(n, q, unit(), unit(), unit(), unit(), p=p)
-        except RepError:
-            continue
-    raise AssertionError(f"no valid {family} draw for seed {seed}")
+    if family == "char_p_bidiagonal":
+        mono = lambda: f"{unit()}x^{rng.randrange(-2, 3)}"
+        return family_char_p_bidiagonal(n, p, mono(), mono(),
+                                        [unit() for _ in range(n - 1)])
+    if family == "truncated":
+        return family_truncated(
+            n, p, [unit(), unit()] + [rng.randrange(p) for _ in range(n - 2)],
+            [rng.randrange(p) for _ in range(n)])
+    q = "q" if p is None else rng.randrange(2, p)
+    if family == "q_bidiagonal":
+        return family_q_bidiagonal(n, q, unit(), [unit() for _ in range(n - 1)], p=p)
+    return family_q_upper(n, q, unit(), unit(), unit(), unit(), p=p)
 
 
 WEYL_REPS = {
@@ -81,21 +75,48 @@ WEYL_REPS = {
     "q_bidiagonal-symbolic": lambda: family_q_bidiagonal(2, q="q", a=2, b=[1]),
 }
 
+# Seeded members of all four families, whose switches declare q unchecked
+SEEDED_REPS = {
+    **{f"{family}-n{n}-{'symbolic' if p is None else f'mod{p}'}":
+       (lambda family=family, n=n, p=p: _seeded_rep(family, n, n=n, p=p))
+       for family in ("q_bidiagonal", "q_upper") for n in range(2, 6)
+       for p in (None, 101)},
+    **{f"{family}-n{n}-p{p}":
+       (lambda family=family, n=n, p=p: _seeded_rep(family, n, n=n, p=p))
+       for family in ("char_p_bidiagonal", "truncated")
+       for n, p in ((2, 2), (3, 3), (4, 2))},
+}
+ALL_REPS = {**WEYL_REPS, **SEEDED_REPS}
+
+# Scalar Sawollek switches (b, c, ring); b c = 15 = 1 over Z_7 declares q = 1
+SAWOLLEK_SCALARS = ((2, 3, F7), (2, 5, QQ), (3, 5, F7))
+
 
 class TestCheckSwitch:
+    """Every factory declares a q that satisfies the Hecke quadratic, so
+    is_flat(), which reads q = 1, needs no S^2 = I product of its own."""
+
     def test_burau(self):
-        assert check_switch(burau_switch()).ok
+        for ring in (None, L5t):
+            s = burau_switch(ring=ring)
+            report = check_switch(s)
+            assert report.ok and report.hecke
+            assert not s.is_flat() and not (s.S * s.S).is_identity()
 
     def test_scalar_sawollek(self):
-        switch = sawollek_switch(2, 3, ring=F7)
-        report = check_switch(switch)
-        assert report.ok and report.hecke
+        for b, c, ring in SAWOLLEK_SCALARS:
+            s = sawollek_switch(b, c, ring=ring)
+            report = check_switch(s)
+            assert report.ok and report.hecke
+            assert s.is_flat() == (s.S * s.S).is_identity() == (s.q == ring.one)
 
-    @pytest.mark.parametrize("name", sorted(WEYL_REPS))
+    @pytest.mark.parametrize("name", sorted(ALL_REPS))
     def test_weyl(self, name):
-        report = check_switch(weyl_switch(WEYL_REPS[name]()))
+        s = weyl_switch(ALL_REPS[name]())
+        report = check_switch(s)
         assert report.ok, report.describe()
         assert report.hecke
+        assert s.is_flat() == (s.S * s.S).is_identity()
 
     def test_flat2_is_involutive(self):
         s = weyl_switch(build_rep("flat2"))
@@ -120,35 +141,6 @@ class TestCheckSwitch:
         C = Matrix([[F7(1), F7(0)], [F7(0), F7(0)]])
         with pytest.raises(SwitchError, match="braid relation"):
             sawollek_switch(B, C)
-
-
-# A seeded switch of every factory that declares q without checking it
-SEEDED_SWITCHES = {
-    **{f"{family}-n{n}-{'symbolic' if p is None else f'mod{p}'}":
-       (lambda family=family, n=n, p=p: weyl_switch(_seeded_rep(family, n, n=n, p=p)))
-       for family in ("q_bidiagonal", "q_upper") for n in range(2, 6)
-       for p in (None, 101)},
-    **{f"{family}-n{n}-p{p}":
-       (lambda family=family, n=n, p=p: weyl_switch(_seeded_rep(family, n, n=n, p=p)))
-       for family in ("char_p_bidiagonal", "truncated")
-       for n, p in ((2, 2), (3, 3), (4, 2))},
-    "burau-Q": burau_switch,
-    "burau-Z5": lambda: burau_switch(ring=L5t),
-    "sawollek-Q": lambda: sawollek_switch(2, 5, ring=QQ),
-    "sawollek-Z7-flat": lambda: sawollek_switch(3, 5, ring=F7),
-}
-
-
-class TestHeckeByConstruction:
-    """The declared q satisfies the Hecke quadratic, so the closed-form
-    inverse and the q = 1 flat test need no check of their own."""
-
-    @pytest.mark.parametrize("name", sorted(SEEDED_SWITCHES))
-    def test_declared_q_is_a_hecke_scalar(self, name):
-        s = SEEDED_SWITCHES[name]()
-        assert check_switch(s).hecke
-        assert s.inverse() == mat_inverse(s.S)
-        assert s.is_flat() == (s.S * s.S).is_identity()
 
 
 class TestWorkCounts:
@@ -185,16 +177,22 @@ class TestWorkCounts:
 
 
 class TestInverse:
-    @pytest.mark.parametrize("name", sorted(WEYL_REPS))
+    @pytest.mark.parametrize("name", sorted(ALL_REPS))
     def test_matches_reference_inverses(self, name):
-        switch = weyl_switch(WEYL_REPS[name]())
+        switch = weyl_switch(ALL_REPS[name]())
         inv = switch.inverse()
         assert inv == _factorization_inverse(switch)
         assert inv == mat_inverse(switch.S)
 
     def test_burau_inverse(self):
-        switch = burau_switch()
-        assert switch.inverse() == mat_inverse(switch.S)
+        for ring in (None, L5t):
+            switch = burau_switch(ring=ring)
+            assert switch.inverse() == mat_inverse(switch.S)
+
+    def test_scalar_sawollek_inverse(self):
+        for b, c, ring in SAWOLLEK_SCALARS:
+            switch = sawollek_switch(b, c, ring=ring)
+            assert switch.inverse() == mat_inverse(switch.S)
 
     def test_fallback_without_q(self):
         # B and C commute, BC = diag(2, 6) is not scalar: no Hecke scalar
