@@ -1,7 +1,7 @@
 """Finite-dimensional matrix representations of the (quantum) Weyl algebra.
 
 A representation is a pair of invertible matrices U, V with UV - qVU = I.
-``MatrixRep`` is the one gate: its constructor runs ``validate_rep`` and
+``MatrixRep`` is the one gate: its constructor checks UV - qVU = I and
 raises ``RepError`` on failure, so every ``MatrixRep`` is valid, and a typo
 in a family's assembly formula surfaces as a hard failure instead of a
 silently wrong invariant downstream.  The gate inverts U and V, one
@@ -64,32 +64,11 @@ def _characteristic(ring) -> int:
     raise RepError(f"unknown characteristic for {ring}")
 
 
-@dataclass
-class RepReport:
-    ok: bool
-    det_u: object               # det(U) when it is not a unit, else None
-    det_v: object               # det(V) likewise
-    inverses: tuple             # (U^-1, V^-1), None for a non-unit det
-    first_failure: tuple | None  # first (i, j, entry) where UV - qVU != I
-
-    def describe(self) -> str:
-        if self.ok:
-            return "valid: UV - qVU = I, det(U) and det(V) are units"
-        parts = []
-        if self.first_failure is not None:
-            i, j, got = self.first_failure
-            parts.append(f"UV - qVU != I at entry ({i},{j}): got {got!r}")
-        if self.det_u is not None:
-            parts.append(f"det(U) = {self.det_u!r} is not a unit")
-        if self.det_v is not None:
-            parts.append(f"det(V) = {self.det_v!r} is not a unit")
-        return "; ".join(parts)
-
-
 class MatrixRep:
-    """A pair (U, V) with UV - qVU = I over a common entry ring; the
-    constructor raises ``RepError`` for any pair that fails ``validate_rep``
-    and keeps the pair (U^-1, V^-1) that it computes as ``inverses``."""
+    """A pair (U, V) with UV - qVU = I over a common entry ring.  The
+    constructor is the gate: it raises ``RepError`` naming the first entry
+    where UV - qVU != I and each determinant that is not a unit, and keeps
+    the pair (U^-1, V^-1) that it computes as ``inverses``."""
 
     def __init__(self, U: Matrix, V: Matrix, q, label: str = "custom"):
         if not (U.is_square() and V.is_square() and U.nrows == V.nrows):
@@ -106,40 +85,30 @@ class MatrixRep:
             raise RepError(
                 "no q=1 representation exists over characteristic 0: "
                 f"trace(UV - VU) = 0 but trace(I) = {self.dim}")
-        report = validate_rep(self)
-        if not report.ok:
-            raise RepError(f"{label}: {report.describe()}")
-        self.inverses = report.inverses
+        got = U * V - (V * U).scale(q)
+        identity = Matrix.identity(self.ring, self.dim)
+        parts = []
+        for i in range(self.dim):
+            for j in range(self.dim):
+                if got.rows[i][j] != identity.rows[i][j]:
+                    parts.append(f"UV - qVU != I at entry ({i},{j}): "
+                                 f"got {got.rows[i][j]!r}")
+                    break
+            if parts:
+                break
+        inverses = []
+        for name, m in (("U", U), ("V", V)):
+            try:
+                inverses.append(mat_inverse(m))
+            except NonUnitError as err:
+                parts.append(f"det({name}) = {err.value!r} is not a unit")
+        if parts:
+            raise RepError(f"{label}: " + "; ".join(parts))
+        self.inverses = tuple(inverses)
 
     def __repr__(self):
         return (f"MatrixRep({self.label}, dim={self.dim}, ring={self.ring}, "
                 f"q={self.q!r})")
-
-
-def validate_rep(rep: MatrixRep) -> RepReport:
-    """Check UV - qVU = I exactly and that both determinants are units.
-
-    ``mat_inverse`` inverts U and V, one elimination each; a determinant
-    that is not a unit comes from its ``NonUnitError``."""
-    got = rep.U * rep.V - (rep.V * rep.U).scale(rep.q)
-    identity = Matrix.identity(rep.ring, rep.dim)
-    first = None
-    for i in range(rep.dim):
-        for j in range(rep.dim):
-            if got.rows[i][j] != identity.rows[i][j]:
-                first = (i, j, got.rows[i][j])
-                break
-        if first is not None:
-            break
-    found = []
-    for m in (rep.U, rep.V):
-        try:
-            found.append((mat_inverse(m), None))
-        except NonUnitError as err:
-            found.append((None, err.value))
-    (u_inv, du), (v_inv, dv) = found
-    return RepReport(first is None and du is None and dv is None,
-                     du, dv, (u_inv, v_inv), first)
 
 
 # ---------------------------------------------------------------------------
@@ -308,23 +277,18 @@ def family_q_bidiagonal(n: int, q, a, b, p: int | None = None) -> MatrixRep:
 
     # beta_i = alpha_i + gamma_i * t with t = ac, from
     # beta_i = (beta_{i-1} + (1-q) q^(2(n-i)) t - 1) / q, beta_0 = 0
-    alpha, gamma = ring.zero, ring.zero
+    alpha, gamma = [ring.zero], [ring.zero]
     qinv = one / qv
     for i in range(1, n):
-        alpha = (alpha - one) * qinv
-        gamma = (gamma + (one - qv) * qv ** (2 * (n - i))) * qinv
-    # closing equation: alpha + gamma t + (1-q) t = 1
-    denom = gamma + (one - qv)
+        alpha.append((alpha[-1] - one) * qinv)
+        gamma.append((gamma[-1] + (one - qv) * qv ** (2 * (n - i))) * qinv)
+    # closing equation: alpha_(n-1) + gamma_(n-1) t + (1-q) t = 1
+    denom = gamma[-1] + (one - qv)
     if denom.is_zero():
         raise RepError(f"unsolvable recurrence: q = {qv!r} makes the system singular")
-    t = (one - alpha) / denom
+    t = (one - alpha[-1]) / denom
     cv = t / av
-
-    beta = []
-    bi_val = ring.zero
-    for i in range(1, n):
-        bi_val = (bi_val + (one - qv) * qv ** (2 * (n - i)) * t - one) * qinv
-        beta.append(bi_val)
+    beta = [alpha[i] + gamma[i] * t for i in range(1, n)]
 
     zero = ring.zero
     urows = [[zero] * n for _ in range(n)]

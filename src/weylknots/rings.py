@@ -137,7 +137,8 @@ class FieldScalar:
         return FieldScalar(self.ring, self.ring.csub(self.value, other.value))
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -154,7 +155,8 @@ class FieldScalar:
         return FieldScalar(self.ring, self.ring.cdiv(self.value, other.value))
 
     def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other / self
 
     exact_div = __truediv__
 
@@ -540,7 +542,8 @@ class UniPolynomial:
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self):
         f = self.ring.field
@@ -852,7 +855,8 @@ class LaurentPolynomial:
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self):
         return LaurentPolynomial(self.ring, -self.poly, self.offset)
@@ -866,11 +870,11 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def exact_div(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        divisor = self._coerce(other)
+        if divisor is NotImplemented:
             raise TypeError(f"cannot divide by {other!r}")
-        return self.ring.from_poly(self.poly.exact_div(other.poly),
-                                   self.offset - other.offset)
+        return self.ring.from_poly(self.poly.exact_div(divisor.poly),
+                                   self.offset - divisor.offset)
 
     def __truediv__(self, other):
         return self.exact_div(other)
@@ -908,35 +912,15 @@ class LaurentPolynomial:
         return f"{num}/{den}"
 
 
-class UnitRecord:
-    """The unit c*var^k with canonical = value * c * var^k."""
-
-    __slots__ = ("coeff", "exponent")
-
-    def __init__(self, coeff: FieldScalar, exponent: int):
-        self.coeff = coeff
-        self.exponent = exponent
-
-    def __eq__(self, other):
-        return (isinstance(other, UnitRecord)
-                and other.coeff == self.coeff and other.exponent == self.exponent)
-
-    def __repr__(self):
-        c = repr(self.coeff)
-        if self.exponent == 0:
-            return c
-        xpart = "x" if self.exponent == 1 else f"x^{self.exponent}"
-        return xpart if c == "1" else f"{c}*{xpart}"
-
-
 def laurent_canonicalize(f: LaurentPolynomial):
     """Unique monic polynomial with nonzero constant term, plus the unit
-    multiplier that produced it.  Zero maps to (0, trivial unit)."""
+    (c, k) that produced it: canonical = f * c * var^k.  Zero maps to
+    (0, (1, 0))."""
     field = f.ring.field
     if f.is_zero():
-        return f.poly, UnitRecord(FieldScalar(field, field.cone), 0)
+        return f.poly, (FieldScalar(field, field.cone), 0)
     c = field.cinv(f.poly.coeffs[-1])
-    return f.poly.monic(), UnitRecord(FieldScalar(field, c), -f.offset)
+    return f.poly.monic(), (FieldScalar(field, c), -f.offset)
 
 
 def parse_laurent(text: str, ring: LaurentRing) -> LaurentPolynomial:
@@ -1060,7 +1044,8 @@ class BivariatePolynomial:
         return self + (-other)
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self):
         return BivariatePolynomial(self.ring, {e: -c for e, c in self.terms.items()})
@@ -1086,16 +1071,6 @@ class BivariatePolynomial:
         if n < 0:
             raise ValueError("negative power of a polynomial")
         return power(self, n, self.ring.one)
-
-    def substitute(self, index: int, value: int) -> BivariatePolynomial:
-        """Specialize one variable to an integer."""
-        out = self.ring.zero
-        for (e1, e2), c in self.terms.items():
-            exps = [e1, e2]
-            scalar = c * value ** exps[index]
-            exps[index] = 0
-            out = out + self.ring.monomial(exps[0], exps[1], scalar)
-        return out
 
     def content_and_monomials(self):
         """(integer content, min exponent pair); content of 0 is 0."""
@@ -1324,7 +1299,8 @@ class FractionElement:
                               self.den * other.den)
 
     def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self):
         return FractionElement(self.ring, -self.num, self.den)
@@ -1351,7 +1327,8 @@ class FractionElement:
         return self * other.inv()
 
     def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other / self
 
     exact_div = __truediv__
 

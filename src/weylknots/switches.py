@@ -10,15 +10,18 @@ Only the factories build a ``LinearSwitch``, and each declares a q that
 satisfies the quadratic: ``weyl_switch`` because ``MatrixRep`` enforces
 UV - qVU = I (``hecke-scalar`` in ``weyl.IDENTITY_SUITE``), Burau and
 scalar Sawollek switches by direct algebra, and ``custom_switch`` by
-gating on ``check_switch``.  So ``inverse`` is the closed form
-S^-1 = q^-1(S - (1-q)I) and ``is_flat`` reads q, neither with a check.
+gating on ``check_switch``, which raises ``SwitchError`` or returns
+nothing.  So ``inverse`` is the closed form S^-1 = q^-1(S - (1-q)I) and
+``is_flat`` reads q, neither with a check.
 
 ``weyl_switch`` takes U^-1, V^-1 from ``MatrixRep``: A = V'U', B = U,
-C = A'B'A(I - A) and D = (1-q)I - U'V'.  UV - I = qVU gives det(C) =
-q^n / det(U), a unit exactly when q is; det(C) is computed only for the
-error message.  ``tests/test_switches.py`` re-verifies the construction:
-the quadratic for every factory, C against the q-scaled 9-letter word in
-U, V, and the inverse against two reference inverses.
+C = A'B'A(I - A) and D = (1-q)I - U'V'.  UV = I + qVU gives A'B' = UVU' =
+U' + qV, so C is formed as (U' + qV)A(I - A): four products per switch.
+UV - I = qVU gives det(C) = q^n / det(U), a unit exactly when q is; det(C)
+is computed only for the error message.  ``tests/test_switches.py``
+re-verifies the construction: the quadratic for every factory, C against
+the q-scaled 9-letter word in U, V, and the inverse against two reference
+inverses.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ def weyl_switch(rep: MatrixRep, label=None) -> LinearSwitch:
     Uinv, Vinv = rep.inverses
     identity = Matrix.identity(rep.ring, rep.dim)
     A = Vinv * Uinv
-    C = U * V * Uinv * A * (identity - A)
+    C = (Uinv + V.scale(q)) * A * (identity - A)
     D = identity.scale(rep.ring.one - q) - Uinv * Vinv
     if not _is_unit_in(q, rep.ring):
         raise SwitchError(f"block C is singular: det = {det_exact(C)!r}")
@@ -152,31 +155,14 @@ def sawollek_switch(b, c, ring=None) -> LinearSwitch:
 def custom_switch(A, B, C, D, q, label="custom") -> LinearSwitch:
     """Assemble and gate on check_switch; axiom failures raise."""
     switch = LinearSwitch(A, B, C, D, q, label=label, _token=_SWITCH_TOKEN)
-    report = check_switch(switch)
-    if not report.ok:
-        raise SwitchError(f"switch axioms fail: {report.describe()}")
+    check_switch(switch)
     return switch
 
 
-class SwitchReport:
-    def __init__(self, yang_baxter, hecke, failures):
-        self.yang_baxter = yang_baxter
-        self.hecke = hecke          # None = no declared scalar to check
-        self.failures = failures
-
-    @property
-    def ok(self):
-        return self.yang_baxter and self.hecke is not False
-
-    def describe(self) -> str:
-        if self.ok:
-            return "yang-baxter and hecke checks pass"
-        return "; ".join(self.failures)
-
-
-def check_switch(switch: LinearSwitch) -> SwitchReport:
+def check_switch(switch: LinearSwitch) -> None:
     """Exact verification of the braid relation on three blocks and of the
-    Hecke quadratic, which at q = 1 is S^2 = I."""
+    Hecke quadratic, which at q = 1 is S^2 = I; raises ``SwitchError``
+    naming each relation that fails."""
     k = switch.k
     ring = switch.ring
     ik = Matrix.identity(ring, k)
@@ -186,14 +172,12 @@ def check_switch(switch: LinearSwitch) -> SwitchReport:
     s2 = Matrix.block([[ik, Matrix.zeros(ring, k, 2 * k)],
                        [Matrix.zeros(ring, 2 * k, k), s]])
     failures = []
-    yb = (s1 * s2 * s1) == (s2 * s1 * s2)
-    if not yb:
+    if s1 * s2 * s1 != s2 * s1 * s2:
         failures.append("braid relation S1 S2 S1 = S2 S1 S2 fails")
-    hecke = None
-    if switch.q is not None:
-        q = switch.q
+    q = switch.q
+    if q is not None:
         i2k = Matrix.identity(ring, 2 * k)
-        hecke = (s * s) == s.scale(ring.one - q) + i2k.scale(q)
-        if not hecke:
+        if s * s != s.scale(ring.one - q) + i2k.scale(q):
             failures.append(f"Hecke quadratic fails for q = {q!r}")
-    return SwitchReport(yb, hecke, failures)
+    if failures:
+        raise SwitchError("switch axioms fail: " + "; ".join(failures))

@@ -17,11 +17,16 @@ Engine modes:
 
 * symbolic  -- coefficients in Frac(Z[q, h]); q is a free parameter, so a
   verified identity holds for every q at once.
-* finite(p, q) -- coefficients in Frac(Z_p[h]) with q a fixed invertible
-  scalar; cheap randomized corroboration of the symbolic runs.
+* finite(p, q) -- coefficients in Frac(F[h]) with q a fixed nonzero
+  scalar of F = Z_p, or of F = Q when p is None; cheap randomized
+  corroboration of the symbolic runs, and with q = 1 the classical
+  algebra, where sigma(h) = h - 1.  Every denominator the engine forms is
+  a product of powers of q and of shifts sigma^j(h - 1), each h - c for an
+  integer c at q = 1, so setting q = 1 commutes with every engine step:
+  identities that hold only at q = 1 are checked in finite(p, 1).
 
 Both modes twist coefficients by one substitution (``sigma_apply``): a
-mode holds its q and h as elements of its domain, Z[q, h] or Z_p[h], and
+mode holds its q and h as elements of its domain, Z[q, h] or F[h], and
 derives from them the pair (z, d) with sigma^k(h) = z/d.  Only the split
 of a domain element into its coefficients in h depends on the domain.
 
@@ -37,6 +42,7 @@ from dataclasses import dataclass
 
 from .rings import (
     LETTER_BUDGET,
+    QQ,
     BivariateRing,
     FractionElement,
     FractionField,
@@ -65,7 +71,7 @@ class EngineMode:
             self.q = self.domain.monomial(1, 0)
             self.h = self.domain.monomial(0, 1)
         else:
-            self.domain = PolynomialRing(PrimeField(p), "h")
+            self.domain = PolynomialRing(QQ if p is None else PrimeField(p), "h")
             self.q = self.domain.from_int(q)
             self.h = self.domain.gen
         self.coeff_field = FractionField(self.domain)
@@ -77,16 +83,15 @@ class EngineMode:
         return cls(SYMBOLIC, _token=_MODE_TOKEN)
 
     @classmethod
-    def finite(cls, p: int, q: int, allow_flat: bool = False) -> EngineMode:
-        """Finite mode needs q and 1-q invertible mod p.  The classical
-        q = 1 case is only admitted explicitly (allow_flat), for checks of
-        the flat algebra where sigma(h) = h - 1."""
-        field = PrimeField(p)
-        q = q % p
+    def finite(cls, p: int | None, q: int) -> EngineMode:
+        """Coefficients over Z_p, or over Q when p is None, with q a fixed
+        nonzero scalar; q = 1 is the classical algebra, where
+        sigma(h) = h - 1."""
+        if p is not None:
+            q %= PrimeField(p).p
         if q == 0:
-            raise ValueError(f"q must be invertible mod {p}")
-        if q == 1 and not allow_flat:
-            raise ValueError(f"1 - q must be invertible mod {p} (q=1 needs allow_flat)")
+            where = "in Q" if p is None else f"mod {p}"
+            raise ValueError(f"q must be invertible {where}")
         return cls(FINITE, p=p, q=q, _token=_MODE_TOKEN)
 
     def __eq__(self, other):
@@ -513,29 +518,10 @@ class VerifyResult:
     witness: str | None = None
 
 
-def _vanishes_at_q_one(elem: SkewLaurentElement):
-    """Zero-test after specializing q := 1 in a symbolic normal form."""
-    for e in sorted(elem.terms):
-        c = elem.terms[e]
-        den1 = c.den.substitute(0, 1)
-        if den1.is_zero():
-            raise RingError(f"coefficient denominator vanishes at q=1: {c!r}")
-        num1 = c.num.substitute(0, 1)
-        if not num1.is_zero():
-            return False, f"({num1!r})/({den1!r}) * x^{e}"
-    return True, None
-
-
-def verify_identity(lhs, rhs, mode: EngineMode, name: str = "identity",
-                    specialize_q_one: bool = False) -> VerifyResult:
+def verify_identity(lhs, rhs, mode: EngineMode, name: str = "identity") -> VerifyResult:
     """True iff lhs - rhs normalizes to zero termwise; on failure the
     witness is the first surviving term."""
     diff = evaluate(lhs, mode) - evaluate(rhs, mode)
-    if specialize_q_one:
-        if mode.kind != SYMBOLIC:
-            raise ValueError("q=1 specialization applies to symbolic mode only")
-        ok, witness = _vanishes_at_q_one(diff)
-        return VerifyResult(name, ok, witness)
     return VerifyResult(name, diff.is_zero(), diff.leading_witness())
 
 
@@ -584,21 +570,13 @@ IDENTITY_SUITE = (
 def run_identity_suite(mode: EngineMode) -> list[VerifyResult]:
     """Run every built-in identity in the given mode.
 
-    In a finite mode the q=1 item is checked in the companion flat mode
-    (same prime, q=1), since the two C-words only agree classically.
+    The q=1 item is checked in the companion flat mode finite(mode.p, 1),
+    over Q for the symbolic mode, since the two C-words only agree
+    classically.
     """
-    results = []
-    for name, _desc, lhs, rhs, flat_only in IDENTITY_SUITE:
-        if flat_only:
-            if mode.kind == SYMBOLIC:
-                results.append(verify_identity(lhs, rhs, mode, name,
-                                               specialize_q_one=True))
-            else:
-                flat = EngineMode.finite(mode.p, 1, allow_flat=True)
-                results.append(verify_identity(lhs, rhs, flat, name))
-        else:
-            results.append(verify_identity(lhs, rhs, mode, name))
-    return results
+    flat = EngineMode.finite(mode.p, 1)
+    return [verify_identity(lhs, rhs, flat if flat_only else mode, name)
+            for name, _desc, lhs, rhs, flat_only in IDENTITY_SUITE]
 
 
 def sample_finite_modes(trials: int, rng) -> list[EngineMode]:

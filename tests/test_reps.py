@@ -12,7 +12,6 @@ from weylknots.reps import (
     family_q_upper,
     family_truncated,
     truncated_k_sequence,
-    validate_rep,
 )
 from weylknots.rings import (
     QQ,
@@ -35,13 +34,12 @@ class TestValidate:
     def test_kishino_pair_is_valid(self):
         u = lmat(L3y, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
         v = lmat(L3y, [["y", 0, 0], [1, "y", 0], [0, 2, "y"]])
-        rep = MatrixRep(u, v, L3y.one)
-        assert validate_rep(rep).ok
+        MatrixRep(u, v, L3y.one)
 
     def test_flat_pair_is_valid(self):
         u = lmat(L2x, [["x", 1], [0, "x"]])
         v = lmat(L2x, [[1, 0], [1, 1]])
-        assert validate_rep(MatrixRep(u, v, L2x.one)).ok
+        MatrixRep(u, v, L2x.one)
 
     def test_identity_pair_invalid(self):
         i2 = Matrix.identity(L2x, 2)
@@ -55,6 +53,14 @@ class TestValidate:
         v = lmat(L2x, [[1, 0], [1, 1]])
         with pytest.raises(RepError, match=r"det\(U\) = x\^2 \+ 1 is not a unit"):
             MatrixRep(u, v, L2x.one)
+
+    def test_relation_and_determinant_failures_in_one_error(self):
+        # U = (x + 1)I commutes with V = I, so UV - VU = 0, and
+        # det(U) = (x + 1)^2 is not a unit over Z_2[x, x^-1]
+        u = lmat(L2x, [["x + 1", 0], [0, "x + 1"]])
+        with pytest.raises(RepError, match=r"^pair: UV - qVU != I at entry \(0,0\): "
+                           r"got 0; det\(U\) = x\^2 \+ 1 is not a unit$"):
+            MatrixRep(u, Matrix.identity(L2x, 2), L2x.one, label="pair")
 
     def test_char0_q1_guard(self):
         i2 = Matrix.identity(PolynomialRing(QQ, "t"), 2)
@@ -95,8 +101,7 @@ class TestCharPBidiagonal:
     @pytest.mark.parametrize("n,p", [(2, 2), (3, 3), (4, 2), (5, 5), (6, 2), (6, 3)])
     def test_symbolic_family_members(self, n, p):
         a = [str(i + 1) if (i + 1) % p else "1" for i in range(n - 1)]
-        rep = family_char_p_bidiagonal(n, p, "x", "1", a)
-        assert validate_rep(rep).ok
+        family_char_p_bidiagonal(n, p, "x", "1", a)
 
 
 class TestTruncated:
@@ -115,7 +120,6 @@ class TestTruncated:
     def test_n2_p2_displayed_orientation(self):
         rep = family_truncated(2, 2, [1, 1], [1])
         assert rep.V == lmat(L2x, [[1, 1], [0, 1]])
-        assert validate_rep(rep).ok
 
     def test_singular_u_rejected(self):
         # J = 0 makes u singular, which the determinant condition rejects
@@ -136,24 +140,20 @@ class TestTruncated:
             MatrixRep(u_rows, v_rows, ring.one)
         rep = family_truncated(3, 3, [1, 1, 1], [0, 1, 0])
         assert rep.U == u_rows.transpose() and rep.V == v_rows.transpose()
-        assert validate_rep(rep).ok
 
 
 class TestQBidiagonal:
     def test_n2_numeric(self):
-        rep = family_q_bidiagonal(2, q=3, a=2, b=[1], p=7)
-        assert validate_rep(rep).ok
+        family_q_bidiagonal(2, q=3, a=2, b=[1], p=7)
 
     def test_n3_symbolic_q(self):
         rep = family_q_bidiagonal(3, q="q", a=1, b=[1, 1])
-        assert validate_rep(rep).ok
         dom = PolynomialRing(QQ, "q")
         assert rep.ring == FractionField(dom)
 
     def test_symbolic_members_up_to_6(self):
         for n in range(2, 7):
-            rep = family_q_bidiagonal(n, q="q", a=2, b=[1] * (n - 1))
-            assert validate_rep(rep).ok
+            family_q_bidiagonal(n, q="q", a=2, b=[1] * (n - 1))
 
     def test_q_one_rejected(self):
         with pytest.raises(RepError, match="1 - q"):
@@ -182,8 +182,7 @@ class TestQBidiagonal:
 
 class TestQUpper:
     def test_n2_instance(self):
-        rep = family_q_upper(2, q=3, a=2, b=1, d=1, e=1, p=7)
-        assert validate_rep(rep).ok
+        family_q_upper(2, q=3, a=2, b=1, d=1, e=1, p=7)
 
     def test_diagonal_law(self):
         # diag(U)_i * diag(V)_i = 1/(1-q) for the upper-triangular pair
@@ -203,7 +202,6 @@ class TestSpecs:
     def test_builtin_kishino3(self):
         rep = build_rep("kishino3")
         assert rep.dim == 3 and rep.label == "kishino3"
-        assert validate_rep(rep).ok
 
     def test_builtin_flat2(self):
         rep = build_rep("flat2")
@@ -220,7 +218,7 @@ class TestSpecs:
         path = tmp_path / "rep.json"
         path.write_text('{"family":"q_upper","n":2,"p":7,'
                         '"params":{"q":3,"a":1,"b":1,"d":2,"e":1}}')
-        assert validate_rep(build_rep(str(path))).ok
+        build_rep(str(path))
 
     def test_unknown_name(self):
         with pytest.raises(RepError, match="no builtin"):

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from weylknots.rings import (
     PolynomialRing,
     PrimeField,
     RingMismatchError,
-    UnitRecord,
     laurent_canonicalize,
     parse_laurent,
     poly_gcd,
@@ -211,25 +211,41 @@ def test_exponent_budget(build):
         build(LETTER_BUDGET + 1)
 
 
+@pytest.mark.parametrize("x", [
+    F3(2), R3y("y + 1"), L3y("y + 1/y"), ZQH.monomial(1, 1),
+    FQH(ZQH.monomial(1, 0), ZQH.monomial(0, 1)),
+], ids=["scalar", "poly", "laurent", "bivariate", "fraction"])
+def test_reflected_operators_refuse_floats(x):
+    # a reflected operator returns NotImplemented for an operand it cannot
+    # coerce, so Python raises TypeError
+    for op in (operator.sub, operator.truediv):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(1.5, x)
+
+
 class TestLaurent:
+    def test_exact_div_names_the_operand(self):
+        with pytest.raises(TypeError, match="cannot divide by 1.5"):
+            L3y.gen.exact_div(1.5)
+
     def test_whorl_value_canonicalizes(self):
         f = parse_laurent("(x^10 + x^4 + x^2 + 1)/x^10", L2x)
         mono, unit = laurent_canonicalize(f)
         assert mono == R2x("x^10 + x^4 + x^2 + 1")
-        assert unit == UnitRecord(F2(1), 10)
+        assert unit == (F2(1), 10)
 
     def test_scalar_unit(self):
         f = L3y("2y + 2")
         mono, unit = laurent_canonicalize(f)
         assert mono == R3y("y + 1")
-        assert unit == UnitRecord(F3(2), 0)
+        assert unit == (F3(2), 0)
 
     def test_symmetric_power(self):
         x = L2x.gen
         f = x ** 2 + x ** -2
         mono, unit = laurent_canonicalize(f)
         assert mono == R2x("x^4 + 1")
-        assert unit == UnitRecord(F2(1), 2)
+        assert unit == (F2(1), 2)
 
     def test_print_negative_offset(self):
         f = parse_laurent("(x^10+x^4+x^2+1)/x^10", L2x)
@@ -240,7 +256,7 @@ class TestLaurent:
         f = L3y("y^2 + 2y") * L3y.monomial(-4)
         mono, unit = laurent_canonicalize(f)
         again, unit2 = laurent_canonicalize(L3y.from_poly(mono))
-        assert again == mono and unit2 == UnitRecord(F3(1), 0)
+        assert again == mono and unit2 == (F3(1), 0)
         for c in (1, 2):
             for k in (-3, 0, 5):
                 g = f * L3y.monomial(k, F3(c))
@@ -248,7 +264,7 @@ class TestLaurent:
 
     def test_zero(self):
         mono, unit = laurent_canonicalize(L2x.zero)
-        assert mono.is_zero() and unit == UnitRecord(F2(1), 0)
+        assert mono.is_zero() and unit == (F2(1), 0)
 
     def test_unit_inverse(self):
         u = L3y.monomial(3, F3(2))
@@ -282,12 +298,6 @@ class TestFractions:
         f = (y * y - 1) / (y - 1)
         assert f == y + 1
         assert f.den.is_one()
-
-
-class TestBivariate:
-    def test_substitute(self):
-        f = ZQH.monomial(2, 1) + ZQH.monomial(0, 1) - ZQH.monomial(1, 0)
-        assert f.substitute(0, 1) == ZQH.monomial(0, 1, 2) - ZQH.one
 
 
 # property-based ring axioms -------------------------------------------------

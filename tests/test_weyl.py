@@ -175,9 +175,10 @@ class TestIdentities:
                 assert res.ok, f"{res.name} in {mode}: {res.witness}"
 
     def test_witness_on_failure(self):
-        res = verify_identity(mul(U, V), mul(V, U), SYM, "noncommutativity")
-        assert not res.ok
-        assert res.witness is not None
+        for mode in (SYM, EngineMode.finite(None, 1)):
+            res = verify_identity(mul(U, V), mul(V, U), mode, "noncommutativity")
+            assert not res.ok
+            assert res.witness is not None
 
     def test_flat_words_disagree_off_q1(self):
         name, _d, lhs, rhs, _f = IDENTITY_SUITE[-1]
@@ -192,17 +193,16 @@ class TestIdentities:
 
 class TestModeGuards:
     def test_q_zero_rejected(self):
-        with pytest.raises(ValueError):
-            EngineMode.finite(7, 0)
+        for p in (7, None):
+            with pytest.raises(ValueError, match="q must be invertible"):
+                EngineMode.finite(p, 0)
 
-    def test_q_one_needs_flag(self):
-        with pytest.raises(ValueError):
-            EngineMode.finite(7, 1)
-        assert EngineMode.finite(7, 1, allow_flat=True).q_int == 1
-
-    def test_q_one_specialization_needs_symbolic(self):
-        with pytest.raises(ValueError):
-            verify_identity(U, U, EngineMode.finite(5, 2), specialize_q_one=True)
+    def test_q_one_is_classical(self):
+        # q = 1 over Z_7 and over Q is the classical algebra: sigma(h) = h - 1
+        for mode in (EngineMode.finite(7, 1), EngineMode.finite(None, 1)):
+            h = mode.h_coeff()
+            assert mode.q_int == 1
+            assert sigma_apply(h, 1, mode) == h - 1
 
 
 class TestInjectivity:
@@ -257,4 +257,4 @@ class TestParser:
     def test_q1_equality_via_parser(self):
         lhs = parse_expression("u v u' v' u' v u v' u'")
         rhs = parse_expression("q u v u' v' u' v' u' v u")
-        assert verify_identity(lhs, rhs, SYM, specialize_q_one=True).ok
+        assert verify_identity(lhs, rhs, EngineMode.finite(None, 1)).ok
