@@ -53,10 +53,8 @@ class RepError(RingError):
 
 
 def _characteristic(ring) -> int:
-    if isinstance(ring, PrimeField):
+    if isinstance(ring, (PrimeField, RationalField)):
         return ring.p
-    if isinstance(ring, RationalField):
-        return 0
     if isinstance(ring, (PolynomialRing, LaurentRing)):
         return _characteristic(ring.field)
     if isinstance(ring, FractionField):

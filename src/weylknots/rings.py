@@ -2,14 +2,18 @@
 
 Every value is immutable and carries a reference to its ring, so mixed-ring
 operations fail loudly instead of coercing.  Ring equality is structural,
-so two equal ring objects mix freely; it short-circuits on identity, and the
-ring checks test identity first.  The ring objects double as factories:
-``ring(x)`` builds an element from ints, strings or raw data.
+so two equal ring objects mix freely.  A binary operator whose operand has
+the same class and the very same ring object goes straight to the
+arithmetic; any other operand (an int, a lift, an element of an equal but
+distinct ring) is first coerced into that ring object by ``_coerced``, with
+the ring check, and the operator runs again.  The ring objects double as
+factories: ``ring(x)`` builds an element from ints, strings or raw data.
 
 Representation conventions:
 
-* ``PrimeField(p)`` scalars are ints reduced to ``[0, p)``; ``QQ`` scalars
-  are ``fractions.Fraction`` in lowest terms.
+* ``PrimeField(p)`` scalars are ints reduced to ``[0, p)``: every
+  constructor and operator reduces, so ``is_zero`` and ``is_one`` read the
+  value.  ``QQ`` scalars are ``fractions.Fraction`` in lowest terms.
 * ``UniPolynomial`` stores an ascending coefficient tuple with a nonzero
   last entry; the zero polynomial is the empty tuple and its ``degree`` is
   the sentinel ``None``.
@@ -33,6 +37,7 @@ the Euclidean elimination in ``linalg`` fast over Z_p[x].
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -56,6 +61,28 @@ class NonUnitError(RingError):
 def _check_same_ring(a, b):
     if a.ring is not b.ring and a.ring != b.ring:
         raise RingMismatchError(f"mixed rings: {a.ring} vs {b.ring}")
+
+
+def _coerced(op, a, b):
+    """op(a, b) once b is coerced into a's very ring object, so that op takes
+    its same-ring path; NotImplemented if b cannot be coerced."""
+    b = a._coerce(b)
+    return NotImplemented if b is NotImplemented else op(a, b)
+
+
+def _reflected(op):
+    """The reflected operator of op: op(other, self), with other coerced."""
+    def method(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else op(other, self)
+    return method
+
+
+def _quotient(result, divisor):
+    """result, or TypeError if a division method could not coerce divisor."""
+    if result is NotImplemented:
+        raise TypeError(f"cannot divide by {divisor!r}")
+    return result
 
 
 def power(base, n: int, one):
@@ -106,10 +133,10 @@ class FieldScalar:
         self.value = value
 
     def is_zero(self):
-        return self.ring.ciszero(self.value)
+        return not self.value
 
     def is_one(self):
-        return self.ring.ceq(self.value, self.ring.cone)
+        return self.value == 1
 
     def inv(self):
         return FieldScalar(self.ring, self.ring.cinv(self.value))
@@ -117,48 +144,47 @@ class FieldScalar:
     def _coerce(self, other):
         if isinstance(other, FieldScalar):
             _check_same_ring(self, other)
-            return other
+            return FieldScalar(self.ring, other.value)
         if isinstance(other, (int, Fraction)):
             return self.ring(other)
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldScalar(self.ring, self.ring.cadd(self.value, other.value))
+        if other.__class__ is not FieldScalar or other.ring is not self.ring:
+            return _coerced(operator.add, self, other)
+        p = self.ring.p
+        v = self.value + other.value
+        return FieldScalar(self.ring, v % p if p else v)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldScalar(self.ring, self.ring.csub(self.value, other.value))
+        if other.__class__ is not FieldScalar or other.ring is not self.ring:
+            return _coerced(operator.sub, self, other)
+        p = self.ring.p
+        v = self.value - other.value
+        return FieldScalar(self.ring, v % p if p else v)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else other - self
+    __rsub__ = _reflected(operator.sub)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldScalar(self.ring, self.ring.cmul(self.value, other.value))
+        if other.__class__ is not FieldScalar or other.ring is not self.ring:
+            return _coerced(operator.mul, self, other)
+        p = self.ring.p
+        v = self.value * other.value
+        return FieldScalar(self.ring, v % p if p else v)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FieldScalar or other.ring is not self.ring:
+            return _coerced(operator.truediv, self, other)
         return FieldScalar(self.ring, self.ring.cdiv(self.value, other.value))
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else other / self
+    __rtruediv__ = _reflected(operator.truediv)
 
-    exact_div = __truediv__
+    def exact_div(self, other):
+        return _quotient(self.__truediv__(other), other)
 
     def __neg__(self):
         return FieldScalar(self.ring, self.ring.cneg(self.value))
@@ -272,6 +298,7 @@ class RationalField:
     singleton."""
 
     __slots__ = ()
+    p = 0  # the characteristic, as ``PrimeField.p``
 
     def __call__(self, value) -> FieldScalar:
         if isinstance(value, FieldScalar):
@@ -515,63 +542,55 @@ class UniPolynomial:
     def _coerce(self, other):
         if isinstance(other, UniPolynomial):
             _check_same_ring(self, other)
-            return other
+            return UniPolynomial(self.ring, other.coeffs)
         if isinstance(other, (int, FieldScalar)):
             return self.ring(other)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        f = self.ring.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.cadd(out[i], c)
+    def _combine(self, other, op):
+        # op on each coefficient pair, the shorter operand padded with zeros
+        out = list(self.coeffs)
+        out += [self.ring.field.czero] * (len(other.coeffs) - len(out))
+        for i, c in enumerate(other.coeffs):
+            out[i] = op(out[i], c)
         return self.ring.from_raw(out)
+
+    def __add__(self, other):
+        if other.__class__ is not UniPolynomial or other.ring is not self.ring:
+            return _coerced(operator.add, self, other)
+        return self._combine(other, self.ring.field.cadd)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not UniPolynomial or other.ring is not self.ring:
+            return _coerced(operator.sub, self, other)
+        return self._combine(other, self.ring.field.csub)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else other - self
+    __rsub__ = _reflected(operator.sub)
 
     def __neg__(self):
         f = self.ring.field
         return UniPolynomial(self.ring, tuple(f.cneg(c) for c in self.coeffs))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not UniPolynomial or other.ring is not self.ring:
+            return _coerced(operator.mul, self, other)
         return self.ring.from_raw(_mul_raw(self.ring.field, self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not UniPolynomial or other.ring is not self.ring:
+            return _coerced(divmod, self, other)
         q, r = _divmod_raw(self.ring.field, self.coeffs, other.coeffs)
         return self.ring.from_raw(q), self.ring.from_raw(r)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
 
     def __mod__(self, other):
         return divmod(self, other)[1]
 
     def exact_div(self, other):
-        q, r = divmod(self, other)
+        q, r = _quotient(self.__divmod__(other), other)
         if not r.is_zero():
             raise RingError(f"inexact polynomial division: {self} by {other}")
         return q
@@ -828,56 +847,51 @@ class LaurentPolynomial:
     def _coerce(self, other):
         if isinstance(other, LaurentPolynomial):
             _check_same_ring(self, other)
-            return other
+            return LaurentPolynomial(self.ring, other.poly, other.offset)
         if isinstance(other, (int, FieldScalar, UniPolynomial)):
             return self.ring(other)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.is_zero():
-            return other
+    def _combine(self, other, op):
+        # op on the two polynomials shifted to the lesser offset
         if other.is_zero():
             return self
         base = min(self.offset, other.offset)
-        a = self.poly.shift(self.offset - base)
-        b = other.poly.shift(other.offset - base)
-        return self.ring.from_poly(a + b, base)
+        return self.ring.from_poly(op(self.poly.shift(self.offset - base),
+                                      other.poly.shift(other.offset - base)), base)
+
+    def __add__(self, other):
+        if other.__class__ is not LaurentPolynomial or other.ring is not self.ring:
+            return _coerced(operator.add, self, other)
+        return other if self.is_zero() else self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not LaurentPolynomial or other.ring is not self.ring:
+            return _coerced(operator.sub, self, other)
+        return self._combine(other, operator.sub)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else other - self
+    __rsub__ = _reflected(operator.sub)
 
     def __neg__(self):
         return LaurentPolynomial(self.ring, -self.poly, self.offset)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not LaurentPolynomial or other.ring is not self.ring:
+            return _coerced(operator.mul, self, other)
         return self.ring.from_poly(self.poly * other.poly, self.offset + other.offset)
 
     __rmul__ = __mul__
 
-    def exact_div(self, other):
-        divisor = self._coerce(other)
-        if divisor is NotImplemented:
-            raise TypeError(f"cannot divide by {other!r}")
-        return self.ring.from_poly(self.poly.exact_div(divisor.poly),
-                                   self.offset - divisor.offset)
-
     def __truediv__(self, other):
-        return self.exact_div(other)
+        if other.__class__ is not LaurentPolynomial or other.ring is not self.ring:
+            return _coerced(operator.truediv, self, other)
+        return self.ring.from_poly(self.poly.exact_div(other.poly),
+                                   self.offset - other.offset)
+
+    def exact_div(self, other):
+        return _quotient(self.__truediv__(other), other)
 
     def inv(self):
         if not self.is_unit():
@@ -1017,43 +1031,42 @@ class BivariatePolynomial:
     def _coerce(self, other):
         if isinstance(other, BivariatePolynomial):
             _check_same_ring(self, other)
-            return other
+            return BivariatePolynomial(self.ring, other.terms)
         if isinstance(other, int):
             return self.ring(other)
         return NotImplemented
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def _combine(self, other, sign):
+        # self + sign * other, dropping the terms that cancel
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
+            s = out.get(e, 0) + sign * c
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
         return BivariatePolynomial(self.ring, out)
 
+    def __add__(self, other):
+        if other.__class__ is not BivariatePolynomial or other.ring is not self.ring:
+            return _coerced(operator.add, self, other)
+        return self._combine(other, 1)
+
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if other.__class__ is not BivariatePolynomial or other.ring is not self.ring:
+            return _coerced(operator.sub, self, other)
+        return self._combine(other, -1)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else other - self
+    __rsub__ = _reflected(operator.sub)
 
     def __neg__(self):
         return BivariatePolynomial(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not BivariatePolynomial or other.ring is not self.ring:
+            return _coerced(operator.mul, self, other)
         out: dict = {}
         for (a1, a2), ca in self.terms.items():
             for (b1, b2), cb in other.terms.items():
@@ -1261,54 +1274,45 @@ class FractionElement:
     def _coerce(self, other):
         if isinstance(other, FractionElement):
             _check_same_ring(self, other)
-            return other
+            return FractionElement(self.ring, other.num, other.den)
         if isinstance(other, int):
             return self.ring.from_int(other)
         if isinstance(other, (UniPolynomial, BivariatePolynomial)):
             return self.ring(other)
         return NotImplemented
 
+    def _combine(self, other, op):
+        # self op other for op + or -, both nonzero; equal denominators skip
+        # the cross products
+        if self.den == other.den:
+            return _make_fraction(self.ring, op(self.num, other.num), self.den)
+        return _make_fraction(self.ring, op(self.num * other.den, other.num * self.den),
+                              self.den * other.den)
+
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FractionElement or other.ring is not self.ring:
+            return _coerced(operator.add, self, other)
         if other.num.is_zero():
             return self
-        if self.num.is_zero():
-            return other
-        if self.den == other.den:
-            return _make_fraction(self.ring, self.num + other.num, self.den)
-        return _make_fraction(self.ring,
-                              self.num * other.den + other.num * self.den,
-                              self.den * other.den)
+        return other if self.num.is_zero() else self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FractionElement or other.ring is not self.ring:
+            return _coerced(operator.sub, self, other)
         if other.num.is_zero():
             return self
-        if self.num.is_zero():
-            return -other
-        if self.den == other.den:
-            return _make_fraction(self.ring, self.num - other.num, self.den)
-        return _make_fraction(self.ring,
-                              self.num * other.den - other.num * self.den,
-                              self.den * other.den)
+        return -other if self.num.is_zero() else self._combine(other, operator.sub)
 
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else other - self
+    __rsub__ = _reflected(operator.sub)
 
     def __neg__(self):
         return FractionElement(self.ring, -self.num, self.den)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FractionElement or other.ring is not self.ring:
+            return _coerced(operator.mul, self, other)
         if self.num.is_zero() or other.num.is_zero():
             return self.ring.zero
         return _make_fraction(self.ring, self.num * other.num, self.den * other.den)
@@ -1321,16 +1325,14 @@ class FractionElement:
         return _make_fraction(self.ring, self.den, self.num, coprime=True)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FractionElement or other.ring is not self.ring:
+            return _coerced(operator.truediv, self, other)
         return self * other.inv()
 
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else other / self
+    __rtruediv__ = _reflected(operator.truediv)
 
-    exact_div = __truediv__
+    def exact_div(self, other):
+        return _quotient(self.__truediv__(other), other)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -1338,9 +1340,8 @@ class FractionElement:
         return power(self, n, self.ring.one)
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not FractionElement or other.ring is not self.ring:
+            return _coerced(operator.eq, self, other)
         return (self.num * other.den - other.num * self.den).is_zero()
 
     __hash__ = None  # equality is not structural

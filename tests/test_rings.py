@@ -17,6 +17,7 @@ from weylknots.rings import (
     LaurentRing,
     PolynomialRing,
     PrimeField,
+    RationalField,
     RingMismatchError,
     laurent_canonicalize,
     parse_laurent,
@@ -68,6 +69,39 @@ class TestScalars:
     def test_zero_to_a_negative_power(self, ring):
         with pytest.raises(ZeroDivisionError):
             ring.zero ** -1
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1])
+    def test_prime_field_values_stay_reduced(self, p):
+        # is_zero and is_one read the stored value, so every Z_p scalar the
+        # constructors and operators make must hold an int in [0, p)
+        rng = random.Random(p)
+        F = PrimeField(p)
+
+        def reduced(x):
+            assert type(x.value) is int and 0 <= x.value < p, (x.value, p)
+            return x
+
+        pool = [reduced(F.zero), reduced(F.one)]
+        for _ in range(300):
+            n = rng.choice([rng.randint(-3 * p, 3 * p), rng.randint(-2**70, 2**70),
+                            p * rng.randint(-3, 3)])
+            d = rng.choice([1, -1, 2 * p + 1, rng.randint(1, 2**40) * p + 1])
+            pool += [reduced(F(n)), reduced(F.from_int(n)), reduced(F(str(n))),
+                     reduced(F(Fraction(n, d)))]
+            a, b = rng.choice(pool), rng.choice(pool)
+            pool += [reduced(a + b), reduced(a - b), reduced(a * b), reduced(-a),
+                     reduced(a + n), reduced(n - a), reduced(n * a)]
+            assert (a + b).value == (a.value + b.value) % p
+            assert (a - b).value == (a.value - b.value) % p
+            assert (a * b).value == (a.value * b.value) % p
+            assert (a.is_zero(), a.is_one()) == (a.value % p == 0, a.value % p == 1)
+            k = rng.randint(0, 9)
+            pool.append(reduced(a ** k))
+            if not b.is_zero():
+                pool += [reduced(a / b), reduced(a.exact_div(b)), reduced(b.inv()),
+                         reduced(b ** -k), reduced(n / b)]
+                assert (a / b) * b == a
+        assert any(x.is_zero() for x in pool) and any(x.is_one() for x in pool)
 
 
 class TestPolynomials:
@@ -211,23 +245,34 @@ def test_exponent_budget(build):
         build(LETTER_BUDGET + 1)
 
 
-@pytest.mark.parametrize("x", [
-    F3(2), R3y("y + 1"), L3y("y + 1/y"), ZQH.monomial(1, 1),
-    FQH(ZQH.monomial(1, 0), ZQH.monomial(0, 1)),
-], ids=["scalar", "poly", "laurent", "bivariate", "fraction"])
-def test_reflected_operators_refuse_floats(x):
-    # a reflected operator returns NotImplemented for an operand it cannot
-    # coerce, so Python raises TypeError
-    for op in (operator.sub, operator.truediv):
+ELEMENTS = {
+    "scalar": F3(2), "poly": R3y("y + 1"), "laurent": L3y("y + 1/y"),
+    "bivariate": ZQH.monomial(1, 1), "fraction": FQH(ZQH.monomial(1, 0), ZQH.monomial(0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENTS))
+def test_reflected_operators_refuse_floats(name):
+    # an operator returns NotImplemented for an operand it cannot coerce, so
+    # Python raises TypeError, whichever side the float is on
+    x = ELEMENTS[name]
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(x, 1.5)
         with pytest.raises(TypeError, match="unsupported operand"):
             op(1.5, x)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        1.5 / x
+
+
+# Z[q, h] has no division, so its elements have no exact_div.
+@pytest.mark.parametrize("name", ["scalar", "poly", "laurent", "fraction"])
+def test_exact_div_names_the_operand(name):
+    with pytest.raises(TypeError, match="cannot divide by 1.5"):
+        ELEMENTS[name].exact_div(1.5)
 
 
 class TestLaurent:
-    def test_exact_div_names_the_operand(self):
-        with pytest.raises(TypeError, match="cannot divide by 1.5"):
-            L3y.gen.exact_div(1.5)
-
     def test_whorl_value_canonicalizes(self):
         f = parse_laurent("(x^10 + x^4 + x^2 + 1)/x^10", L2x)
         mono, unit = laurent_canonicalize(f)
@@ -303,9 +348,12 @@ class TestFractions:
 # property-based ring axioms -------------------------------------------------
 
 scalar3 = st.integers(0, 2).map(F3)
+rational = st.fractions(-5, 5, max_denominator=7).map(QQ)
 poly3 = st.lists(st.integers(0, 2), max_size=6).map(lambda cs: R3y.from_raw(cs))
 laurent2 = st.tuples(st.lists(st.integers(0, 1), max_size=6), st.integers(-4, 4)).map(
     lambda t: L2x.from_poly(R2x.from_raw(t[0]), t[1]))
+laurent3 = st.tuples(st.lists(st.integers(0, 2), max_size=6), st.integers(-4, 4)).map(
+    lambda t: L3y.from_poly(R3y.from_raw(t[0]), t[1]))
 
 
 def biv(seed):
@@ -322,51 +370,67 @@ fraction_qh = st.tuples(
 ).filter(lambda t: any(t[1])).map(lambda t: FQH(biv(t[0]), biv(t[1])))
 
 
-# Each entry: a maker of fresh ring objects, two element texts, and a ring
-# that differs from the made one.
+RING_OPS = (operator.add, operator.sub, operator.mul)
+FIELD_OPS = RING_OPS + (operator.truediv,)
+
+# Each entry: a maker of fresh ring objects, two element inputs, a ring that
+# differs from the made one, and the binary operators of its elements.
 EQUAL_RINGS = {
-    "Z7": (lambda: PrimeField(7), "3", "5", PrimeField(5)),
+    "Z7": (lambda: PrimeField(7), "3", "5", PrimeField(5), FIELD_OPS),
+    "Q": (RationalField, "3/4", "-2", PrimeField(5), FIELD_OPS),
+    "Z3[x]": (lambda: PolynomialRing(PrimeField(3), "x"), "x + 2", "2x^2 + 1",
+              PolynomialRing(PrimeField(5), "x"), RING_OPS + (divmod,)),
     "Z3[x,x^-1]": (lambda: LaurentRing(PolynomialRing(PrimeField(3), "x")),
-                   "x + 2", "2x^2 + 1", LaurentRing(PolynomialRing(PrimeField(5), "x"))),
+                   "x + 2", "2x^2 + 1", LaurentRing(PolynomialRing(PrimeField(5), "x")),
+                   RING_OPS),
+    "Z[q,h]": (lambda: BivariateRing(("q", "h")), {(1, 0): 2}, {(0, 1): 1, (0, 0): -1},
+               BivariateRing(("q", "x")), RING_OPS),
     "Frac(Q[q])": (lambda: FractionField(PolynomialRing(QQ, "q")),
-                   "q + 1", "q^2 - 3", FractionField(PolynomialRing(PrimeField(5), "q"))),
+                   "q + 1", "q^2 - 3", FractionField(PolynomialRing(PrimeField(5), "q")),
+                   FIELD_OPS),
 }
 
 
 class TestRingEquality:
     """Ring equality is structural: distinct equal ring objects mix, and
-    unequal ones raise RingMismatchError."""
+    unequal ones raise RingMismatchError.  Operands on distinct ring objects
+    take the coercion path of every operator, so each one is covered."""
 
     @pytest.mark.parametrize("name", sorted(EQUAL_RINGS))
     def test_distinct_equal_rings_mix(self, name):
-        make, a_text, b_text, _ = EQUAL_RINGS[name]
+        make, a_text, b_text, _, ops = EQUAL_RINGS[name]
         r, s = make(), make()
         assert r is not s and r == s and hash(r) == hash(s)
         a, b = r(a_text), s(b_text)
-        assert a + b == r(a_text) + r(b_text)
-        assert a * b == r(a_text) * r(b_text)
+        for op in ops:
+            assert op(a, b) == op(r(a_text), r(b_text))
+            assert op(b, a) == op(s(b_text), s(a_text))
+        for op in (operator.add, operator.sub, operator.mul):
+            assert op(a, b).ring is r and op(b, a).ring is s
         m = Matrix([[a, b], [b, a]], r)
         assert m * Matrix.identity(s, 2) == m
         assert m + Matrix.zeros(s, 2) == Matrix([[a, b], [b, a]], s)
 
     @pytest.mark.parametrize("name", sorted(EQUAL_RINGS))
     def test_unequal_rings_raise(self, name):
-        make, a_text, b_text, other = EQUAL_RINGS[name]
+        make, a_text, b_text, other, ops = EQUAL_RINGS[name]
         r = make()
         assert r != other
         a, c = r(a_text), other(b_text)
-        with pytest.raises(RingMismatchError):
-            a + c
-        with pytest.raises(RingMismatchError):
-            a * c
+        for op, d in itertools.product(ops, (c, other.zero)):
+            # a zero operand would skip the arithmetic, but not the check
+            with pytest.raises(RingMismatchError):
+                op(a, d)
+            with pytest.raises(RingMismatchError):
+                op(d, a)
         with pytest.raises(RingMismatchError):
             Matrix([[a, c]], r)
         with pytest.raises(RingMismatchError):
             Matrix.identity(r, 2) * Matrix.identity(other, 2)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([scalar3, poly3, laurent2]).flatmap(
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([scalar3, rational, poly3, laurent2, laurent3]).flatmap(
     lambda s: st.tuples(s, s, s)))
 def test_ring_axioms(triple):
     a, b, c = triple
@@ -374,6 +438,12 @@ def test_ring_axioms(triple):
     assert a + b == b + a
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
+    assert a - b == a + (-b)
+    assert (a - a).is_zero() and a - a == a.ring.zero
+    # reflected and forward int operands take the coercion path
+    assert 3 - a == a.ring.from_int(3) - a == -(a - 3)
+    assert 2 * a == a * 2 == a.ring.from_int(2) * a
+    assert a + 0 == 0 + a == a
 
 
 @settings(max_examples=40, deadline=None)
