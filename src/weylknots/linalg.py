@@ -104,9 +104,6 @@ class Matrix:
     def is_square(self):
         return self.nrows == self.ncols
 
-    def __getitem__(self, i):
-        return self.rows[i]
-
     def submatrix(self, row_idx, col_idx):
         return Matrix([[self.rows[i][j] for j in col_idx] for i in row_idx], self.ring)
 
@@ -158,9 +155,6 @@ class Matrix:
             return NotImplemented
         return (self.nrows, self.ncols) == (other.nrows, other.ncols) and all(
             a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
-
-    def is_zero(self):
-        return all(e.is_zero() for r in self.rows for e in r)
 
     def is_identity(self):
         if not self.is_square():
@@ -334,8 +328,7 @@ def from_fraction(entry, ring):
         return entry
     if isinstance(ring, LaurentRing):
         den = entry.den
-        if den.is_zero() or any(c != den.ring.field.czero for c in den.coeffs[:-1]) \
-                or not den.ring.field.ceq(den.coeffs[-1], den.ring.field.cone):
+        if den.is_zero() or any(den.coeffs[:-1]) or den.coeffs[-1] != 1:
             raise RingError(f"denominator {den!r} is not a monomial")
         return ring.from_poly(entry.num, -den.degree)
     if isinstance(ring, PolynomialRing):
@@ -442,7 +435,7 @@ def _smith_diagonal(rows):
     nrows, ncols = len(a), len(a[0])
     field = a[0][0].ring.field
     rational = isinstance(field, RationalField)
-    unit = field.cone
+    unit = field.one
     diag = []
     for t in range(min(nrows, ncols)):
         at = _least_degree((i, j, a[i][j])
@@ -453,11 +446,11 @@ def _smith_diagonal(rows):
             i, j = at
             if i != t:
                 a[t], a[i] = a[i], a[t]
-                unit = field.cneg(unit)
+                unit = -unit
             if j != t:
                 for row in a[t:]:
                     row[t], row[j] = row[j], row[t]
-                unit = field.cneg(unit)
+                unit = -unit
             pivot_row = a[t]
             pivot = pivot_row[t]
             for row in a[t + 1:]:
@@ -475,7 +468,7 @@ def _smith_diagonal(rows):
                 for j in range(t + 1, ncols):
                     pivot_row[j] = pivot_row[j] % pivot
                 at = _least_degree((t, j, pivot_row[j]) for j in range(t + 1, ncols))
-        unit = field.cmul(unit, pivot.coeffs[-1])
+        unit = unit * pivot.coeffs[-1]
         diag.append(pivot.monic())
     for i, d in enumerate(diag):
         for j in range(i + 1, len(diag)):

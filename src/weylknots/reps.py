@@ -43,7 +43,6 @@ from .rings import (
     PrimeField,
     RationalField,
     RingError,
-    parse_laurent,
     parse_polynomial,
 )
 
@@ -135,9 +134,7 @@ def _charp_ring(p, values):
 
 
 def _charp_value(ring, value):
-    if isinstance(value, int):
-        return ring.from_int(value)
-    return parse_laurent(str(value), ring)
+    return ring(value if isinstance(value, int) else str(value))
 
 
 def _q_context(p):
@@ -156,9 +153,7 @@ def _q_context(p):
     fieldring = FractionField(dom)
 
     def embed(value):
-        if isinstance(value, int):
-            return fieldring.from_int(value)
-        return fieldring(parse_polynomial(str(value), dom))
+        return fieldring(dom(value if isinstance(value, int) else str(value)))
 
     return fieldring, embed
 
@@ -192,7 +187,7 @@ def family_char_p_bidiagonal(n: int, p: int, x, y, a) -> MatrixRep:
         row = [zero] * n
         row[r] = yv
         if r >= 1:
-            row[r - 1] = ring.from_int(r) * av[r - 1].inv()
+            row[r - 1] = ring(r) * av[r - 1].inv()
         vrows.append(row)
     return MatrixRep(Matrix(urows, ring), Matrix(vrows, ring), ring.one,
                      label=f"char_p_bidiagonal(n={n},p={p})")
@@ -246,7 +241,7 @@ def family_truncated(n: int, p: int, i_coeffs, j_coeffs) -> MatrixRep:
     def kat(m):
         return kvals[m] if 0 <= m < n else ring.zero
 
-    urows = [[jat(c - r) + ring.from_int(r) * kat(c - r + 1) for c in range(n)]
+    urows = [[jat(c - r) + ring(r) * kat(c - r + 1) for c in range(n)]
              for r in range(n)]
     vrows = [[ivals[c - r] if 0 <= c - r < n else ring.zero for c in range(n)]
              for r in range(n)]

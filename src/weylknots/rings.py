@@ -7,16 +7,22 @@ the same class and the very same ring object goes straight to the
 arithmetic; any other operand (an int, a lift, an element of an equal but
 distinct ring) is first coerced into that ring object by ``_coerced``, with
 the ring check, and the operator runs again.  The ring objects double as
-factories: ``ring(x)`` builds an element from ints, strings or raw data.
+factories: ``ring(x)`` builds an element from ints, strings or lists, and
+is the one conversion of an int.
 
 Representation conventions:
 
-* ``PrimeField(p)`` scalars are ints reduced to ``[0, p)``: every
-  constructor and operator reduces, so ``is_zero`` and ``is_one`` read the
-  value.  ``QQ`` scalars are ``fractions.Fraction`` in lowest terms.
+* Coefficients are plain Python numbers: ints in ``[0, p)`` over
+  ``PrimeField(p)`` and ``fractions.Fraction`` in lowest terms over ``QQ``,
+  whose ``p`` is 0.  Arithmetic on them is Python's own ``+ - *``; the
+  fields supply only ``czero``, ``cone``, ``cinv`` and ``cstr``.
+* ``PrimeField(p)`` scalars reduce their value in every constructor and
+  operator, so ``is_zero`` and ``is_one`` read the value.
 * ``UniPolynomial`` stores an ascending coefficient tuple with a nonzero
   last entry; the zero polynomial is the empty tuple and its ``degree`` is
-  the sentinel ``None``.
+  the sentinel ``None``.  ``PolynomialRing.from_raw`` is the one
+  normalizer: every operator passes it an unreduced list, and it reduces
+  mod p and trims the zero top, so equality compares the tuples.
 * ``LaurentPolynomial`` is a ``UniPolynomial`` with a nonzero constant term
   plus an integer ``offset`` (the lowest exponent), so the stored pair is
   unique.  Values with negative offset print as ``p(x)/x^k``.
@@ -30,8 +36,8 @@ Representation conventions:
   by cross-multiplication either way.
 
 Multiplication of prime-field polynomials goes through Kronecker
-substitution (pack into one big int, multiply, unpack mod p), which keeps
-the Euclidean elimination in ``linalg`` fast over Z_p[x].
+substitution (pack into one big int, multiply, unpack), which keeps the
+Euclidean elimination in ``linalg`` fast over Z_p[x].
 """
 
 from __future__ import annotations
@@ -179,7 +185,9 @@ class FieldScalar:
     def __truediv__(self, other):
         if other.__class__ is not FieldScalar or other.ring is not self.ring:
             return _coerced(operator.truediv, self, other)
-        return FieldScalar(self.ring, self.ring.cdiv(self.value, other.value))
+        p = self.ring.p
+        v = self.value * self.ring.cinv(other.value)
+        return FieldScalar(self.ring, v % p if p else v)
 
     __rtruediv__ = _reflected(operator.truediv)
 
@@ -187,7 +195,8 @@ class FieldScalar:
         return _quotient(self.__truediv__(other), other)
 
     def __neg__(self):
-        return FieldScalar(self.ring, self.ring.cneg(self.value))
+        p = self.ring.p
+        return FieldScalar(self.ring, -self.value % p if p else -self.value)
 
     def __pow__(self, n):
         if n < 0:
@@ -195,11 +204,9 @@ class FieldScalar:
         return power(self, n, self.ring.one)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring(other)
-        if not isinstance(other, FieldScalar) or other.ring != self.ring:
-            return NotImplemented
-        return self.ring.ceq(self.value, other.value)
+        if other.__class__ is not FieldScalar or other.ring is not self.ring:
+            return _coerced(operator.eq, self, other)
+        return self.value == other.value
 
     def __hash__(self):
         return hash((self.ring, self.value))
@@ -209,11 +216,7 @@ class FieldScalar:
 
 
 class PrimeField:
-    """The field Z_p for a machine-word-safe prime p (< 2^31).
-
-    Also implements the raw-coefficient protocol (``cadd`` etc.) used by
-    ``UniPolynomial``: raw values are plain ints in ``[0, p)``.
-    """
+    """The field Z_p for a machine-word-safe prime p (< 2^31)."""
 
     __slots__ = ("p",)
 
@@ -230,8 +233,8 @@ class PrimeField:
         if isinstance(value, str):
             value = int(value)
         if isinstance(value, Fraction):
-            return FieldScalar(self, self.cdiv(value.numerator % self.p,
-                                                value.denominator % self.p))
+            return FieldScalar(self, value.numerator * self.cinv(value.denominator)
+                               % self.p)
         if not isinstance(value, int):
             raise TypeError(f"cannot build a Z_{self.p} scalar from {value!r}")
         return FieldScalar(self, value % self.p)
@@ -244,44 +247,17 @@ class PrimeField:
     def one(self):
         return FieldScalar(self, 1)
 
-    def from_int(self, n: int):
-        return FieldScalar(self, n % self.p)
-
-    # raw-coefficient protocol
+    # coefficients: ints in [0, p)
     czero = 0
     cone = 1
-
-    def cadd(self, a, b):
-        return (a + b) % self.p
-
-    def csub(self, a, b):
-        return (a - b) % self.p
-
-    def cmul(self, a, b):
-        return (a * b) % self.p
-
-    def cneg(self, a):
-        return (-a) % self.p
 
     def cinv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in Z_{self.p}")
         return pow(a, self.p - 2, self.p)
 
-    def cdiv(self, a, b):
-        return (a * self.cinv(b)) % self.p
-
-    def ceq(self, a, b):
-        return (a - b) % self.p == 0
-
-    def ciszero(self, a):
-        return a % self.p == 0
-
-    def cfrom_int(self, n):
-        return n % self.p
-
     def cstr(self, a):
-        return str(a % self.p)
+        return str(a)
 
     def __eq__(self, other):
         return other is self or (isinstance(other, PrimeField) and other.p == self.p)
@@ -319,42 +295,14 @@ class RationalField:
     def one(self):
         return FieldScalar(self, Fraction(1))
 
-    def from_int(self, n: int):
-        return FieldScalar(self, Fraction(n))
-
+    # coefficients: Fractions
     czero = Fraction(0)
     cone = Fraction(1)
-
-    def cadd(self, a, b):
-        return a + b
-
-    def csub(self, a, b):
-        return a - b
-
-    def cmul(self, a, b):
-        return a * b
-
-    def cneg(self, a):
-        return -a
 
     def cinv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
         return 1 / a
-
-    def cdiv(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by 0 in Q")
-        return a / b
-
-    def ceq(self, a, b):
-        return a == b
-
-    def ciszero(self, a):
-        return a == 0
-
-    def cfrom_int(self, n):
-        return Fraction(n)
 
     def cstr(self, a):
         if a.denominator == 1:
@@ -389,23 +337,28 @@ def _kronecker_mul(a, b, p):
     prod = ea * eb
     out_len = len(a) + len(b) - 1
     raw = prod.to_bytes(out_len * nbytes + nbytes, "little")
-    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little") % p
+    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
             for i in range(out_len)]
 
 
+def _convolve(a, b):
+    """The integer convolution of two nonempty int lists, schoolbook."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return out
+
+
 def _mul_raw(field, a, b):
+    """The unreduced coefficient list of the product a * b."""
     if not a or not b:
         return []
-    if isinstance(field, PrimeField):
-        p = field.p
+    if field.p:
         if len(a) * len(b) > 64:
-            return _kronecker_mul(a, b, p)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        return [c % p for c in out]
+            return _kronecker_mul(a, b, field.p)
+        return _convolve(a, b)
     return _rational_mul(a, b)
 
 
@@ -418,45 +371,36 @@ def _rational_mul(a, b):
     db = math.lcm(*[c.denominator for c in b])
     ia = [c.numerator * (da // c.denominator) for c in a]
     ib = [c.numerator * (db // c.denominator) for c in b]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(ia):
-        if ai:
-            for j, bj in enumerate(ib):
-                out[i + j] += ai * bj
     d = da * db
-    return [Fraction(c, d) for c in out]
+    return [Fraction(c, d) for c in _convolve(ia, ib)]
 
 
 def _divmod_raw(field, a, b):
+    """Unreduced coefficient lists (quotient, remainder) of a by b.  Over Z_p
+    only the quotient digits are reduced, since they drive the loop; the
+    remainder is left for ``from_raw``."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
         return [], list(a)
+    p = field.p
     rem = list(a)
     lead_inv = field.cinv(b[-1])
     quot = [field.czero] * (len(a) - len(b) + 1)
-    if isinstance(field, PrimeField):
-        p = field.p
-        for k in range(len(quot) - 1, -1, -1):
-            c = (rem[k + len(b) - 1] * lead_inv) % p
-            quot[k] = c
-            if c:
-                for j in range(len(b)):
-                    rem[k + j] = (rem[k + j] - c * b[j]) % p
-    else:
-        for k in range(len(quot) - 1, -1, -1):
-            c = field.cmul(rem[k + len(b) - 1], lead_inv)
-            quot[k] = c
-            if not field.ciszero(c):
-                for j in range(len(b)):
-                    rem[k + j] = field.csub(rem[k + j], field.cmul(c, b[j]))
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] * lead_inv
+        if p:
+            c %= p
+        quot[k] = c
+        if c:
+            for j, bj in enumerate(b):
+                rem[k + j] -= c * bj
     del rem[len(b) - 1:]
     return quot, rem
 
 
 class PolynomialRing:
-    """K[var] for K a ``PrimeField`` or ``QQ``, the coefficient fields of the
-    raw protocol."""
+    """K[var] for K a ``PrimeField`` or ``QQ``."""
 
     __slots__ = ("field", "var")
 
@@ -471,22 +415,20 @@ class PolynomialRing:
             if value.ring != self:
                 raise RingMismatchError(f"{value!r} is not in {self}")
             return value
-        if isinstance(value, FieldScalar):
-            if value.ring != self.field:
-                raise RingMismatchError(f"{value!r} has the wrong coefficient field")
-            return self.from_raw([value.value])
-        if isinstance(value, int):
-            return self.from_raw([self.field.cfrom_int(value)])
         if isinstance(value, str):
             return parse_polynomial(value, self)
+        if isinstance(value, (int, FieldScalar)):
+            value = [value]
         if isinstance(value, (list, tuple)):
-            return self.from_raw([self.field.cfrom_int(c) if isinstance(c, int) else c
-                                  for c in value])
+            return self.from_raw([self.field(c).value for c in value])
         raise TypeError(f"cannot build a polynomial from {value!r}")
 
     def from_raw(self, coeffs) -> UniPolynomial:
-        coeffs = list(coeffs)
-        while coeffs and self.field.ciszero(coeffs[-1]):
+        """The polynomial of an ascending list of field values (ints over
+        Z_p, reduced here; Fractions over Q), with its zero top trimmed."""
+        p = self.field.p
+        coeffs = [c % p for c in coeffs] if p else list(coeffs)
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         return UniPolynomial(self, tuple(coeffs))
 
@@ -501,9 +443,6 @@ class PolynomialRing:
     @property
     def gen(self):
         return UniPolynomial(self, (self.field.czero, self.field.cone))
-
-    def from_int(self, n: int):
-        return self.from_raw([self.field.cfrom_int(n)])
 
     def __eq__(self, other):
         return other is self or (isinstance(other, PolynomialRing)
@@ -533,8 +472,7 @@ class UniPolynomial:
         return not self.coeffs
 
     def is_one(self):
-        return len(self.coeffs) == 1 and self.ring.field.ceq(self.coeffs[0],
-                                                             self.ring.field.cone)
+        return self.coeffs == (1,)
 
     def is_constant(self):
         return len(self.coeffs) <= 1
@@ -558,20 +496,19 @@ class UniPolynomial:
     def __add__(self, other):
         if other.__class__ is not UniPolynomial or other.ring is not self.ring:
             return _coerced(operator.add, self, other)
-        return self._combine(other, self.ring.field.cadd)
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if other.__class__ is not UniPolynomial or other.ring is not self.ring:
             return _coerced(operator.sub, self, other)
-        return self._combine(other, self.ring.field.csub)
+        return self._combine(other, operator.sub)
 
     __rsub__ = _reflected(operator.sub)
 
     def __neg__(self):
-        f = self.ring.field
-        return UniPolynomial(self.ring, tuple(f.cneg(c) for c in self.coeffs))
+        return self.ring.from_raw([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if other.__class__ is not UniPolynomial or other.ring is not self.ring:
@@ -603,14 +540,11 @@ class UniPolynomial:
     def monic(self):
         if self.is_zero():
             return self
-        f = self.ring.field
-        inv = f.cinv(self.coeffs[-1])
-        return self.ring.from_raw([f.cmul(c, inv) for c in self.coeffs])
+        return self.scale(self.ring.field.cinv(self.coeffs[-1]))
 
     def scale(self, scalar):
         scalar = scalar.value if isinstance(scalar, FieldScalar) else scalar
-        f = self.ring.field
-        return self.ring.from_raw([f.cmul(c, scalar) for c in self.coeffs])
+        return self.ring.from_raw([c * scalar for c in self.coeffs])
 
     def shift(self, k: int):
         """Multiply by var^k (k >= 0)."""
@@ -621,13 +555,9 @@ class UniPolynomial:
         return UniPolynomial(self.ring, (self.ring.field.czero,) * k + self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring(other)
-        if not isinstance(other, UniPolynomial) or other.ring != self.ring:
-            return NotImplemented
-        f = self.ring.field
-        return (len(self.coeffs) == len(other.coeffs)
-                and all(f.ceq(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is not UniPolynomial or other.ring is not self.ring:
+            return _coerced(operator.eq, self, other)
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.ring, self.coeffs))
@@ -636,10 +566,10 @@ class UniPolynomial:
         return _poly_str(self.ring.field, self.coeffs, self.ring.var)
 
 
-def _valuation(field, coeffs):
+def _valuation(coeffs):
     """Index of the first nonzero coefficient: the power of var dividing it."""
     k = 0
-    while field.ciszero(coeffs[k]):
+    while not coeffs[k]:
         k += 1
     return k
 
@@ -658,7 +588,7 @@ def _poly_str(field, coeffs, var):
     parts = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
-        if field.ciszero(c):
+        if not c:
             continue
         cs = field.cstr(c)
         if k == 0:
@@ -691,9 +621,9 @@ _TERM_RE = re.compile(
 
 def _parse_terms(text: str, ring):
     """Parse `2y^3 + y + 1`-style text in ring's indeterminate into
-    {exponent: raw coefficient of ring.field}.  Each coefficient goes
-    through the field's own conversion; a denominator that is zero there
-    raises ValueError naming the term."""
+    {exponent: coefficient sum}, unreduced, for ``from_raw``.  Each
+    coefficient goes through the field's own conversion; a denominator that
+    is zero there raises ValueError naming the term."""
     field = ring.field
     pos = 0
     terms: dict[int, object] = {}
@@ -713,7 +643,7 @@ def _parse_terms(text: str, ring):
             raise ValueError(f"zero denominator over {field} in the term "
                              f"{m.group(0).strip()!r}") from None
         if m.group("sign") == "-":
-            coeff = field.cneg(coeff)
+            coeff = -coeff
         var = m.group("var")
         if var is not None:
             if var != ring.var:
@@ -724,18 +654,23 @@ def _parse_terms(text: str, ring):
                                  f"{m.group(0).strip()!r}")
         else:
             exp = 0
-        terms[exp] = field.cadd(terms.get(exp, field.czero), coeff)
+        terms[exp] = terms.get(exp, 0) + coeff
     return terms
+
+
+def _terms_poly(terms, ring: PolynomialRing, low: int) -> UniPolynomial:
+    """sum of c * var^(e - low) over the parsed {e: c}, e >= low."""
+    coeffs = [ring.field.czero] * (max(terms) - low + 1)
+    for e, c in terms.items():
+        coeffs[e - low] = c
+    return ring.from_raw(coeffs)
 
 
 def parse_polynomial(text: str, ring: PolynomialRing) -> UniPolynomial:
     terms = _parse_terms(text, ring)
     if any(e < 0 for e in terms):
         raise ValueError(f"negative exponent in plain polynomial: {text!r}")
-    coeffs = [ring.field.czero] * (max(terms) + 1)
-    for e, c in terms.items():
-        coeffs[e] = c
-    return ring.from_raw(coeffs)
+    return _terms_poly(terms, ring, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -780,9 +715,9 @@ class LaurentRing:
     def from_poly(self, poly: UniPolynomial, offset: int = 0) -> LaurentPolynomial:
         if poly.is_zero():
             return LaurentPolynomial(self, poly, 0)
-        shift = _valuation(self.poly_ring.field, poly.coeffs)
+        shift = _valuation(poly.coeffs)
         if shift:
-            poly = self.poly_ring.from_raw(poly.coeffs[shift:])
+            poly = UniPolynomial(self.poly_ring, poly.coeffs[shift:])
         return LaurentPolynomial(self, poly, offset + shift)
 
     @property
@@ -800,9 +735,6 @@ class LaurentRing:
     def monomial(self, k: int, coeff=1):
         c = self.poly_ring(coeff)
         return self.from_poly(c, k)
-
-    def from_int(self, n: int):
-        return self.from_poly(self.poly_ring.from_int(n))
 
     def __eq__(self, other):
         return other is self or (isinstance(other, LaurentRing)
@@ -905,11 +837,9 @@ class LaurentPolynomial:
         return power(self, n, self.ring.one)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring(other)
-        if not isinstance(other, LaurentPolynomial) or other.ring != self.ring:
-            return NotImplemented
-        return self.offset == other.offset and self.poly == other.poly
+        if other.__class__ is not LaurentPolynomial or other.ring is not self.ring:
+            return _coerced(operator.eq, self, other)
+        return self.offset == other.offset and self.poly.coeffs == other.poly.coeffs
 
     def __hash__(self):
         return hash((self.ring, self.poly, self.offset))
@@ -932,7 +862,7 @@ def laurent_canonicalize(f: LaurentPolynomial):
     (0, (1, 0))."""
     field = f.ring.field
     if f.is_zero():
-        return f.poly, (FieldScalar(field, field.cone), 0)
+        return f.poly, (field.one, 0)
     c = field.cinv(f.poly.coeffs[-1])
     return f.poly.monic(), (FieldScalar(field, c), -f.offset)
 
@@ -950,10 +880,9 @@ def parse_laurent(text: str, ring: LaurentRing) -> LaurentPolynomial:
                              f"'/{m.group('var')}^{k}'")
         num = parse_polynomial(m.group("num"), ring.poly_ring)
         return ring.from_poly(num, -k)
-    out = ring.zero
-    for e, c in _parse_terms(text, ring).items():
-        out = out + ring.monomial(e, FieldScalar(ring.field, c))
-    return out
+    terms = _parse_terms(text, ring)
+    low = min(terms)
+    return ring.from_poly(_terms_poly(terms, ring.poly_ring, low), low)
 
 
 # ---------------------------------------------------------------------------
@@ -991,9 +920,6 @@ class BivariateRing:
     @property
     def one(self):
         return self(1)
-
-    def from_int(self, n: int):
-        return self(n)
 
     def __eq__(self, other):
         return isinstance(other, BivariateRing) and other.vars == self.vars
@@ -1109,10 +1035,8 @@ class BivariatePolynomial:
         return 1 if self.terms[e] > 0 else -1
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.ring(other)
-        if not isinstance(other, BivariatePolynomial) or other.ring != self.ring:
-            return NotImplemented
+        if other.__class__ is not BivariatePolynomial or other.ring is not self.ring:
+            return _coerced(operator.eq, self, other)
         return self.terms == other.terms
 
     def __repr__(self):
@@ -1187,9 +1111,10 @@ class FractionField:
             if den is not None:
                 raise ValueError("denominator not allowed with a fraction input")
             return num
-        num = self.domain(num)
-        den = self.domain.one if den is None else self.domain(den)
-        return _make_fraction(self, num, den)
+        if den is None:
+            # n/1 is already canonical
+            return FractionElement(self, self.domain(num), self.domain.one)
+        return _make_fraction(self, self.domain(num), self.domain(den))
 
     @property
     def zero(self):
@@ -1198,9 +1123,6 @@ class FractionField:
     @property
     def one(self):
         return FractionElement(self, self.domain.one, self.domain.one)
-
-    def from_int(self, n: int):
-        return FractionElement(self, self.domain.from_int(n), self.domain.one)
 
     def __eq__(self, other):
         return other is self or (isinstance(other, FractionField)
@@ -1222,9 +1144,8 @@ def _make_fraction(ring, num, den, coprime=False):
     if num.is_zero():
         return FractionElement(ring, num, ring.domain.one)
     if isinstance(ring.domain, PolynomialRing):
-        field = ring.domain.field
         if not coprime:
-            vn, vd = _valuation(field, num.coeffs), _valuation(field, den.coeffs)
+            vn, vd = _valuation(num.coeffs), _valuation(den.coeffs)
             if vn == num.degree or vd == den.degree:
                 # One side is c*x^k, so the gcd is x^min(vn, vd).
                 s = min(vn, vd)
@@ -1237,8 +1158,8 @@ def _make_fraction(ring, num, den, coprime=False):
                     num = num.exact_div(g)
                     den = den.exact_div(g)
         lead = den.coeffs[-1]
-        if not field.ceq(lead, field.cone):
-            inv = field.cinv(lead)
+        if lead != 1:
+            inv = ring.domain.field.cinv(lead)
             num = num.scale(inv)
             den = den.scale(inv)
     else:
@@ -1275,9 +1196,7 @@ class FractionElement:
         if isinstance(other, FractionElement):
             _check_same_ring(self, other)
             return FractionElement(self.ring, other.num, other.den)
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        if isinstance(other, (UniPolynomial, BivariatePolynomial)):
+        if isinstance(other, (int, UniPolynomial, BivariatePolynomial)):
             return self.ring(other)
         return NotImplemented
 

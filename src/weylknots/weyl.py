@@ -72,7 +72,7 @@ class EngineMode:
             self.h = self.domain.monomial(0, 1)
         else:
             self.domain = PolynomialRing(QQ if p is None else PrimeField(p), "h")
-            self.q = self.domain.from_int(q)
+            self.q = self.domain(q)
             self.h = self.domain.gen
         self.coeff_field = FractionField(self.domain)
         self._images = None
@@ -126,9 +126,6 @@ class EngineMode:
             pair = (self.h - s, qk) if k > 0 else (qk * self.h + s, self.domain.one)
             self._sigma[k] = pair
         return pair
-
-    def coeff_from_int(self, n: int) -> FractionElement:
-        return self.coeff_field.from_int(n)
 
     # skew elements ---------------------------------------------------------
 
@@ -386,7 +383,7 @@ def evaluate(expr, mode: EngineMode) -> SkewLaurentElement:
     if isinstance(expr, QScalar):
         return mode.skew_scalar(mode.q_coeff())
     if isinstance(expr, IntScalar):
-        return mode.skew_scalar(mode.coeff_from_int(expr.n))
+        return mode.skew_scalar(mode.coeff_field(expr.n))
     if isinstance(expr, Neg):
         return -evaluate(expr.term, mode)
     if isinstance(expr, Add):

@@ -37,9 +37,8 @@ def euclid_fraction(ring, num, den):
         num = num.exact_div(g)
         den = den.exact_div(g)
     lead = den.coeffs[-1]
-    field = ring.domain.field
-    if not field.ceq(lead, field.cone):
-        inv = field.cinv(lead)
+    if lead != 1:
+        inv = ring.domain.field.cinv(lead)
         num = num.scale(inv)
         den = den.scale(inv)
     return FractionElement(ring, num, den)

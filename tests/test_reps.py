@@ -110,12 +110,12 @@ class TestTruncated:
         F7 = PrimeField(7)
         ring = LaurentRing(PolynomialRing(F7, "x"))
         i1, i2, i3 = 2, 3, 5
-        ivals = [ring.from_int(c) for c in (1, i1, i2, i3)]
+        ivals = [ring(c) for c in (1, i1, i2, i3)]
         k = truncated_k_sequence(ivals, 3)
         inv = pow(i1, 5, 7)
-        assert k[0] == ring.from_int(inv)
-        assert k[1] == ring.from_int(-2 * i2 * inv * inv)
-        assert k[2] == ring.from_int((4 * i2 * i2 - 3 * i1 * i3) * pow(inv, 3, 7))
+        assert k[0] == ring(inv)
+        assert k[1] == ring(-2 * i2 * inv * inv)
+        assert k[2] == ring((4 * i2 * i2 - 3 * i1 * i3) * pow(inv, 3, 7))
 
     def test_n2_p2_displayed_orientation(self):
         rep = family_truncated(2, 2, [1, 1], [1])

@@ -14,6 +14,7 @@ from weylknots.rings import (
     BivariateRing,
     LETTER_BUDGET,
     FractionField,
+    LaurentPolynomial,
     LaurentRing,
     PolynomialRing,
     PrimeField,
@@ -30,6 +31,8 @@ R2x = PolynomialRing(F2, "x")
 R3y = PolynomialRing(F3, "y")
 L2x = LaurentRing(R2x)
 L3y = LaurentRing(R3y)
+R5y = PolynomialRing(PrimeField(5), "y")
+L5y = LaurentRing(R5y)
 QX = PolynomialRing(QQ, "x")
 ZQH = BivariateRing(("q", "h"))
 FQH = FractionField(ZQH)
@@ -86,7 +89,7 @@ class TestScalars:
             n = rng.choice([rng.randint(-3 * p, 3 * p), rng.randint(-2**70, 2**70),
                             p * rng.randint(-3, 3)])
             d = rng.choice([1, -1, 2 * p + 1, rng.randint(1, 2**40) * p + 1])
-            pool += [reduced(F(n)), reduced(F.from_int(n)), reduced(F(str(n))),
+            pool += [reduced(F(n)), reduced(F(str(n))),
                      reduced(F(Fraction(n, d)))]
             a, b = rng.choice(pool), rng.choice(pool)
             pool += [reduced(a + b), reduced(a - b), reduced(a * b), reduced(-a),
@@ -105,6 +108,97 @@ class TestScalars:
 
 
 class TestPolynomials:
+    @pytest.mark.parametrize("p", [2, 3, 101, 2**31 - 1])
+    def test_prime_field_coefficients_stay_reduced(self, p):
+        # from_raw reduces and trims every coefficient list, so each Z_p
+        # polynomial the constructors and operators make holds ints in
+        # [0, p) with a nonzero top entry, and each Laurent polynomial also
+        # a nonzero constant term
+        rng = random.Random(p)
+        F = PrimeField(p)
+        R = PolynomialRing(F, "y")
+        L = LaurentRing(R)
+        FR = FractionField(R)
+
+        def canonical(f):
+            cs = f.poly.coeffs if isinstance(f, LaurentPolynomial) else f.coeffs
+            assert type(cs) is tuple and all(type(c) is int and 0 <= c < p for c in cs), cs
+            assert not cs or cs[-1], cs
+            if isinstance(f, LaurentPolynomial):
+                assert cs[0] if cs else f.offset == 0, (cs, f.offset)
+            return f
+
+        def ints(k):
+            return [rng.choice([rng.randint(-3 * p, 3 * p), rng.randint(-2**70, 2**70),
+                                p * rng.randint(-3, 3)]) for _ in range(k)]
+
+        def text(dens=(1, p + 1, 2 * p + 1)):
+            # terms that may repeat an exponent, so sums can cancel mod p
+            out = []
+            for _ in range(rng.randint(1, 5)):
+                c, d = rng.randint(0, 3 * p), rng.choice(dens)
+                c = c if d == 1 else f"{c}/{d}"
+                out.append(f"{rng.choice('+-')} {c}y^{rng.randint(0, 4)}")
+            return " ".join(out)
+
+        polys = [canonical(R.zero), canonical(R.one), canonical(R.gen)]
+        laurents = [canonical(L.zero), canonical(L.one), canonical(L.gen)]
+        for _ in range(150):
+            n, k = ints(1)[0], rng.randint(-4, 4)
+            raw = ints(rng.randint(0, 12))
+            polys += [canonical(R(n)), canonical(R(F(n))), canonical(R(raw)),
+                      canonical(R(tuple(raw))), canonical(R.from_raw(raw)),
+                      canonical(R(text()))]
+            laurents += [canonical(L(n)), canonical(L(raw, k)), canonical(L(text())),
+                         canonical(L(text().replace("y^", "y^-"))),
+                         canonical(L(f"({text(dens=(1,))})/y^{abs(k)}")),
+                         canonical(L.from_poly(rng.choice(polys), k)),
+                         canonical(L.monomial(k, n))]
+            a, b = rng.choice(polys), rng.choice(polys)
+            polys += [canonical(a + b), canonical(a - b), canonical(a * b), canonical(-a),
+                      canonical(a + n), canonical(n - a), canonical(n * a),
+                      canonical(a ** rng.randint(0, 4)), canonical(a.monic()),
+                      canonical(a.scale(n)), canonical(a.scale(F(n))),
+                      canonical(a.shift(abs(k))), canonical(poly_gcd(a, b))]
+            if not b.is_zero():
+                q, r = divmod(a, b)
+                polys += [canonical(q), canonical(r), canonical(a % b),
+                          canonical((a * b).exact_div(b))]
+                fr = FR(a, b) + FR(n, b)
+                polys += [canonical(fr.num), canonical(fr.den)]
+            a, b = rng.choice(laurents), rng.choice(laurents)
+            laurents += [canonical(a + b), canonical(a - b), canonical(a * b),
+                         canonical(-a), canonical(a + n), canonical(n - a),
+                         canonical(n * a), canonical(a ** rng.randint(0, 4)),
+                         canonical(L(a, k))]
+            polys.append(canonical(laurent_canonicalize(a)[0]))
+            if not b.is_zero():
+                laurents += [canonical((a * b) / b), canonical((a * b).exact_div(b))]
+            if a.is_unit():
+                laurents += [canonical(a.inv()), canonical(a ** -rng.randint(1, 4))]
+        assert any(f.is_zero() for f in polys) and any(f.degree for f in polys)
+
+    @pytest.mark.parametrize("ring", [R5y, L5y], ids=str)
+    def test_list_coefficients_go_through_the_field(self, ring):
+        assert repr(ring([Fraction(1, 2), 7])) == "2y + 3"
+        assert ring((PrimeField(5)(3), -1)) == ring([3, 4])
+        with pytest.raises(TypeError):
+            ring([1, 1.5])
+        with pytest.raises(RingMismatchError):
+            ring([F3(1)])
+
+    @pytest.mark.parametrize("text, coeffs, offset", [
+        ("y + 2y + 1/y", (1,), -1),
+        ("y + 2y + y^-1", (1,), -1),
+        ("2y^-1 + y^-1 + 1", (1,), 0),
+        ("y^2 + 2y^2 + y^-2 + 2y^-2", (), 0),
+        ("y^3 - 4y^3 + 2y + 1/2 - 2", (2,), 1),
+    ])
+    def test_parse_cancels_mod_p(self, text, coeffs, offset):
+        # terms that cancel mod 3 leave no zero top or bottom coefficient
+        f = L3y(text)
+        assert (f.poly.coeffs, f.offset) == (coeffs, offset)
+
     def test_char2_frobenius(self):
         f = R2x("x + 1")
         assert f * f == R2x("x^2 + 1")
@@ -113,6 +207,9 @@ class TestPolynomials:
         f = R3y("2y^3 + y + 1")
         assert repr(f) == "2y^3 + y + 1"
         assert f.coeffs == (1, 1, 0, 2)
+        # terms that cancel mod 3 leave no zero top
+        assert R3y("y^2 + 2y^2 + y").coeffs == (0, 1)
+        assert R3y("2y + y + 2 + 1").is_zero()
 
     def test_degree_sentinel(self):
         assert R2x(0).degree is None
@@ -263,6 +360,10 @@ def test_reflected_operators_refuse_floats(name):
             op(1.5, x)
     with pytest.raises(TypeError, match="unsupported operand"):
         1.5 / x
+    # a value no ring holds compares unequal instead
+    for other in (1.5, None, "y"):
+        assert not x == other and not other == x
+        assert x != other and other != x
 
 
 # Z[q, h] has no division, so its elements have no exact_div.
@@ -423,6 +524,11 @@ class TestRingEquality:
                 op(a, d)
             with pytest.raises(RingMismatchError):
                 op(d, a)
+        for d in (c, other.zero):
+            with pytest.raises(RingMismatchError):
+                a == d
+            with pytest.raises(RingMismatchError):
+                d == a
         with pytest.raises(RingMismatchError):
             Matrix([[a, c]], r)
         with pytest.raises(RingMismatchError):
@@ -441,8 +547,8 @@ def test_ring_axioms(triple):
     assert a - b == a + (-b)
     assert (a - a).is_zero() and a - a == a.ring.zero
     # reflected and forward int operands take the coercion path
-    assert 3 - a == a.ring.from_int(3) - a == -(a - 3)
-    assert 2 * a == a * 2 == a.ring.from_int(2) * a
+    assert 3 - a == a.ring(3) - a == -(a - 3)
+    assert 2 * a == a * 2 == a.ring(2) * a
     assert a + 0 == 0 + a == a
 
 
