@@ -26,14 +26,14 @@ Representation conventions:
 * ``LaurentPolynomial`` is a ``UniPolynomial`` with a nonzero constant term
   plus an integer ``offset`` (the lowest exponent), so the stored pair is
   unique.  Values with negative offset print as ``p(x)/x^k``.
-* ``BivariatePolynomial`` maps exponent pairs to nonzero integer
-  coefficients; it is the coefficient domain of the symbolic Weyl engine.
-* ``FractionElement`` keeps numerator/denominator in a declared domain.
-  Over a univariate domain the pair is reduced and the denominator made
-  monic, with the Euclidean gcd skipped where the answer is known (see
-  ``FractionField``); over a bivariate domain only integer content and
-  common monomial factors are stripped (no multivariate gcd).  Equality is
-  by cross-multiplication either way.
+* ``BivariatePolynomial`` maps exponent pairs (both nonnegative) to
+  nonzero integer coefficients: Z[q, h], the numerator domain of the
+  symbolic Weyl engine, whose fractions live in ``weyl.py`` in
+  shift-factored form.
+* ``FractionElement`` keeps numerator/denominator over a univariate
+  domain F[x], reduced and with a monic denominator, the Euclidean gcd
+  skipped where the answer is known (see ``FractionField``).  Equality is
+  by cross-multiplication.
 
 Multiplication of prime-field polynomials goes through Kronecker
 substitution (pack into one big int, multiply, unpack), which keeps the
@@ -543,7 +543,10 @@ class UniPolynomial:
         return self.scale(self.ring.field.cinv(self.coeffs[-1]))
 
     def scale(self, scalar):
-        scalar = scalar.value if isinstance(scalar, FieldScalar) else scalar
+        if isinstance(scalar, FieldScalar):
+            if scalar.ring != self.ring.field:
+                raise RingMismatchError(f"{scalar!r} is not in {self.ring.field}")
+            scalar = scalar.value
         return self.ring.from_raw([c * scalar for c in self.coeffs])
 
     def shift(self, k: int):
@@ -907,6 +910,8 @@ class BivariateRing:
         if isinstance(value, int):
             return BivariatePolynomial(self, {(0, 0): value} if value else {})
         if isinstance(value, dict):
+            if any(a < 0 or b < 0 for a, b in value):
+                raise ValueError(f"negative exponent in a polynomial of {self}")
             return BivariatePolynomial(self, {e: c for e, c in value.items() if c})
         raise TypeError(f"cannot build a bivariate polynomial from {value!r}")
 
@@ -1011,29 +1016,6 @@ class BivariatePolynomial:
             raise ValueError("negative power of a polynomial")
         return power(self, n, self.ring.one)
 
-    def content_and_monomials(self):
-        """(integer content, min exponent pair); content of 0 is 0."""
-        if not self.terms:
-            return 0, (0, 0)
-        g = 0
-        for c in self.terms.values():
-            g = math.gcd(g, c)
-        m1 = min(e[0] for e in self.terms)
-        m2 = min(e[1] for e in self.terms)
-        return g, (m1, m2)
-
-    def strip(self, content: int, monomials) -> BivariatePolynomial:
-        m1, m2 = monomials
-        return BivariatePolynomial(
-            self.ring,
-            {(e1 - m1, e2 - m2): c // content for (e1, e2), c in self.terms.items()})
-
-    def leading_sign(self) -> int:
-        if not self.terms:
-            return 1
-        e = max(self.terms)
-        return 1 if self.terms[e] > 0 else -1
-
     def __eq__(self, other):
         if other.__class__ is not BivariatePolynomial or other.ring is not self.ring:
             return _coerced(operator.eq, self, other)
@@ -1071,7 +1053,7 @@ class BivariatePolynomial:
 # ---------------------------------------------------------------------------
 
 class FractionField:
-    """Frac(D) for D a PolynomialRing or BivariateRing.
+    """Frac(D) for D a univariate ``PolynomialRing`` F[x].
 
     Canonical form over D = F[x]: num and den are coprime and den is monic,
     so each fraction has exactly one stored pair.  The Euclidean gcd runs
@@ -1090,18 +1072,17 @@ class FractionField:
     integers and build one ``Fraction`` per output coefficient, not one per
     coefficient pair.
 
-    Over D = Z[q, h] only integer content and common monomial factors are
-    stripped and den gets a positive leading coefficient (there is no
-    multivariate gcd); equal-denominator sums keep den instead of squaring
-    it.
-
-    Fractions are matrix entries and Weyl-engine coefficients; a fraction
-    field is not a coefficient field of ``PolynomialRing``.
+    Fractions are matrix entries and the coefficients of the finite Weyl
+    engine; a fraction field is not a coefficient field of
+    ``PolynomialRing``.  Z[q, h] has no gcd here, so the symbolic engine's
+    fractions are the shift-factored ones of ``weyl.py``.
     """
 
     __slots__ = ("domain",)
 
     def __init__(self, domain):
+        if not isinstance(domain, PolynomialRing):
+            raise TypeError(f"fractions need a univariate polynomial domain, got {domain!r}")
         self.domain = domain
 
     def __call__(self, num, den=None) -> FractionElement:
@@ -1143,36 +1124,24 @@ def _make_fraction(ring, num, den, coprime=False):
         raise ZeroDivisionError(f"zero denominator in {ring}")
     if num.is_zero():
         return FractionElement(ring, num, ring.domain.one)
-    if isinstance(ring.domain, PolynomialRing):
-        if not coprime:
-            vn, vd = _valuation(num.coeffs), _valuation(den.coeffs)
-            if vn == num.degree or vd == den.degree:
-                # One side is c*x^k, so the gcd is x^min(vn, vd).
-                s = min(vn, vd)
-                if s:
-                    num = UniPolynomial(ring.domain, num.coeffs[s:])
-                    den = UniPolynomial(ring.domain, den.coeffs[s:])
-            else:
-                g = poly_gcd(num, den)
-                if not g.is_one():
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
-        lead = den.coeffs[-1]
-        if lead != 1:
-            inv = ring.domain.field.cinv(lead)
-            num = num.scale(inv)
-            den = den.scale(inv)
-    else:
-        cn, mn = num.content_and_monomials()
-        cd, md = den.content_and_monomials()
-        content = math.gcd(cn, cd)
-        mono = (min(mn[0], md[0]), min(mn[1], md[1]))
-        if content > 1 or mono != (0, 0):
-            num = num.strip(content, mono)
-            den = den.strip(content, mono)
-        if den.leading_sign() < 0:
-            num = -num
-            den = -den
+    if not coprime:
+        vn, vd = _valuation(num.coeffs), _valuation(den.coeffs)
+        if vn == num.degree or vd == den.degree:
+            # One side is c*x^k, so the gcd is x^min(vn, vd).
+            s = min(vn, vd)
+            if s:
+                num = UniPolynomial(ring.domain, num.coeffs[s:])
+                den = UniPolynomial(ring.domain, den.coeffs[s:])
+        else:
+            g = poly_gcd(num, den)
+            if not g.is_one():
+                num = num.exact_div(g)
+                den = den.exact_div(g)
+    lead = den.coeffs[-1]
+    if lead != 1:
+        inv = ring.domain.field.cinv(lead)
+        num = num.scale(inv)
+        den = den.scale(inv)
     return FractionElement(ring, num, den)
 
 
@@ -1196,7 +1165,7 @@ class FractionElement:
         if isinstance(other, FractionElement):
             _check_same_ring(self, other)
             return FractionElement(self.ring, other.num, other.den)
-        if isinstance(other, (int, UniPolynomial, BivariatePolynomial)):
+        if isinstance(other, (int, UniPolynomial)):
             return self.ring(other)
         return NotImplemented
 

@@ -20,15 +20,30 @@ Engine modes:
 * finite(p, q) -- coefficients in Frac(F[h]) with q a fixed nonzero
   scalar of F = Z_p, or of F = Q when p is None; cheap randomized
   corroboration of the symbolic runs, and with q = 1 the classical
-  algebra, where sigma(h) = h - 1.  Every denominator the engine forms is
-  a product of powers of q and of shifts sigma^j(h - 1), each h - c for an
-  integer c at q = 1, so setting q = 1 commutes with every engine step:
-  identities that hold only at q = 1 are checked in finite(p, 1).
+  algebra, where sigma(h) = h - 1.
 
-Both modes twist coefficients by one substitution (``sigma_apply``): a
-mode holds its q and h as elements of its domain, Z[q, h] or F[h], and
-derives from them the pair (z, d) with sigma^k(h) = z/d.  Only the split
-of a domain element into its coefficients in h depends on the domain.
+Every denominator the engine forms is a product of powers of q and of the
+shift factors
+
+    f_m = h - [m]_q  (m >= 0)        f_-n = q^n h + [n]_q  (n > 0),
+
+with [n]_q = 1 + q + ... + q^(n-1), so that sigma^k(h) = f_k / q^max(k, 0)
+and sigma^k(f_m) = q^t f_(m+k) for an integer t: each f_m is a shift of
+h - 1 = f_1 up to a power of q (the Gosper-Petkovsek shift-factored form,
+Petkovsek-Wilf-Zeilberger, *A = B*, 1996).  Z[q, h] has no gcd here, so the
+symbolic mode keeps each coefficient as the triple (num, e, {m: e_m}) of
+num q^e / prod f_m^(e_m), with num in Z[q, h] divisible neither by q nor
+by a listed f_m (``ShiftFraction``).  The f_m are pairwise coprime
+irreducibles, so the triple is canonical: equality is structural, and a
+product or a sum needs only trial divisions by listed f_m, never a gcd.
+In finite(p, 1) each f_m is h - c for an integer c, so setting q = 1
+commutes with every engine step: identities that hold only at q = 1 are
+checked in finite(p, 1).
+
+Both modes twist coefficients by one substitution (``_subst_h``): a mode
+holds its q and h as elements of its domain, Z[q, h] or F[h], and derives
+from them the pair (z, d) with sigma^k(h) = z/d.  Only the split of a
+domain element into its coefficients in h depends on the domain.
 
 ``parse_expression`` accepts the text grammar used by the CLI: whitespace
 or juxtaposition for products, ``u'`` or ``u^-1`` for inverses, ``q`` for
@@ -37,18 +52,25 @@ the ground scalar, integer constants, parentheses, ``+`` and ``-``.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
 from .rings import (
     LETTER_BUDGET,
     QQ,
+    BivariatePolynomial,
     BivariateRing,
     FractionElement,
     FractionField,
     PolynomialRing,
     PrimeField,
     RingError,
+    RingMismatchError,
+    _check_same_ring,
+    _coerced,
+    _reflected,
+    power,
 )
 
 SYMBOLIC = "symbolic"
@@ -56,9 +78,9 @@ FINITE = "finite"
 
 
 class EngineMode:
-    """Coefficient context for the skew-Laurent engine: the domain, its
-    fraction field, q and h as domain elements, and the generator images
-    and sigma pairs, each computed on first use."""
+    """Coefficient context for the skew-Laurent engine: the domain, the
+    coefficient field over it, q and h as domain elements, and the
+    generator images and sigma pairs, each computed on first use."""
 
     def __init__(self, kind, p=None, q=None, _token=None):
         if _token is not _MODE_TOKEN:
@@ -70,11 +92,12 @@ class EngineMode:
             self.domain = BivariateRing(("q", "h"))
             self.q = self.domain.monomial(1, 0)
             self.h = self.domain.monomial(0, 1)
+            self.coeff_field = ShiftFractionField(self)
         else:
             self.domain = PolynomialRing(QQ if p is None else PrimeField(p), "h")
             self.q = self.domain(q)
             self.h = self.domain.gen
-        self.coeff_field = FractionField(self.domain)
+            self.coeff_field = FractionField(self.domain)
         self._images = None
         self._sigma = {}
 
@@ -108,22 +131,23 @@ class EngineMode:
 
     # coefficient helpers ---------------------------------------------------
 
-    def q_coeff(self) -> FractionElement:
+    def q_coeff(self) -> FractionElement | ShiftFraction:
         return self.coeff_field(self.q)
 
-    def h_coeff(self) -> FractionElement:
+    def h_coeff(self) -> FractionElement | ShiftFraction:
         return self.coeff_field(self.h)
 
     def sigma_pair(self, k: int):
         """Domain elements (z, d) with sigma^k(h) = z/d, computed once per k:
-        (h - [k]_q, q^k) for k > 0 and (q^m h + [m]_q, 1) for k = -m, where
+        (f_k, q^k) for k >= 0 and (f_k, 1) for k < 0, where f_k is the shift
+        factor h - [k]_q, or q^m h + [m]_q for k = -m, and
         [m]_q = 1 + q + ... + q^(m-1)."""
         pair = self._sigma.get(k)
         if pair is None:
             s, qk = self.domain.zero, self.domain.one
             for _ in range(abs(k)):
                 s, qk = s + qk, qk * self.q
-            pair = (self.h - s, qk) if k > 0 else (qk * self.h + s, self.domain.one)
+            pair = (self.h - s, qk) if k >= 0 else (qk * self.h + s, self.domain.one)
             self._sigma[k] = pair
         return pair
 
@@ -133,7 +157,7 @@ class EngineMode:
         pruned = {e: c for e, c in terms.items() if not c.is_zero()}
         return SkewLaurentElement(self, pruned)
 
-    def skew_scalar(self, coeff: FractionElement) -> SkewLaurentElement:
+    def skew_scalar(self, coeff: FractionElement | ShiftFraction) -> SkewLaurentElement:
         return self.skew({0: coeff})
 
     @property
@@ -176,7 +200,7 @@ def _h_parts(poly, mode):
     by_b: dict[int, dict] = {}
     for (a, b), c in poly.terms.items():
         by_b.setdefault(b, {})[(a, 0)] = c
-    return [ring(by_b[b]) if b in by_b else ring.zero for b in range(max(by_b) + 1)]
+    return [BivariatePolynomial(ring, by_b.get(b, {})) for b in range(max(by_b) + 1)]
 
 
 def _subst_h(poly, k: int, mode):
@@ -196,16 +220,34 @@ def _subst_h(poly, k: int, mode):
     return acc, top
 
 
-def sigma_apply(f: FractionElement, k: int, mode: EngineMode) -> FractionElement:
+def sigma_apply(f, k: int, mode: EngineMode):
     """Apply sigma^k to a coefficient, where sigma(h) = (h-1)/q and
-    sigma^-1(h) = qh + 1, extended to fractions componentwise: with
-    sigma^k(h) = z/d, num/den maps to N d^b / (D d^a), where N and D are
-    num and den after ``_subst_h`` and a, b their h-degrees; only the
-    power d^|a - b| is multiplied in."""
+    sigma^-1(h) = qh + 1.  With sigma^k(h) = z/d (see
+    ``EngineMode.sigma_pair``) and N the numerator after ``_subst_h``, of
+    h-degree b before it:
+
+    * symbolic: numer q^e / prod f_m^(e_m) maps to
+      N q^e / (d^b prod (q^t f_(m+k))^(e_m)) with
+      t = max(m, 0) - max(m + k, 0); only the power of q dividing N is
+      divided out, since sigma^k maps the listed f_m to the listed
+      f_(m+k);
+    * finite: num/den maps to N d^a / (D d^b), with D and a the
+      denominator after ``_subst_h`` and its h-degree before it; only the
+      power d^|a - b| is multiplied in.
+    """
     if f.ring != mode.coeff_field:
         raise RingError(f"{f!r} is not a coefficient of {mode!r}")
-    if k == 0:
+    if k == 0 or f.is_zero():
         return f
+    if mode.kind == SYMBOLIC:
+        numer, b = _subst_h(f.numer, k, mode)
+        qexp = f.qexp - k * b if k > 0 else f.qexp
+        shifts = {}
+        for m, e in f.shifts.items():
+            shifts[m + k] = e
+            qexp += e * (max(m + k, 0) - max(m, 0))
+        numer, v = _strip_q(numer)
+        return ShiftFraction(f.ring, numer, qexp + v, shifts)
     num, en = _subst_h(f.num, k, mode)
     den, ed = _subst_h(f.den, k, mode)
     d = mode.sigma_pair(k)[1]
@@ -214,6 +256,295 @@ def sigma_apply(f: FractionElement, k: int, mode: EngineMode) -> FractionElement
     elif en > ed:
         den = den * d ** (en - ed)
     return mode.coeff_field(num, den)
+
+
+# ---------------------------------------------------------------------------
+# symbolic coefficients: Frac(Z[q, h]) in shift-factored form
+# ---------------------------------------------------------------------------
+
+class ShiftFractionField:
+    """Frac(Z[q, h]) restricted to denominators q^a prod f_m^e: the
+    coefficients of the symbolic engine (see the module docstring).
+
+    An element is the triple (numer, qexp, shifts) standing for
+    numer q^qexp / prod_m f_m^shifts[m]: numer is in Z[q, h] and divisible
+    neither by q nor by a listed f_m, and each listed exponent is positive;
+    zero is (0, 0, {}).  The triple is canonical, so equality is
+    structural.  A denominator or divisor of any other shape (2, h + 1)
+    raises ``RingError``; the engine never forms one.  ``num`` and ``den``
+    expand the value over Z[q, h] on demand.
+    """
+
+    __slots__ = ("mode", "domain")
+
+    def __init__(self, mode):
+        self.mode = mode
+        self.domain = mode.domain
+
+    def factor(self, m: int):
+        """The shift factor f_m, an element of Z[q, h]."""
+        return self.mode.sigma_pair(m)[0]
+
+    def expand(self, shifts, poly):
+        """poly * prod f_m^shifts[m] over Z[q, h]."""
+        for m, e in shifts.items():
+            poly = poly * self.factor(m) ** e
+        return poly
+
+    def __call__(self, num, den=None) -> ShiftFraction:
+        if isinstance(num, ShiftFraction):
+            if num.ring != self:
+                raise RingMismatchError(f"{num!r} is not in {self}")
+            if den is not None:
+                raise ValueError("denominator not allowed with a fraction input")
+            return num
+        num = self.domain(num)
+        sign, qexp, shifts = (1, 0, {}) if den is None else self._factored(self.domain(den))
+        if num.is_zero():
+            return self.zero
+        num, v = _strip_q(num if sign > 0 else -num)
+        num, shifts = _divide_out(num, shifts, self)
+        return ShiftFraction(self, num, v - qexp, shifts)
+
+    def _factored(self, den):
+        """(sign, a, shifts) with den = sign q^a prod f_m^shifts[m]."""
+        if den.is_zero():
+            raise ZeroDivisionError(f"zero denominator in {self}")
+        rest, a = _strip_q(den)
+        span, top = rest.degree_in(0), rest.degree_in(1)
+        # f_m has q-degree m - 1 for m >= 2 and n for m = -n, so no other
+        # shift factor divides den; each divides it at most top times
+        trial = {m: top for m in range(-span, span + 2)}
+        rest, left = _divide_out(rest, trial, self)
+        if rest.terms not in ({(0, 0): 1}, {(0, 0): -1}):
+            raise RingError(f"{den!r} is not a power of q times shift factors "
+                            "h - [m]_q and q^n h + [n]_q")
+        shifts = {m: top - left.get(m, 0) for m in trial if left.get(m, 0) < top}
+        return rest.terms[(0, 0)], a, shifts
+
+    @property
+    def zero(self):
+        return ShiftFraction(self, self.domain.zero, 0, {})
+
+    @property
+    def one(self):
+        return ShiftFraction(self, self.domain.one, 0, {})
+
+    def __eq__(self, other):
+        return other is self or isinstance(other, ShiftFractionField)
+
+    def __hash__(self):
+        return hash("ShiftFractionField")
+
+    def __repr__(self):
+        return f"Frac({self.domain})"
+
+
+def _times_q(poly, k: int):
+    """poly * q^k for k >= 0."""
+    if not k:
+        return poly
+    return BivariatePolynomial(poly.ring, {(a + k, b): c for (a, b), c in poly.terms.items()})
+
+
+def _strip_q(poly):
+    """(poly / q^v, v) for the largest v with q^v dividing poly, nonzero."""
+    v = min(a for a, _ in poly.terms)
+    if not v:
+        return poly, 0
+    return BivariatePolynomial(poly.ring, {(a - v, b): c for (a, b), c in poly.terms.items()}), v
+
+
+def _divide_out(numer, shifts, field):
+    """(numer / prod f_m^k_m, {m: shifts[m] - k_m}), each k_m as large as
+    shifts[m] and the divisibility of numer allow; exponents that reach 0
+    are dropped from the returned map, a new dict."""
+    left = {}
+    for m, e in shifts.items():
+        while e:
+            quot = _shift_quotient(numer, m, field)
+            if quot is None:
+                break
+            numer, e = quot, e - 1
+        if e:
+            left[m] = e
+    return numer, left
+
+
+def _shift_quotient(numer, m: int, field):
+    """numer / f_m if f_m divides numer, else None: one synthetic division
+    by f_m = q^n h + beta(q), from the top h-degree down."""
+    rows: dict[int, dict] = {}
+    for (a, b), c in numer.terms.items():
+        rows.setdefault(b, {})[a] = c
+    top = max(rows)
+    if not top:
+        return None
+    n, beta = 0, {}
+    for (a, b), c in field.factor(m).terms.items():
+        if b:
+            n = a
+        else:
+            beta[a] = c
+    quot = {}
+    r = rows[top]
+    for j in range(top, 0, -1):
+        # the quotient's h^(j-1) row is r / q^n; the next r is the h^(j-1)
+        # row of numer less beta times it
+        if n and r:
+            if min(r) < n:
+                return None
+            r = {a - n: c for a, c in r.items()}
+        nxt = dict(rows.get(j - 1, ()))
+        for a, c in r.items():
+            quot[(a, j - 1)] = c
+            for a2, c2 in beta.items():
+                s = nxt.get(a + a2, 0) - c * c2
+                if s:
+                    nxt[a + a2] = s
+                else:
+                    del nxt[a + a2]
+        r = nxt
+    return None if r else BivariatePolynomial(numer.ring, quot)
+
+
+class ShiftFraction:
+    """numer q^qexp / prod f_m^shifts[m] in the canonical form of
+    ``ShiftFractionField``; equality is structural."""
+
+    __slots__ = ("ring", "numer", "qexp", "shifts")
+
+    def __init__(self, ring, numer, qexp, shifts):
+        self.ring = ring
+        self.numer = numer
+        self.qexp = qexp
+        self.shifts = shifts
+
+    @property
+    def num(self):
+        """The numerator over Z[q, h], expanded."""
+        return _times_q(self.numer, max(self.qexp, 0))
+
+    @property
+    def den(self):
+        """The denominator over Z[q, h], expanded."""
+        return self.ring.expand(self.shifts, self.ring.domain.monomial(max(-self.qexp, 0), 0))
+
+    def is_zero(self):
+        return self.numer.is_zero()
+
+    def is_one(self):
+        return self.qexp == 0 and not self.shifts and self.numer.is_one()
+
+    def _coerce(self, other):
+        if isinstance(other, ShiftFraction):
+            _check_same_ring(self, other)
+            return ShiftFraction(self.ring, other.numer, other.qexp, other.shifts)
+        if isinstance(other, (int, BivariatePolynomial)):
+            return self.ring(other)
+        return NotImplemented
+
+    def _combine(self, other, op):
+        # self op other for op + or -, both nonzero, over the least common
+        # denominator
+        qexp = min(self.qexp, other.qexp)
+        shifts = dict(self.shifts)
+        for m, e in other.shifts.items():
+            if e > shifts.get(m, 0):
+                shifts[m] = e
+        numer = op(self._lifted(qexp, shifts), other._lifted(qexp, shifts))
+        if numer.is_zero():
+            return self.ring.zero
+        numer, v = _strip_q(numer)
+        # Where one operand lists f_m with the lesser exponent, f_m divides
+        # its lifted numerator and not the other's, so not the sum.
+        shared = {m: e for m, e in shifts.items() if self.shifts.get(m) == other.shifts.get(m)}
+        numer, left = _divide_out(numer, shared, self.ring)
+        for m in shared:
+            del shifts[m]
+        shifts.update(left)
+        return ShiftFraction(self.ring, numer, qexp + v, shifts)
+
+    def _lifted(self, qexp, shifts):
+        """numer times q^(self.qexp - qexp) prod f_m^(shifts[m] - self.shifts[m]),
+        the numerator of self over the denominator q^-qexp prod f_m^shifts[m]."""
+        extra = {m: e - self.shifts.get(m, 0) for m, e in shifts.items()
+                 if e != self.shifts.get(m, 0)}
+        return _times_q(self.ring.expand(extra, self.numer), self.qexp - qexp)
+
+    def __add__(self, other):
+        if other.__class__ is not ShiftFraction or other.ring is not self.ring:
+            return _coerced(operator.add, self, other)
+        if other.numer.is_zero():
+            return self
+        return other if self.numer.is_zero() else self._combine(other, operator.add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other.__class__ is not ShiftFraction or other.ring is not self.ring:
+            return _coerced(operator.sub, self, other)
+        if other.numer.is_zero():
+            return self
+        return -other if self.numer.is_zero() else self._combine(other, operator.sub)
+
+    __rsub__ = _reflected(operator.sub)
+
+    def __neg__(self):
+        return ShiftFraction(self.ring, -self.numer, self.qexp, self.shifts)
+
+    def __mul__(self, other):
+        if other.__class__ is not ShiftFraction or other.ring is not self.ring:
+            return _coerced(operator.mul, self, other)
+        if self.numer.is_zero() or other.numer.is_zero():
+            return self.ring.zero
+        # each numerator cancels against the other operand's shift factors
+        a, right = _divide_out(self.numer, other.shifts, self.ring)
+        b, shifts = _divide_out(other.numer, self.shifts, self.ring)
+        for m, e in right.items():
+            shifts[m] = shifts.get(m, 0) + e
+        return ShiftFraction(self.ring, a * b, self.qexp + other.qexp, shifts)
+
+    __rmul__ = __mul__
+
+    def inv(self):
+        if self.numer.is_zero():
+            raise ZeroDivisionError(f"inverse of 0 in {self.ring}")
+        sign, _, shifts = self.ring._factored(self.numer)
+        numer = self.ring.expand(self.shifts, self.ring.domain(sign))
+        return ShiftFraction(self.ring, numer, -self.qexp, shifts)
+
+    def __truediv__(self, other):
+        if other.__class__ is not ShiftFraction or other.ring is not self.ring:
+            return _coerced(operator.truediv, self, other)
+        return self * other.inv()
+
+    __rtruediv__ = _reflected(operator.truediv)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inv() ** (-n)
+        return power(self, n, self.ring.one)
+
+    def __eq__(self, other):
+        if other.__class__ is not ShiftFraction or other.ring is not self.ring:
+            return _coerced(operator.eq, self, other)
+        return (self.qexp == other.qexp and self.shifts == other.shifts
+                and self.numer == other.numer)
+
+    __hash__ = None
+
+    def __repr__(self):
+        parts = [] if self.qexp >= 0 else ["q" if self.qexp == -1 else f"q^{-self.qexp}"]
+        for m in sorted(self.shifts):
+            f, e = repr(self.ring.factor(m)), self.shifts[m]
+            f = f"({f})" if " " in f else f
+            parts.append(f if e == 1 else f"{f}^{e}")
+        num = repr(self.num)
+        if not parts:
+            return num
+        num = f"({num})" if " " in num else num
+        return f"{num}/{parts[0]}" if len(parts) == 1 else f"{num}/({'*'.join(parts)})"
 
 
 # ---------------------------------------------------------------------------

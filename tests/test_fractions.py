@@ -1,28 +1,30 @@
-"""Canonical form of Frac(F[x]) and Frac(Z[q,h]) and the paths that skip
-the Euclidean gcd."""
+"""Canonical form of Frac(F[x]) and of the Weyl engine's shift-factored
+Frac(Z[q,h]), and the paths that skip the Euclidean gcd or the trial
+divisions."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from weylknots import rings
+from weylknots import rings, weyl
 from weylknots.rings import (
     QQ,
-    BivariateRing,
     FractionElement,
     FractionField,
     PolynomialRing,
     PrimeField,
     poly_gcd,
 )
+from weylknots.weyl import EngineMode
 
 QX = PolynomialRing(QQ, "x")
 FQ = FractionField(QX)
 R3y = PolynomialRing(PrimeField(3), "y")
 F3 = FractionField(R3y)
-ZQH = BivariateRing(("q", "h"))
-FQH = FractionField(ZQH)
+SYM = EngineMode.symbolic()
+ZQH = SYM.domain
+FQH = SYM.coeff_field
 
 
 def euclid_fraction(ring, num, den):
@@ -187,29 +189,33 @@ class TestGcdFreePaths:
         assert (d.num, d.den) == (QX("2x^2 - 1"), b)
 
     def test_bivariate_sums_keep_the_denominator(self):
-        b = ZQH({(1, 0): 1, (0, 1): 1, (0, 0): -1})  # q + h - 1
+        b = ZQH({(0, 2): 1, (0, 1): -1}) * ZQH({(1, 1): 1, (0, 0): 1})  # h (h - 1) (q h + 1)
         total = FQH.zero
         for n in range(1, 7):
-            total = total + FQH(ZQH({(n, 1): n, (0, 0): 1}), b)
+            total = total + FQH(ZQH({(n, 1): n, (0, 0): 2}), b)
             assert total.den == b
         total = total - FQH(ZQH({(1, 1): 1}), b)
         assert total.den == b
 
 
+# Each case: a ring, an element, and the module and name of the normalizer
+# that the zero operands skip: the gcd step of Frac(F[x]) and the trial
+# divisions by shift factors of the Weyl engine's Frac(Z[q,h]).
 ZERO_OPERAND_CASES = {
-    "Q[x]": (FQ, FQ(QX("x^2 - 1/2"), QX("3x + 1"))),
-    "Z3[y]": (F3, F3(R3y("y^2 + 1"), R3y("y + 2"))),
-    "Z[q,h]": (FQH, FQH(ZQH({(1, 0): 2, (0, 1): 1}), ZQH({(1, 1): 1, (0, 0): -1}))),
+    "Q[x]": (FQ, FQ(QX("x^2 - 1/2"), QX("3x + 1")), rings, "_make_fraction"),
+    "Z3[y]": (F3, F3(R3y("y^2 + 1"), R3y("y + 2")), rings, "_make_fraction"),
+    "Z[q,h]": (FQH, FQH(ZQH({(1, 0): 2, (0, 1): 1}), ZQH({(1, 1): 1, (0, 0): 1})),
+               weyl, "_divide_out"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(ZERO_OPERAND_CASES))
 def test_zero_operands_skip_normalization(name, monkeypatch):
     """a +- 0, 0 +- a and products with a zero factor equal the general
-    path's canonical pair without calling ``_make_fraction``."""
-    ring, a = ZERO_OPERAND_CASES[name]
+    path's canonical pair without calling the normalizer."""
+    ring, a, module, normalizer = ZERO_OPERAND_CASES[name]
     z = ring.zero
-    general = lambda num, den: rings._make_fraction(ring, num, den)
+    general = ring
     want = {
         "a + 0": general(a.num * z.den + z.num * a.den, a.den * z.den),
         "0 + a": general(z.num * a.den + a.num * z.den, z.den * a.den),
@@ -222,8 +228,8 @@ def test_zero_operands_skip_normalization(name, monkeypatch):
     }
 
     def refuse(*args, **kwargs):
-        raise AssertionError("_make_fraction called")
-    monkeypatch.setattr(rings, "_make_fraction", refuse)
+        raise AssertionError(f"{normalizer} called")
+    monkeypatch.setattr(module, normalizer, refuse)
     got = {"a + 0": (a + z, a + 0), "0 + a": (z + a, 0 + a),
            "a - 0": (a - z, a - 0), "0 - a": (z - a, 0 - a),
            "a * 0": (a * z, a * 0), "0 * a": (z * a, 0 * a),

@@ -24,6 +24,7 @@ from weylknots.rings import (
     parse_laurent,
     poly_gcd,
 )
+from weylknots.weyl import EngineMode
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -34,8 +35,11 @@ L3y = LaurentRing(R3y)
 R5y = PolynomialRing(PrimeField(5), "y")
 L5y = LaurentRing(R5y)
 QX = PolynomialRing(QQ, "x")
-ZQH = BivariateRing(("q", "h"))
-FQH = FractionField(ZQH)
+# Frac(Z[q, h]) is the symbolic Weyl engine's coefficient field, whose
+# denominators are powers of q times shift factors such as h, h - 1, qh + 1.
+SYM = EngineMode.symbolic()
+ZQH = SYM.domain
+FQH = SYM.coeff_field
 
 
 class TestScalars:
@@ -256,6 +260,14 @@ class TestPolynomials:
             assert (QX.from_raw(a) * QX.from_raw(b)).coeffs == QX.from_raw(slow).coeffs
 
 
+    def test_scale_checks_the_scalar_ring(self):
+        y = R3y.gen
+        assert y.scale(F3(2)) == R3y("2y") == y.scale(2)
+        with pytest.raises(RingMismatchError):
+            y.scale(PrimeField(5)(4))
+        with pytest.raises(RingMismatchError):
+            QX.gen.scale(F3(2))
+
     def test_shift(self):
         f = R3y("y + 2")
         assert f.shift(0) == f
@@ -266,7 +278,9 @@ class TestPolynomials:
 
     def test_powers_match_repeated_products(self):
         qh = ZQH.monomial(1, 0) + ZQH.monomial(0, 1)
-        for base in (R3y("y + 2"), L3y("y + 1/y"), qh, FQH(qh, qh - ZQH.one)):
+        hf = ZQH.monomial(0, 1)
+        for base in (R3y("y + 2"), L3y("y + 1/y"), qh,
+                     FQH(qh, hf * (hf - 1) * (ZQH.monomial(1, 1) + 1))):
             acc = base.ring.one
             for n in range(10):
                 assert base ** n == acc
@@ -285,6 +299,14 @@ class TestPolynomials:
 def test_zero_denominator_coefficient_is_a_value_error(build):
     with pytest.raises(ValueError, match="zero denominator .* in the term"):
         build()
+
+
+def test_bivariate_exponents_are_nonnegative():
+    # Z[q, h] holds polynomials; the Weyl engine keeps powers of q apart
+    assert repr(ZQH({(2, 1): 3, (0, 0): -1})) == "3*q^2*h - 1"
+    for exps in ((-1, 0), (0, -2)):
+        with pytest.raises(ValueError, match="negative exponent"):
+            ZQH({exps: 1, (0, 0): 1})
 
 
 class TestPolyGcd:
@@ -366,11 +388,13 @@ def test_reflected_operators_refuse_floats(name):
         assert x != other and other != x
 
 
-# Z[q, h] has no division, so its elements have no exact_div.
+# Z[q, h] has no division, so its elements have no exact_div, and neither
+# have the Weyl engine's coefficients; the fraction is one over Z_3[y].
 @pytest.mark.parametrize("name", ["scalar", "poly", "laurent", "fraction"])
 def test_exact_div_names_the_operand(name):
+    x = FractionField(R3y)(R3y("y"), R3y("y + 1")) if name == "fraction" else ELEMENTS[name]
     with pytest.raises(TypeError, match="cannot divide by 1.5"):
-        ELEMENTS[name].exact_div(1.5)
+        x.exact_div(1.5)
 
 
 class TestLaurent:
@@ -424,19 +448,29 @@ class TestFractions:
         a = h / (h - 1)
         b = (h - 1) / q
         assert a * b == h / q
+        c = (q * h + 1) / h
+        assert a * c / (q * h + 1) == 1 / (h - 1)
 
     def test_common_factor(self):
         h = FQH(ZQH.monomial(0, 1))
         q = FQH(ZQH.monomial(1, 0))
         assert h / (h - 1) == (q * h) / (q * (h - 1))
+        assert (h - 1) / (q * h + 1) == ((h - 1) * h) / ((q * h + 1) * h)
 
     def test_distinct(self):
         h = FQH(ZQH.monomial(0, 1))
+        q = FQH(ZQH.monomial(1, 0))
         assert 1 / h != 1 / (h - 1)
+        assert 1 / (q * h + 1) != 1 / (h - 1)
 
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             FQH(ZQH.one, ZQH.zero)
+
+    def test_bivariate_domain_refused(self):
+        # no gcd over Z[q, h]: its fractions are the Weyl engine's
+        with pytest.raises(TypeError, match="univariate"):
+            FractionField(BivariateRing(("q", "h")))
 
     def test_univariate_reduction(self):
         FR = FractionField(R3y)
@@ -465,10 +499,21 @@ def biv(seed):
     return ZQH(terms)
 
 
+def shift_denominator(ms):
+    """The product of the shift factors f_m = h - [m]_q (m >= 0) and
+    q^n h + [n]_q (m = -n) over the list ms."""
+    den = ZQH.one
+    for m in ms:
+        s = ZQH({(i, 0): 1 for i in range(abs(m))})
+        den = den * (ZQH.monomial(0, 1) - s if m >= 0 else ZQH.monomial(-m, 1) + s)
+    return den
+
+
 fraction_qh = st.tuples(
     st.lists(st.integers(-2, 2), min_size=1, max_size=5),
-    st.lists(st.integers(-2, 2), min_size=1, max_size=5),
-).filter(lambda t: any(t[1])).map(lambda t: FQH(biv(t[0]), biv(t[1])))
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.integers(0, 2),
+).map(lambda t: FQH(biv(t[0]), shift_denominator(t[1]) * ZQH.monomial(t[2], 0)))
 
 
 RING_OPS = (operator.add, operator.sub, operator.mul)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from weylknots.rings import LETTER_BUDGET, RingError
+from weylknots.rings import LETTER_BUDGET, BivariateRing, RingError, RingMismatchError
 from weylknots.weyl import (
     IDENTITY_SUITE,
     ONE,
@@ -26,20 +26,56 @@ from weylknots.weyl import (
 
 SYM = EngineMode.symbolic()
 
+# The factor multisets of the weyl-verify benchmark products, as text.
+WEYL_PRODUCTS = (
+    ("(u + v)", "(u' + v')", "(u v' + q)", "(u + v + q)"),
+    ("(u + q v)", "(v + u')", "(q u' + v)", "(u' + v' + 1)"),
+    ("(u + v)", "(v u' + 1)", "(u v' + q)", "(u' + v')", "(u + v + q)"),
+    ("(u + q v)", "(v + u')", "(u' + v')", "(q u' + v)", "(u v' + v u' + q)"),
+    ("(u v' + v u' + q)",) * 4,
+)
+X = "(u v' + v u' + q)"
+FINITE_PAIRS = ((101, 3), (13, 5), (7, 6))
 
-def coeff(mode, text_num, text_den="1"):
-    # small helper for hand-built q,h fractions in symbolic mode
-    ring = mode.domain
-    def parse(t):
-        out = ring.zero
-        for part in t.split("+"):
-            part = part.strip()
-            eq = part.count("q")
-            eh = part.count("h")
-            c = part.replace("q", "").replace("h", "").replace("*", "").strip()
-            out = out + ring.monomial(eq, eh, int(c) if c and c != "-" else (-1 if c == "-" else 1))
-        return out
-    return mode.coeff_field(parse(text_num), parse(text_den))
+
+def shift_factor(mode, m):
+    """f_m = h - [m]_q for m >= 0 and q^n h + [n]_q for m = -n, as a
+    coefficient of mode, built from its definition."""
+    h, q = mode.h_coeff(), mode.q_coeff()
+    s = mode.coeff_field.zero
+    for i in range(abs(m)):
+        s = s + q ** i
+    return h - s if m >= 0 else q ** -m * h + s
+
+
+def random_shift_product(rng, mode):
+    """A seeded product of one to three f_m with -3 <= m <= 3."""
+    out = mode.coeff_field.one
+    for _ in range(rng.randint(1, 3)):
+        out = out * shift_factor(mode, rng.randint(-3, 3))
+    return out
+
+
+def random_tree(rng, depth):
+    """A seeded expression tree of products and differences of generators,
+    q and 1."""
+    if depth == 0:
+        return rng.choice([U, V, UI, VI, Q, ONE])
+    kind = rng.randrange(3)
+    if kind == 0:
+        return mul(random_tree(rng, depth - 1), random_tree(rng, depth - 1))
+    if kind == 1:
+        return sub(random_tree(rng, depth - 1), random_tree(rng, depth - 1))
+    return random_tree(rng, depth - 1)
+
+
+def seeded_product(rng, factors):
+    """One weyl-verify left side: the factors in seeded order, with u v
+    placed at a seeded position."""
+    factors = list(factors)
+    rng.shuffle(factors)
+    at = rng.randint(0, len(factors))
+    return " ".join(factors[:at] + ["(u v)"] + factors[at:])
 
 
 class TestSigma:
@@ -59,7 +95,8 @@ class TestSigma:
             h = mode.h_coeff()
             q = mode.q_coeff()
             for _ in range(6):
-                f = (h ** rng.randrange(3)) * rng.randrange(1, 4) + q / (h + rng.randrange(1, 3))
+                f = ((h ** rng.randrange(3)) * rng.randrange(1, 4)
+                     + q / random_shift_product(rng, mode))
                 for k in (1, 2, 3):
                     assert sigma_apply(sigma_apply(f, k, mode), -k, mode) == f
 
@@ -67,23 +104,29 @@ class TestSigma:
         h = SYM.h_coeff()
         assert sigma_apply(h, 2, SYM) == sigma_apply(sigma_apply(h, 1, SYM), 1, SYM)
 
+    def test_shift_factors_shift(self):
+        # sigma^k(f_m) = q^t f_(m+k) with t = max(m, 0) - max(m + k, 0)
+        q = SYM.q_coeff()
+        for m in range(-4, 5):
+            for k in range(-3, 4):
+                t = max(m, 0) - max(m + k, 0)
+                assert sigma_apply(shift_factor(SYM, m), k, SYM) == \
+                    q ** t * shift_factor(SYM, m + k), (m, k)
+
     def test_finite_mode_is_symbolic_mode_reduced(self):
         # sigma^k commutes with q := q0 followed by reduction mod p
         rng = random.Random(29)
         checked = 0
-        for p, q0 in ((101, 3), (13, 5), (7, 6)):
+        for p, q0 in FINITE_PAIRS:
             mode = EngineMode.finite(p, q0)
             for _ in range(8):
-                f = SYM.coeff_field(_random_biv(rng), _random_biv(rng) + SYM.domain.one)
-                if _reduce(f.den, mode).is_zero():
-                    continue
+                f = SYM.coeff_field(_random_biv(rng)) / random_shift_product(rng, SYM)
                 for k in (1, 2, 3, -1, -2, -3):
                     image = sigma_apply(f, k, SYM)
                     den = _reduce(image.den, mode)
                     assert not den.is_zero()
                     want = mode.coeff_field(_reduce(image.num, mode), den)
-                    reduced = mode.coeff_field(_reduce(f.num, mode), _reduce(f.den, mode))
-                    assert sigma_apply(reduced, k, mode) == want, (f, k, mode)
+                    assert sigma_apply(_reduced(f, mode), k, mode) == want, (f, k, mode)
                     checked += 1
         assert checked >= 120
 
@@ -101,6 +144,12 @@ def _reduce(poly, mode):
         coeffs[b] = coeffs.get(b, 0) + c * pow(mode.q_int, a, mode.p)
     top = max(coeffs, default=-1)
     return mode.domain([coeffs.get(b, 0) % mode.p for b in range(top + 1)])
+
+
+def _reduced(coeff, mode):
+    """A symbolic coefficient with q := mode.q_int, as a coefficient of the
+    finite mode; every f_m and q stay invertible there."""
+    return mode.coeff_field(_reduce(coeff.num, mode), _reduce(coeff.den, mode))
 
 
 class TestSkewArithmetic:
@@ -144,19 +193,9 @@ class TestEvaluate:
 
     def test_homomorphism_on_random_trees(self):
         rng = random.Random(17)
-        atoms = [U, V, UI, VI, Q, ONE]
-        def tree(depth):
-            if depth == 0:
-                return rng.choice(atoms)
-            kind = rng.randrange(3)
-            if kind == 0:
-                return mul(tree(depth - 1), tree(depth - 1))
-            if kind == 1:
-                return sub(tree(depth - 1), tree(depth - 1))
-            return tree(depth - 1)
         mode = EngineMode.finite(11, 3)
         for _ in range(10):
-            e1, e2 = tree(2), tree(2)
+            e1, e2 = random_tree(rng, 2), random_tree(rng, 2)
             assert evaluate(mul(e1, e2), mode) == skew_mul(evaluate(e1, mode),
                                                            evaluate(e2, mode))
             assert evaluate(sub(e1, e2), mode) == \
@@ -258,3 +297,137 @@ class TestParser:
         lhs = parse_expression("u v u' v' u' v u v' u'")
         rhs = parse_expression("q u v u' v' u' v' u' v u")
         assert verify_identity(lhs, rhs, EngineMode.finite(None, 1)).ok
+
+
+class TestShiftFactoredCoefficients:
+    """The symbolic coefficients against the finite modes, sympy and their
+    own canonical form."""
+
+    @pytest.mark.parametrize("p, q0", FINITE_PAIRS)
+    def test_symbolic_reduces_to_finite(self, p, q0):
+        rng = random.Random(1000 + p)
+        mode = EngineMode.finite(p, q0)
+        exprs = [parse_expression(seeded_product(rng, factors)) for factors in WEYL_PRODUCTS]
+        exprs += [random_tree(rng, 3) for _ in range(12)]
+        for expr in exprs:
+            sym, fin = evaluate(expr, SYM), evaluate(expr, mode)
+            for e in set(sym.terms) | set(fin.terms):
+                got = _reduced(sym.terms[e], mode) if e in sym.terms else mode.coeff_field.zero
+                assert got == fin.terms.get(e, mode.coeff_field.zero), (expr, e)
+
+    def test_stored_numerators_are_reduced(self):
+        sympy = pytest.importorskip("sympy")
+        q, h = sympy.symbols("q h")
+        rng = random.Random(7)
+        seen = 0
+        for factors in WEYL_PRODUCTS:
+            for c in evaluate(parse_expression(seeded_product(rng, factors)), SYM).terms.values():
+                numer = _sympy(c.numer, q, h)
+                assert min(a for a, _ in c.numer.terms) == 0, c
+                for m, e in c.shifts.items():
+                    assert e > 0
+                    f = _sympy(SYM.coeff_field.factor(m), q, h)
+                    assert sympy.rem(numer, f, h) != 0, (c, m)
+                    seen += 1
+        assert seen > 20
+
+    def test_sums_and_products_divide_out_listed_factors(self):
+        h, q, one = SYM.h_coeff(), SYM.q_coeff(), SYM.domain.one
+        f1, fm1 = shift_factor(SYM, 1), shift_factor(SYM, -1)
+        assert (h / f1 - 1 / f1).is_one()
+        s = q * h / (f1 * fm1) + 1 / (f1 * fm1)
+        assert (s.numer, s.qexp, s.shifts) == (one, 0, {1: 1})
+        p = (f1 * h / fm1) * (q * fm1 / (f1 * f1))
+        assert (p.numer, p.qexp, p.shifts) == (SYM.domain.monomial(0, 1), 1, {1: 1})
+
+    def test_association_order_stores_identical_triples(self):
+        rng = random.Random(11)
+        for factors in WEYL_PRODUCTS:
+            parts = [evaluate(parse_expression(f), SYM) for f in factors]
+            rng.shuffle(parts)
+            left = parts[0]
+            for part in parts[1:]:
+                left = skew_mul(left, part)
+            right = parts[-1]
+            for part in reversed(parts[:-1]):
+                right = skew_mul(part, right)
+            assert set(left.terms) == set(right.terms)
+            for e, c in left.terms.items():
+                d = right.terms[e]
+                assert (c.numer.terms, c.qexp, c.shifts) == (d.numer.terms, d.qexp, d.shifts)
+
+    def test_values_agree_with_sympy_cancel(self):
+        sympy = pytest.importorskip("sympy")
+        q, h = sympy.symbols("q h")
+        rng = random.Random(23)
+        coeffs = []
+        for factors in WEYL_PRODUCTS[:3]:
+            coeffs += evaluate(parse_expression(seeded_product(rng, factors)), SYM).terms.values()
+        coeffs = rng.sample(coeffs, 6)
+
+        def value(c):
+            return _sympy(c.num, q, h) / _sympy(c.den, q, h)
+
+        def same(c, expr):
+            # equal values, and the stored pair is already in lowest terms
+            assert sympy.cancel(value(c) - expr) == 0
+            n, d = sympy.fraction(sympy.cancel(value(c)))
+            assert sympy.expand(n * _sympy(c.den, q, h) - d * _sympy(c.num, q, h)) == 0
+            den = sympy.Poly(_sympy(c.den, q, h), q, h)
+            assert sympy.Poly(d, q, h).total_degree() == den.total_degree()
+
+        for a, b in zip(coeffs, coeffs[1:]):
+            va, vb = value(a), value(b)
+            same(a + b, va + vb)
+            same(a - b, va - vb)
+            same(a * b, va * vb)
+            for k in (1, -2):
+                z = (h - sum(q ** i for i in range(k))) / q ** k if k > 0 else \
+                    q ** -k * h + sum(q ** i for i in range(-k))
+                same(sigma_apply(a, k, SYM), va.subs(h, z))
+        x = coeffs[0]
+        for d in (SYM.q_coeff(), shift_factor(SYM, 1) * shift_factor(SYM, -1),
+                  shift_factor(SYM, 0)):
+            same(x / d, value(x) / value(d))
+
+    def test_other_denominators_raise(self):
+        h, q = SYM.h_coeff(), SYM.q_coeff()
+        ring = SYM.domain
+        for den in (ring.monomial(0, 1) + 1, ring(2), ring({(1, 1): 1, (0, 0): -1})):
+            with pytest.raises(RingError, match="shift factors"):
+                SYM.coeff_field(ring.one, den)
+        for divisor in (h + 1, 2 * q, q * h - 1, h * h + 1):
+            with pytest.raises(RingError, match="shift factors"):
+                h / divisor
+        with pytest.raises(ZeroDivisionError):
+            h / SYM.coeff_field.zero
+        with pytest.raises(RingMismatchError):
+            SYM.coeff_field(BivariateRing(("q", "x")).one)
+
+
+class TestCoefficientGrowth:
+    """(u v' + v u' + q)^k once took 0.01, 0.17 and 12 s for k = 4, 5, 6
+    because sums cross-multiplied denominators that never cancelled.  In
+    the shift-factored form the largest numerator or denominator degree
+    of its normal form is k(k + 1)."""
+
+    def test_six_factor_product_verifies(self):
+        power = " ".join([X] * 6)
+        lhs = parse_expression(f"(u v) {power}")
+        assert verify_identity(lhs, parse_expression(f"(1 + q v u) {power}"), SYM).ok
+        assert not verify_identity(lhs, parse_expression(f"(1 + v u) {power}"), SYM).ok
+
+    def test_eight_factor_power_evaluates(self):
+        value = evaluate(parse_expression(f"{X}^8"), SYM)
+        assert value.max_coeff_degree() == 8 * 9
+        assert evaluate(parse_expression(f"{X}^6"), SYM).max_coeff_degree() == 6 * 7
+        mode = EngineMode.finite(101, 3)
+        fin = evaluate(parse_expression(f"{X}^8"), mode)
+        assert set(value.terms) == set(fin.terms)
+        for e, c in value.terms.items():
+            assert _reduced(c, mode) == fin.terms[e]
+
+
+def _sympy(poly, q, h):
+    """An element of Z[q, h] as a sympy expression."""
+    return sum((c * q ** a * h ** b for (a, b), c in poly.terms.items()), 0 * q)
