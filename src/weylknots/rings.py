@@ -1072,10 +1072,9 @@ class FractionField:
     integers and build one ``Fraction`` per output coefficient, not one per
     coefficient pair.
 
-    Fractions are matrix entries and the coefficients of the finite Weyl
-    engine; a fraction field is not a coefficient field of
-    ``PolynomialRing``.  Z[q, h] has no gcd here, so the symbolic engine's
-    fractions are the shift-factored ones of ``weyl.py``.
+    Fractions are matrix entries; a fraction field is not a coefficient
+    field of ``PolynomialRing``.  Z[q, h] has no gcd here, so the Weyl
+    engine's coefficients are the shift-factored fractions of ``weyl.py``.
     """
 
     __slots__ = ("domain",)

@@ -2,25 +2,17 @@
 
 The algebra on invertible generators u, v with uv - qvu = 1 embeds
 faithfully into a skew Laurent ring: coefficients are rational functions
-of h, x twists them by the substitution sigma(h) = (h - 1)/q, and the
+of q and h, x twists them by the substitution sigma(h) = (h - 1)/q, and the
 generators map to
 
     u  ->  h x^-1          v  ->  x
     u' ->  (q/(h-1)) x     v' ->  x^-1
 
-so every word flattens to a finite sum  sum_i  c_i(q, h) x^i.  Two
+so every word flattens to a normal form  sum_i  c_i(q, h) x^i.  Two
 expressions agree in the algebra exactly when their normal forms agree
 coefficientwise, which turns all the identities the rest of the package
-relies on into decidable zero-tests.
-
-Engine modes:
-
-* symbolic  -- coefficients in Frac(Z[q, h]); q is a free parameter, so a
-  verified identity holds for every q at once.
-* finite(p, q) -- coefficients in Frac(F[h]) with q a fixed nonzero
-  scalar of F = Z_p, or of F = Q when p is None; cheap randomized
-  corroboration of the symbolic runs, and with q = 1 the classical
-  algebra, where sigma(h) = h - 1.
+relies on into decidable zero-tests.  q is a free parameter, so a verified
+identity holds for every q at once.
 
 Every denominator the engine forms is a product of powers of q and of the
 shift factors
@@ -30,20 +22,18 @@ shift factors
 with [n]_q = 1 + q + ... + q^(n-1), so that sigma^k(h) = f_k / q^max(k, 0)
 and sigma^k(f_m) = q^t f_(m+k) for an integer t: each f_m is a shift of
 h - 1 = f_1 up to a power of q (the Gosper-Petkovsek shift-factored form,
-Petkovsek-Wilf-Zeilberger, *A = B*, 1996).  Z[q, h] has no gcd here, so the
-symbolic mode keeps each coefficient as the triple (num, e, {m: e_m}) of
+Petkovsek-Wilf-Zeilberger, *A = B*, 1996).  Z[q, h] has no gcd here, so
+each coefficient is kept as the triple (num, e, {m: e_m}) of
 num q^e / prod f_m^(e_m), with num in Z[q, h] divisible neither by q nor
 by a listed f_m (``ShiftFraction``).  The f_m are pairwise coprime
 irreducibles, so the triple is canonical: equality is structural, and a
 product or a sum needs only trial divisions by listed f_m, never a gcd.
-In finite(p, 1) each f_m is h - c for an integer c, so setting q = 1
-commutes with every engine step: identities that hold only at q = 1 are
-checked in finite(p, 1).
 
-Both modes twist coefficients by one substitution (``_subst_h``): a mode
-holds its q and h as elements of its domain, Z[q, h] or F[h], and derives
-from them the pair (z, d) with sigma^k(h) = z/d.  Only the split of a
-domain element into its coefficients in h depends on the domain.
+The classical algebra is the specialization q = 1, where sigma(h) = h - 1.
+There each f_m becomes h - m, which is never zero, so setting q = 1 is a
+ring map on every coefficient the engine forms and commutes with every
+engine step: an expression vanishes at q = 1 exactly when each stored
+numerator of its normal form does (``run_identity_suite``).
 
 ``parse_expression`` accepts the text grammar used by the CLI: whitespace
 or juxtaposition for products, ``u'`` or ``u^-1`` for inverses, ``q`` for
@@ -58,13 +48,8 @@ from dataclasses import dataclass
 
 from .rings import (
     LETTER_BUDGET,
-    QQ,
     BivariatePolynomial,
     BivariateRing,
-    FractionElement,
-    FractionField,
-    PolynomialRing,
-    PrimeField,
     RingError,
     RingMismatchError,
     _check_same_ring,
@@ -73,74 +58,37 @@ from .rings import (
     power,
 )
 
-SYMBOLIC = "symbolic"
-FINITE = "finite"
-
 
 class EngineMode:
-    """Coefficient context for the skew-Laurent engine: the domain, the
-    coefficient field over it, q and h as domain elements, and the
-    generator images and sigma pairs, each computed on first use."""
+    """Coefficient context for the skew-Laurent engine: Z[q, h], its
+    shift-factored fraction field, q and h as elements of Z[q, h], and the
+    generator images and sigma pairs, each computed on first use.  Use the
+    one shared instance, ``EngineMode.symbolic()``."""
 
-    def __init__(self, kind, p=None, q=None, _token=None):
-        if _token is not _MODE_TOKEN:
-            raise TypeError("use EngineMode.symbolic() or EngineMode.finite(p, q)")
-        self.kind = kind
-        self.p = p
-        self.q_int = q
-        if kind == SYMBOLIC:
-            self.domain = BivariateRing(("q", "h"))
-            self.q = self.domain.monomial(1, 0)
-            self.h = self.domain.monomial(0, 1)
-            self.coeff_field = ShiftFractionField(self)
-        else:
-            self.domain = PolynomialRing(QQ if p is None else PrimeField(p), "h")
-            self.q = self.domain(q)
-            self.h = self.domain.gen
-            self.coeff_field = FractionField(self.domain)
+    def __init__(self):
+        self.domain = BivariateRing(("q", "h"))
+        self.q = self.domain.monomial(1, 0)
+        self.h = self.domain.monomial(0, 1)
+        self.coeff_field = ShiftFractionField(self)
         self._images = None
         self._sigma = {}
 
     @classmethod
     def symbolic(cls) -> EngineMode:
-        return cls(SYMBOLIC, _token=_MODE_TOKEN)
-
-    @classmethod
-    def finite(cls, p: int | None, q: int) -> EngineMode:
-        """Coefficients over Z_p, or over Q when p is None, with q a fixed
-        nonzero scalar; q = 1 is the classical algebra, where
-        sigma(h) = h - 1."""
-        if p is not None:
-            q %= PrimeField(p).p
-        if q == 0:
-            where = "in Q" if p is None else f"mod {p}"
-            raise ValueError(f"q must be invertible {where}")
-        return cls(FINITE, p=p, q=q, _token=_MODE_TOKEN)
-
-    def __eq__(self, other):
-        return (isinstance(other, EngineMode)
-                and (self.kind, self.p, self.q_int) == (other.kind, other.p, other.q_int))
-
-    def __hash__(self):
-        return hash((self.kind, self.p, self.q_int))
-
-    def __repr__(self):
-        if self.kind == SYMBOLIC:
-            return "EngineMode(symbolic)"
-        return f"EngineMode(finite p={self.p}, q={self.q_int})"
+        return _ENGINE
 
     # coefficient helpers ---------------------------------------------------
 
-    def q_coeff(self) -> FractionElement | ShiftFraction:
+    def q_coeff(self) -> ShiftFraction:
         return self.coeff_field(self.q)
 
-    def h_coeff(self) -> FractionElement | ShiftFraction:
+    def h_coeff(self) -> ShiftFraction:
         return self.coeff_field(self.h)
 
     def sigma_pair(self, k: int):
-        """Domain elements (z, d) with sigma^k(h) = z/d, computed once per k:
-        (f_k, q^k) for k >= 0 and (f_k, 1) for k < 0, where f_k is the shift
-        factor h - [k]_q, or q^m h + [m]_q for k = -m, and
+        """Elements (z, d) of Z[q, h] with sigma^k(h) = z/d, computed once
+        per k: (f_k, q^k) for k >= 0 and (f_k, 1) for k < 0, where f_k is the
+        shift factor h - [k]_q, or q^m h + [m]_q for k = -m, and
         [m]_q = 1 + q + ... + q^(m-1)."""
         pair = self._sigma.get(k)
         if pair is None:
@@ -157,7 +105,7 @@ class EngineMode:
         pruned = {e: c for e, c in terms.items() if not c.is_zero()}
         return SkewLaurentElement(self, pruned)
 
-    def skew_scalar(self, coeff: FractionElement | ShiftFraction) -> SkewLaurentElement:
+    def skew_scalar(self, coeff: ShiftFraction) -> SkewLaurentElement:
         return self.skew({0: coeff})
 
     @property
@@ -183,24 +131,17 @@ class EngineMode:
         return self._images
 
 
-_MODE_TOKEN = object()
-
-
 # ---------------------------------------------------------------------------
-# the twist sigma(h) = (h - 1)/q and its powers, one substitution for both
-# modes
+# the twist sigma(h) = (h - 1)/q and its powers
 # ---------------------------------------------------------------------------
 
 def _h_parts(poly, mode):
-    """The coefficients c_0, ..., c_top of poly = sum_b c_b h^b, each a
-    domain element free of h."""
-    ring = mode.domain
-    if mode.kind == FINITE:
-        return [ring.from_raw([c]) for c in poly.coeffs]
+    """The coefficients c_0, ..., c_top of poly = sum_b c_b h^b, each an
+    element of Z[q, h] free of h."""
     by_b: dict[int, dict] = {}
     for (a, b), c in poly.terms.items():
         by_b.setdefault(b, {})[(a, 0)] = c
-    return [BivariatePolynomial(ring, by_b.get(b, {})) for b in range(max(by_b) + 1)]
+    return [BivariatePolynomial(mode.domain, by_b.get(b, {})) for b in range(max(by_b) + 1)]
 
 
 def _subst_h(poly, k: int, mode):
@@ -224,47 +165,32 @@ def sigma_apply(f, k: int, mode: EngineMode):
     """Apply sigma^k to a coefficient, where sigma(h) = (h-1)/q and
     sigma^-1(h) = qh + 1.  With sigma^k(h) = z/d (see
     ``EngineMode.sigma_pair``) and N the numerator after ``_subst_h``, of
-    h-degree b before it:
-
-    * symbolic: numer q^e / prod f_m^(e_m) maps to
-      N q^e / (d^b prod (q^t f_(m+k))^(e_m)) with
-      t = max(m, 0) - max(m + k, 0); only the power of q dividing N is
-      divided out, since sigma^k maps the listed f_m to the listed
-      f_(m+k);
-    * finite: num/den maps to N d^a / (D d^b), with D and a the
-      denominator after ``_subst_h`` and its h-degree before it; only the
-      power d^|a - b| is multiplied in.
+    h-degree b before it, numer q^e / prod f_m^(e_m) maps to
+    N q^e / (d^b prod (q^t f_(m+k))^(e_m)) with
+    t = max(m, 0) - max(m + k, 0).  Only the power of q dividing N is
+    divided out, since sigma^k maps the listed f_m to the listed f_(m+k).
     """
     if f.ring != mode.coeff_field:
-        raise RingError(f"{f!r} is not a coefficient of {mode!r}")
+        raise RingError(f"{f!r} is not a coefficient of the Weyl engine")
     if k == 0 or f.is_zero():
         return f
-    if mode.kind == SYMBOLIC:
-        numer, b = _subst_h(f.numer, k, mode)
-        qexp = f.qexp - k * b if k > 0 else f.qexp
-        shifts = {}
-        for m, e in f.shifts.items():
-            shifts[m + k] = e
-            qexp += e * (max(m + k, 0) - max(m, 0))
-        numer, v = _strip_q(numer)
-        return ShiftFraction(f.ring, numer, qexp + v, shifts)
-    num, en = _subst_h(f.num, k, mode)
-    den, ed = _subst_h(f.den, k, mode)
-    d = mode.sigma_pair(k)[1]
-    if ed > en:
-        num = num * d ** (ed - en)
-    elif en > ed:
-        den = den * d ** (en - ed)
-    return mode.coeff_field(num, den)
+    numer, b = _subst_h(f.numer, k, mode)
+    qexp = f.qexp - k * b if k > 0 else f.qexp
+    shifts = {}
+    for m, e in f.shifts.items():
+        shifts[m + k] = e
+        qexp += e * (max(m + k, 0) - max(m, 0))
+    numer, v = _strip_q(numer)
+    return ShiftFraction(f.ring, numer, qexp + v, shifts)
 
 
 # ---------------------------------------------------------------------------
-# symbolic coefficients: Frac(Z[q, h]) in shift-factored form
+# coefficients: Frac(Z[q, h]) in shift-factored form
 # ---------------------------------------------------------------------------
 
 class ShiftFractionField:
     """Frac(Z[q, h]) restricted to denominators q^a prod f_m^e: the
-    coefficients of the symbolic engine (see the module docstring).
+    coefficients of the engine (see the module docstring).
 
     An element is the triple (numer, qexp, shifts) standing for
     numer q^qexp / prod_m f_m^shifts[m]: numer is in Z[q, h] and divisible
@@ -610,11 +536,7 @@ class SkewLaurentElement:
         worst = 0
         for c in self.terms.values():
             for part in (c.num, c.den):
-                if hasattr(part, "total_degree"):
-                    d = part.total_degree()
-                else:
-                    d = part.degree
-                worst = max(worst, d or 0)
+                worst = max(worst, part.total_degree() or 0)
         return worst
 
     def __repr__(self):
@@ -759,10 +681,26 @@ def _tokenize(text: str):
     return tokens
 
 
+_NESTING_BUDGET = 100
+
+
+def _letters(expr) -> int:
+    """The letters of an expression tree, generators and scalars alike,
+    with each power counted as its expansion."""
+    if isinstance(expr, Neg):
+        return _letters(expr.term)
+    if isinstance(expr, Add):
+        return sum(map(_letters, expr.terms))
+    if isinstance(expr, Mul):
+        return sum(map(_letters, expr.factors))
+    return 1
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -771,6 +709,16 @@ class _Parser:
         tok = self.peek()
         self.pos += 1
         return tok
+
+    def nested(self, parse):
+        """parse() one level deeper: parentheses and unary minus recurse, so
+        their depth is bounded here rather than by Python's stack."""
+        if self.depth == _NESTING_BUDGET:
+            raise ValueError(f"expression nested more than {_NESTING_BUDGET} deep")
+        self.depth += 1
+        out = parse()
+        self.depth -= 1
+        return out
 
     def parse_expr(self):
         terms = [self.parse_term()]
@@ -783,11 +731,11 @@ class _Parser:
     def parse_term(self):
         if self.peek() == ("op", "-"):
             self.next()
-            return Neg(self.parse_term())
+            return Neg(self.nested(self.parse_term))
         factors = [self.parse_factor()]
         while True:
-            kind, _ = self.peek()
-            if kind in ("gen", "q", "int") or self.peek() == ("op", "("):
+            tag, _ = self.peek()
+            if tag in ("gen", "q", "int") or self.peek() == ("op", "("):
                 factors.append(self.parse_factor())
             else:
                 break
@@ -795,8 +743,8 @@ class _Parser:
 
     def parse_factor(self):
         atom = self.parse_atom()
-        kind, val = self.peek()
-        if kind == "pow":
+        tag, val = self.peek()
+        if tag == "pow":
             self.next()
             if val < 0:
                 if not isinstance(atom, Gen):
@@ -805,22 +753,21 @@ class _Parser:
                 val = -val
             if val == 0:
                 return ONE
-            size = len(atom.factors) if isinstance(atom, Mul) else 1
-            if size * val > LETTER_BUDGET:
-                raise ValueError(f"power of more than {LETTER_BUDGET} factors")
+            if _letters(atom) * val > LETTER_BUDGET:
+                raise ValueError(f"power of more than {LETTER_BUDGET} letters")
             return mul(*([atom] * val))
         return atom
 
     def parse_atom(self):
-        kind, val = self.next()
-        if kind == "gen":
+        tag, val = self.next()
+        if tag == "gen":
             return Gen(val)
-        if kind == "q":
+        if tag == "q":
             return Q
-        if kind == "int":
+        if tag == "int":
             return IntScalar(val)
-        if (kind, val) == ("op", "("):
-            inner = self.parse_expr()
+        if (tag, val) == ("op", "("):
+            inner = self.nested(self.parse_expr)
             if self.next() != ("op", ")"):
                 raise ValueError("unbalanced parentheses")
             return inner
@@ -895,49 +842,36 @@ IDENTITY_SUITE = (
 )
 
 
+def _survives_q1(diff: SkewLaurentElement) -> SkewLaurentElement:
+    """The terms of diff that are nonzero at q = 1.  The denominators
+    q^e prod f_m^(e_m) stay nonzero there, as f_m(1, h) = h - m, so a term
+    vanishes exactly when its numerator does once its q^a h^b terms are
+    summed over a."""
+    kept = {}
+    for e, c in diff.terms.items():
+        at_one: dict[int, int] = {}
+        for (_a, b), n in c.numer.terms.items():
+            at_one[b] = at_one.get(b, 0) + n
+        if any(at_one.values()):
+            kept[e] = c
+    return SkewLaurentElement(diff.mode, kept)
+
+
 def run_identity_suite(mode: EngineMode) -> list[VerifyResult]:
-    """Run every built-in identity in the given mode.
+    """Run every built-in identity.
 
-    The q=1 item is checked in the companion flat mode finite(mode.p, 1),
-    over Q for the symbolic mode, since the two C-words only agree
-    classically.
+    An entry marked flat-only holds only in the classical algebra q = 1
+    (the two C-words), so it is decided on the same normal form of
+    lhs - rhs by ``_survives_q1``: it holds when every term vanishes at
+    q = 1, and its witness is the first term that does not.
     """
-    flat = EngineMode.finite(mode.p, 1)
-    return [verify_identity(lhs, rhs, flat if flat_only else mode, name)
-            for name, _desc, lhs, rhs, flat_only in IDENTITY_SUITE]
+    results = []
+    for name, _desc, lhs, rhs, flat_only in IDENTITY_SUITE:
+        diff = evaluate(lhs, mode) - evaluate(rhs, mode)
+        if flat_only:
+            diff = _survives_q1(diff)
+        results.append(VerifyResult(name, diff.is_zero(), diff.leading_witness()))
+    return results
 
 
-def sample_finite_modes(trials: int, rng) -> list[EngineMode]:
-    """Random (p, q) pairs with q and 1-q invertible."""
-    primes = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
-    modes = []
-    for _ in range(trials):
-        p = rng.choice(primes)
-        q = rng.randrange(2, p)
-        modes.append(EngineMode.finite(p, q))
-    return modes
-
-
-def injectivity_spot_check(max_degree: int, mode: EngineMode) -> bool:
-    """Images of u^m v^n for m, n <= max_degree are one-term normal forms
-    with pairwise distinct (h-degree, x-degree) signatures."""
-    if max_degree > 6:
-        raise ValueError("spot check is meant for desk scale (max_degree <= 6)")
-    seen = set()
-    for m in range(max_degree + 1):
-        for n in range(max_degree + 1):
-            word = [U] * m + [V] * n
-            img = evaluate(mul(*word) if word else ONE, mode)
-            if len(img.terms) != 1:
-                return False
-            exp, coeff = next(iter(img.terms.items()))
-            if exp != n - m:
-                return False
-            if mode.kind == SYMBOLIC:
-                hdeg = (coeff.num.degree_in(1) or 0) - (coeff.den.degree_in(1) or 0)
-            else:
-                hdeg = (coeff.num.degree or 0) - (coeff.den.degree or 0)
-            if hdeg != m or (hdeg, exp) in seen:
-                return False
-            seen.add((hdeg, exp))
-    return True
+_ENGINE = EngineMode()

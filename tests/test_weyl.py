@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from weyl_oracle import FixedQWeyl
 
+from weylknots import weyl
 from weylknots.rings import LETTER_BUDGET, BivariateRing, RingError, RingMismatchError
 from weylknots.weyl import (
     IDENTITY_SUITE,
@@ -11,13 +13,15 @@ from weylknots.weyl import (
     UI,
     V,
     VI,
+    Add,
     EngineMode,
+    Mul,
+    Neg,
+    _survives_q1,
     evaluate,
-    injectivity_spot_check,
     mul,
     parse_expression,
     run_identity_suite,
-    sample_finite_modes,
     sigma_apply,
     skew_mul,
     sub,
@@ -69,6 +73,64 @@ def random_tree(rng, depth):
     return random_tree(rng, depth - 1)
 
 
+def at_q1(expr):
+    """expr with every q replaced by 1."""
+    if expr == Q:
+        return ONE
+    if isinstance(expr, Neg):
+        return Neg(at_q1(expr.term))
+    if isinstance(expr, Add):
+        return Add(tuple(map(at_q1, expr.terms)))
+    if isinstance(expr, Mul):
+        return Mul(tuple(map(at_q1, expr.factors)))
+    return expr
+
+
+def vanishes_at_q1(expr):
+    """The q = 1 rule of ``run_identity_suite`` on one expression."""
+    return _survives_q1(evaluate(expr, SYM)).is_zero()
+
+
+def sample_pairs(trials, rng):
+    """Random (p, q) pairs with q and 1 - q invertible mod p."""
+    primes = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+    pairs = []
+    for _ in range(trials):
+        p = rng.choice(primes)
+        pairs.append((p, rng.randrange(2, p)))
+    return pairs
+
+
+def injectivity_spot_check(max_degree, oracle=None):
+    """Images of u^m v^n for m, n <= max_degree, in the engine or in the
+    oracle, are one-term normal forms with pairwise distinct
+    (h-degree, x-degree) signatures."""
+    if oracle is None:
+        def normal_form(word):
+            return evaluate(word, SYM).terms
+
+        def degree(poly):
+            return poly.degree_in(1) or 0
+    else:
+        def normal_form(word):
+            return oracle.evaluate(word)
+
+        def degree(poly):
+            return poly.degree or 0
+    seen = set()
+    for m in range(max_degree + 1):
+        for n in range(max_degree + 1):
+            terms = normal_form(mul(*[U] * m + [V] * n) if m + n else ONE)
+            if len(terms) != 1:
+                return False
+            exp, coeff = next(iter(terms.items()))
+            hdeg = degree(coeff.num) - degree(coeff.den)
+            if exp != n - m or hdeg != m or (hdeg, exp) in seen:
+                return False
+            seen.add((hdeg, exp))
+    return True
+
+
 def seeded_product(rng, factors):
     """One weyl-verify left side: the factors in seeded order, with u v
     placed at a seeded position."""
@@ -91,14 +153,13 @@ class TestSigma:
 
     def test_roundtrip_random(self):
         rng = random.Random(5)
-        for mode in [SYM, EngineMode.finite(7, 3), EngineMode.finite(11, 5)]:
-            h = mode.h_coeff()
-            q = mode.q_coeff()
-            for _ in range(6):
-                f = ((h ** rng.randrange(3)) * rng.randrange(1, 4)
-                     + q / random_shift_product(rng, mode))
-                for k in (1, 2, 3):
-                    assert sigma_apply(sigma_apply(f, k, mode), -k, mode) == f
+        h = SYM.h_coeff()
+        q = SYM.q_coeff()
+        for _ in range(18):
+            f = ((h ** rng.randrange(3)) * rng.randrange(1, 4)
+                 + q / random_shift_product(rng, SYM))
+            for k in (1, 2, 3):
+                assert sigma_apply(sigma_apply(f, k, SYM), -k, SYM) == f
 
     def test_power_composition(self):
         h = SYM.h_coeff()
@@ -114,19 +175,17 @@ class TestSigma:
                     q ** t * shift_factor(SYM, m + k), (m, k)
 
     def test_finite_mode_is_symbolic_mode_reduced(self):
-        # sigma^k commutes with q := q0 followed by reduction mod p
+        # sigma^k commutes with q := q0 followed by reduction mod p; the
+        # oracle twists by its own substitution
         rng = random.Random(29)
         checked = 0
         for p, q0 in FINITE_PAIRS:
-            mode = EngineMode.finite(p, q0)
+            oracle = FixedQWeyl(p, q0)
             for _ in range(8):
                 f = SYM.coeff_field(_random_biv(rng)) / random_shift_product(rng, SYM)
                 for k in (1, 2, 3, -1, -2, -3):
-                    image = sigma_apply(f, k, SYM)
-                    den = _reduce(image.den, mode)
-                    assert not den.is_zero()
-                    want = mode.coeff_field(_reduce(image.num, mode), den)
-                    assert sigma_apply(_reduced(f, mode), k, mode) == want, (f, k, mode)
+                    want = oracle.reduce(sigma_apply(f, k, SYM))
+                    assert oracle.sigma(oracle.reduce(f), k) == want, (f, k, oracle)
                     checked += 1
         assert checked >= 120
 
@@ -135,21 +194,6 @@ def _random_biv(rng):
     """A seeded element of Z[q, h] with q- and h-degree at most 2."""
     return SYM.domain({(a, b): rng.randint(-3, 3) for a in range(3) for b in range(3)
                        if rng.random() < 0.5})
-
-
-def _reduce(poly, mode):
-    """An element of Z[q, h] with q := mode.q_int, as an element of Z_p[h]."""
-    coeffs = {}
-    for (a, b), c in poly.terms.items():
-        coeffs[b] = coeffs.get(b, 0) + c * pow(mode.q_int, a, mode.p)
-    top = max(coeffs, default=-1)
-    return mode.domain([coeffs.get(b, 0) % mode.p for b in range(top + 1)])
-
-
-def _reduced(coeff, mode):
-    """A symbolic coefficient with q := mode.q_int, as a coefficient of the
-    finite mode; every f_m and q stay invertible there."""
-    return mode.coeff_field(_reduce(coeff.num, mode), _reduce(coeff.den, mode))
 
 
 class TestSkewArithmetic:
@@ -175,15 +219,16 @@ class TestSkewArithmetic:
 
 class TestEvaluate:
     def test_inverse_pairs(self):
-        for mode in [SYM, EngineMode.finite(5, 2)]:
-            for g, gi in ((U, UI), (V, VI)):
-                assert evaluate(mul(g, gi), mode).is_one()
-                assert evaluate(mul(gi, g), mode).is_one()
+        oracle = FixedQWeyl(5, 2)
+        for g, gi in ((U, UI), (V, VI)):
+            for word in (mul(g, gi), mul(gi, g)):
+                assert evaluate(word, SYM).is_one()
+                assert oracle.evaluate(word) == {0: oracle.field.one}
 
     def test_defining_relation(self):
-        for mode in [SYM, EngineMode.finite(13, 4)]:
-            rel = sub(sub(mul(U, V), mul(Q, V, U)), ONE)
-            assert evaluate(rel, mode).is_zero()
+        rel = sub(sub(mul(U, V), mul(Q, V, U)), ONE)
+        assert evaluate(rel, SYM).is_zero()
+        assert not FixedQWeyl(13, 4).evaluate(rel)
 
     def test_monomial_normal_form(self):
         img = evaluate(mul(U, U, V, V, V), SYM)
@@ -193,13 +238,11 @@ class TestEvaluate:
 
     def test_homomorphism_on_random_trees(self):
         rng = random.Random(17)
-        mode = EngineMode.finite(11, 3)
         for _ in range(10):
             e1, e2 = random_tree(rng, 2), random_tree(rng, 2)
-            assert evaluate(mul(e1, e2), mode) == skew_mul(evaluate(e1, mode),
-                                                           evaluate(e2, mode))
-            assert evaluate(sub(e1, e2), mode) == \
-                evaluate(e1, mode) - evaluate(e2, mode)
+            assert evaluate(mul(e1, e2), SYM) == skew_mul(evaluate(e1, SYM),
+                                                          evaluate(e2, SYM))
+            assert evaluate(sub(e1, e2), SYM) == evaluate(e1, SYM) - evaluate(e2, SYM)
 
 
 class TestIdentities:
@@ -208,21 +251,30 @@ class TestIdentities:
             assert res.ok, f"{res.name}: {res.witness}"
 
     def test_suite_finite_samples(self):
+        # every entry in the oracle, flat-only ones at q = 1
         rng = random.Random(2024)
-        for mode in sample_finite_modes(20, rng):
-            for res in run_identity_suite(mode):
-                assert res.ok, f"{res.name} in {mode}: {res.witness}"
+        for p, q0 in sample_pairs(20, rng):
+            for name, _d, lhs, rhs, flat_only in IDENTITY_SUITE:
+                oracle = FixedQWeyl(p, 1 if flat_only else q0)
+                assert not oracle.evaluate(sub(lhs, rhs)), (name, oracle)
 
-    def test_witness_on_failure(self):
-        for mode in (SYM, EngineMode.finite(None, 1)):
-            res = verify_identity(mul(U, V), mul(V, U), mode, "noncommutativity")
-            assert not res.ok
-            assert res.witness is not None
+    def test_witness_on_failure(self, monkeypatch):
+        res = verify_identity(mul(U, V), mul(V, U), SYM, "noncommutativity")
+        assert not res.ok
+        assert res.witness is not None
+        # a flat-only entry that fails at q = 1 reports a witness too
+        entry = ("noncommutativity", "u v = v u at q = 1", mul(U, V), mul(V, U), True)
+        monkeypatch.setattr(weyl, "IDENTITY_SUITE", (entry,))
+        (res,) = run_identity_suite(SYM)
+        assert not res.ok
+        assert res.witness is not None
 
     def test_flat_words_disagree_off_q1(self):
+        # flat-c-words is decided by the q = 1 rule alone
         name, _d, lhs, rhs, _f = IDENTITY_SUITE[-1]
-        res = verify_identity(lhs, rhs, EngineMode.finite(7, 3), name)
-        assert not res.ok
+        assert not verify_identity(lhs, rhs, SYM, name).ok
+        assert FixedQWeyl(7, 3).evaluate(sub(lhs, rhs))
+        assert vanishes_at_q1(sub(lhs, rhs))
 
     def test_coefficient_degree_bound(self):
         for _name, _d, lhs, rhs, _f in IDENTITY_SUITE:
@@ -231,33 +283,56 @@ class TestIdentities:
 
 
 class TestModeGuards:
-    def test_q_zero_rejected(self):
-        for p in (7, None):
-            with pytest.raises(ValueError, match="q must be invertible"):
-                EngineMode.finite(p, 0)
+    def test_one_shared_engine(self):
+        assert EngineMode.symbolic() is SYM
 
     def test_q_one_is_classical(self):
-        # q = 1 over Z_7 and over Q is the classical algebra: sigma(h) = h - 1
-        for mode in (EngineMode.finite(7, 1), EngineMode.finite(None, 1)):
-            h = mode.h_coeff()
-            assert mode.q_int == 1
-            assert sigma_apply(h, 1, mode) == h - 1
+        # at q = 1, the classical algebra, sigma(h) = h - 1: read off the
+        # symbolic twist, and in the oracle over Z_7 and over Q
+        h = SYM.h_coeff()
+        assert _survives_q1(SYM.skew({0: sigma_apply(h, 1, SYM) - (h - 1)})).is_zero()
+        assert not _survives_q1(SYM.skew({0: sigma_apply(h, 1, SYM) - h})).is_zero()
+        for oracle in (FixedQWeyl(7, 1), FixedQWeyl(None, 1)):
+            assert oracle.sigma(oracle.h, 1) == oracle.h - 1
+
+
+class TestQOne:
+    """The q = 1 rule against the oracle at q = 1 over Q."""
+
+    def test_tree_minus_its_q1_form_vanishes(self):
+        rng = random.Random(31)
+        oracle = FixedQWeyl(None, 1)
+        nonzero = 0
+        for _ in range(20):
+            tree = random_tree(rng, 3)
+            diff = sub(tree, at_q1(tree))
+            assert vanishes_at_q1(diff), tree
+            assert not oracle.evaluate(diff), tree
+            nonzero += not evaluate(diff, SYM).is_zero()
+        assert nonzero >= 5
+
+    def test_pairs_that_differ_at_q1_are_rejected(self):
+        rng = random.Random(37)
+        oracle = FixedQWeyl(None, 1)
+        assert not vanishes_at_q1(sub(mul(U, V), mul(V, U)))
+        differ = 0
+        for _ in range(20):
+            diff = sub(random_tree(rng, 2), random_tree(rng, 2))
+            assert vanishes_at_q1(diff) == (not oracle.evaluate(diff)), diff
+            differ += not vanishes_at_q1(diff)
+        assert differ >= 5
 
 
 class TestInjectivity:
     def test_generators_distinct(self):
-        assert injectivity_spot_check(1, SYM)
+        assert injectivity_spot_check(1)
 
     def test_uv_vs_vu(self):
         assert evaluate(mul(U, V), SYM) != evaluate(mul(V, U), SYM)
 
     def test_full_grid(self):
-        assert injectivity_spot_check(4, SYM)
-        assert injectivity_spot_check(4, EngineMode.finite(11, 7))
-
-    def test_desk_scale_guard(self):
-        with pytest.raises(ValueError):
-            injectivity_spot_check(7, SYM)
+        assert injectivity_spot_check(4)
+        assert injectivity_spot_check(4, FixedQWeyl(11, 7))
 
 
 class TestParser:
@@ -269,9 +344,8 @@ class TestParser:
 
     def test_scalars_and_parens(self):
         expr = parse_expression("1 - q - u'v'")
-        mode = EngineMode.finite(5, 3)
         direct = sub(sub(ONE, Q), mul(UI, VI))
-        assert evaluate(expr, mode) == evaluate(direct, mode)
+        assert evaluate(expr, SYM) == evaluate(direct, SYM)
 
     def test_powers(self):
         assert evaluate(parse_expression("u^2"), SYM) == evaluate(mul(U, U), SYM)
@@ -281,8 +355,14 @@ class TestParser:
     def test_power_budget(self):
         assert parse_expression(f"u^{LETTER_BUDGET}") == mul(*[U] * LETTER_BUDGET)
         for text in (f"u^{LETTER_BUDGET + 1}", f"(u v)^{LETTER_BUDGET // 2 + 1}",
-                     f"v^-{LETTER_BUDGET + 1}"):
+                     f"v^-{LETTER_BUDGET + 1}", "((u v)^512 + u)^4", "(u + v)^1024"):
             with pytest.raises(ValueError, match="more than"):
+                parse_expression(text)
+
+    def test_nesting_depth(self):
+        assert parse_expression("(" * 50 + "u" + ")" * 50) == U
+        for text in ("(" * 3000 + "u" + ")" * 3000, "-" * 3000 + "u"):
+            with pytest.raises(ValueError, match="nested more than"):
                 parse_expression(text)
 
     def test_negative_group_power_rejected(self):
@@ -296,24 +376,22 @@ class TestParser:
     def test_q1_equality_via_parser(self):
         lhs = parse_expression("u v u' v' u' v u v' u'")
         rhs = parse_expression("q u v u' v' u' v' u' v u")
-        assert verify_identity(lhs, rhs, EngineMode.finite(None, 1)).ok
+        assert vanishes_at_q1(sub(lhs, rhs))
+        assert not FixedQWeyl(None, 1).evaluate(sub(lhs, rhs))
 
 
 class TestShiftFactoredCoefficients:
-    """The symbolic coefficients against the finite modes, sympy and their
+    """The symbolic coefficients against the fixed-q oracle, sympy and their
     own canonical form."""
 
     @pytest.mark.parametrize("p, q0", FINITE_PAIRS)
     def test_symbolic_reduces_to_finite(self, p, q0):
         rng = random.Random(1000 + p)
-        mode = EngineMode.finite(p, q0)
+        oracle = FixedQWeyl(p, q0)
         exprs = [parse_expression(seeded_product(rng, factors)) for factors in WEYL_PRODUCTS]
         exprs += [random_tree(rng, 3) for _ in range(12)]
         for expr in exprs:
-            sym, fin = evaluate(expr, SYM), evaluate(expr, mode)
-            for e in set(sym.terms) | set(fin.terms):
-                got = _reduced(sym.terms[e], mode) if e in sym.terms else mode.coeff_field.zero
-                assert got == fin.terms.get(e, mode.coeff_field.zero), (expr, e)
+            assert oracle.reduce_element(evaluate(expr, SYM)) == oracle.evaluate(expr), expr
 
     def test_stored_numerators_are_reduced(self):
         sympy = pytest.importorskip("sympy")
@@ -421,11 +499,10 @@ class TestCoefficientGrowth:
         value = evaluate(parse_expression(f"{X}^8"), SYM)
         assert value.max_coeff_degree() == 8 * 9
         assert evaluate(parse_expression(f"{X}^6"), SYM).max_coeff_degree() == 6 * 7
-        mode = EngineMode.finite(101, 3)
-        fin = evaluate(parse_expression(f"{X}^8"), mode)
-        assert set(value.terms) == set(fin.terms)
-        for e, c in value.terms.items():
-            assert _reduced(c, mode) == fin.terms[e]
+        oracle = FixedQWeyl(101, 3)
+        fin = oracle.evaluate(parse_expression(f"{X}^8"))
+        assert set(value.terms) == set(fin)
+        assert oracle.reduce_element(value) == fin
 
 
 def _sympy(poly, q, h):
