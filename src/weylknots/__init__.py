@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .rings import (
     QQ,
-    BivariateRing,
     FractionField,
     LaurentRing,
     NonUnitError,
@@ -18,7 +17,6 @@ from .rings import (
 
 __all__ = [
     "QQ",
-    "BivariateRing",
     "FractionField",
     "LaurentRing",
     "NonUnitError",

@@ -326,6 +326,12 @@ def family_q_upper(n: int, q, a, b, d, e, p: int | None = None) -> MatrixRep:
 # named specs and JSON ingestion
 # ---------------------------------------------------------------------------
 
+# Largest dimension a JSON spec may ask for: a family allocates n x n
+# matrices and the rep gate eliminates them.  Tests and benchmarks stay at
+# n <= 6.
+DIMENSION_BUDGET = 64
+
+
 @dataclass
 class RepSpec:
     family: str
@@ -336,18 +342,31 @@ class RepSpec:
 
     @classmethod
     def from_json(cls, data) -> RepSpec:
+        """The spec of a JSON object: n an int from 1 to DIMENSION_BUDGET,
+        p null or an int, params an object; anything else raises
+        ``RepError``."""
         if isinstance(data, str):
-            data = json.loads(data)
-        known = {"family", "n", "p", "params", "name"}
-        extra = set(data) - known
+            try:
+                data = json.loads(data)
+            except json.JSONDecodeError as err:
+                raise RepError(f"a RepSpec is a JSON object: {err}") from None
+        if not isinstance(data, dict):
+            raise RepError(f"a RepSpec is a JSON object, got {data!r}")
+        extra = set(data) - {"family", "n", "p", "params", "name"}
         if extra:
             raise RepError(f"unknown RepSpec keys: {sorted(extra)}")
         try:
-            return cls(family=data["family"], n=int(data["n"]),
-                       p=data.get("p"), params=dict(data.get("params", {})),
-                       name=data.get("name", ""))
+            family, n = data["family"], data["n"]
         except KeyError as missing:
             raise RepError(f"RepSpec is missing {missing}") from None
+        p, params = data.get("p"), data.get("params", {})
+        if type(n) is not int or not 1 <= n <= DIMENSION_BUDGET:
+            raise RepError(f"RepSpec n must be an int from 1 to {DIMENSION_BUDGET}, got {n!r}")
+        if p is not None and type(p) is not int:
+            raise RepError(f"RepSpec p must be null or an int, got {p!r}")
+        if not isinstance(params, dict):
+            raise RepError(f"RepSpec params must be an object, got {params!r}")
+        return cls(family=family, n=n, p=p, params=dict(params), name=data.get("name", ""))
 
     def build(self) -> MatrixRep:
         params = self.params

@@ -26,14 +26,10 @@ Representation conventions:
 * ``LaurentPolynomial`` is a ``UniPolynomial`` with a nonzero constant term
   plus an integer ``offset`` (the lowest exponent), so the stored pair is
   unique.  Values with negative offset print as ``p(x)/x^k``.
-* ``BivariatePolynomial`` maps exponent pairs (both nonnegative) to
-  nonzero integer coefficients: Z[q, h], the numerator domain of the
-  symbolic Weyl engine, whose fractions live in ``weyl.py`` in
-  shift-factored form.
 * ``FractionElement`` keeps numerator/denominator over a univariate
   domain F[x], reduced and with a monic denominator, the Euclidean gcd
-  skipped where the answer is known (see ``FractionField``).  Equality is
-  by cross-multiplication.
+  skipped where the answer is known (see ``FractionField``).  That pair is
+  unique, so equality compares it.
 
 Multiplication of prime-field polynomials goes through Kronecker
 substitution (pack into one big int, multiply, unpack), which keeps the
@@ -889,166 +885,6 @@ def parse_laurent(text: str, ring: LaurentRing) -> LaurentPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# bivariate polynomials (integer coefficients)
-# ---------------------------------------------------------------------------
-
-class BivariateRing:
-    """Polynomials in two named variables with integer coefficients."""
-
-    __slots__ = ("vars",)
-
-    def __init__(self, variables=("q", "h")):
-        if len(variables) != 2:
-            raise ValueError("exactly two variable names required")
-        self.vars = tuple(variables)
-
-    def __call__(self, value) -> BivariatePolynomial:
-        if isinstance(value, BivariatePolynomial):
-            if value.ring != self:
-                raise RingMismatchError(f"{value!r} is not in {self}")
-            return value
-        if isinstance(value, int):
-            return BivariatePolynomial(self, {(0, 0): value} if value else {})
-        if isinstance(value, dict):
-            if any(a < 0 or b < 0 for a, b in value):
-                raise ValueError(f"negative exponent in a polynomial of {self}")
-            return BivariatePolynomial(self, {e: c for e, c in value.items() if c})
-        raise TypeError(f"cannot build a bivariate polynomial from {value!r}")
-
-    def monomial(self, e1: int, e2: int, coeff: int = 1):
-        return self({(e1, e2): coeff})
-
-    @property
-    def zero(self):
-        return BivariatePolynomial(self, {})
-
-    @property
-    def one(self):
-        return self(1)
-
-    def __eq__(self, other):
-        return isinstance(other, BivariateRing) and other.vars == self.vars
-
-    def __hash__(self):
-        return hash(("BivariateRing", self.vars))
-
-    def __repr__(self):
-        return f"Z[{self.vars[0]},{self.vars[1]}]"
-
-
-class BivariatePolynomial:
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring, terms):
-        self.ring = ring
-        self.terms = terms
-
-    def is_zero(self):
-        return not self.terms
-
-    def is_one(self):
-        return self.terms == {(0, 0): 1}
-
-    def degree_in(self, index: int):
-        if not self.terms:
-            return None
-        return max(e[index] for e in self.terms)
-
-    def total_degree(self):
-        if not self.terms:
-            return None
-        return max(e1 + e2 for e1, e2 in self.terms)
-
-    def _coerce(self, other):
-        if isinstance(other, BivariatePolynomial):
-            _check_same_ring(self, other)
-            return BivariatePolynomial(self.ring, other.terms)
-        if isinstance(other, int):
-            return self.ring(other)
-        return NotImplemented
-
-    def _combine(self, other, sign):
-        # self + sign * other, dropping the terms that cancel
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + sign * c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return BivariatePolynomial(self.ring, out)
-
-    def __add__(self, other):
-        if other.__class__ is not BivariatePolynomial or other.ring is not self.ring:
-            return _coerced(operator.add, self, other)
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if other.__class__ is not BivariatePolynomial or other.ring is not self.ring:
-            return _coerced(operator.sub, self, other)
-        return self._combine(other, -1)
-
-    __rsub__ = _reflected(operator.sub)
-
-    def __neg__(self):
-        return BivariatePolynomial(self.ring, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if other.__class__ is not BivariatePolynomial or other.ring is not self.ring:
-            return _coerced(operator.mul, self, other)
-        out: dict = {}
-        for (a1, a2), ca in self.terms.items():
-            for (b1, b2), cb in other.terms.items():
-                e = (a1 + b1, a2 + b2)
-                s = out.get(e, 0) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return BivariatePolynomial(self.ring, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        return power(self, n, self.ring.one)
-
-    def __eq__(self, other):
-        if other.__class__ is not BivariatePolynomial or other.ring is not self.ring:
-            return _coerced(operator.eq, self, other)
-        return self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        v1, v2 = self.ring.vars
-        parts = []
-        for (e1, e2) in sorted(self.terms, reverse=True):
-            c = self.terms[(e1, e2)]
-            factors = []
-            if e1:
-                factors.append(v1 if e1 == 1 else f"{v1}^{e1}")
-            if e2:
-                factors.append(v2 if e2 == 1 else f"{v2}^{e2}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{c}*{body}")
-        out = parts[0]
-        for term in parts[1:]:
-            out += " - " + term[1:] if term.startswith("-") else " + " + term
-        return out
-
-
-# ---------------------------------------------------------------------------
 # fractions over a polynomial domain
 # ---------------------------------------------------------------------------
 
@@ -1073,8 +909,7 @@ class FractionField:
     coefficient pair.
 
     Fractions are matrix entries; a fraction field is not a coefficient
-    field of ``PolynomialRing``.  Z[q, h] has no gcd here, so the Weyl
-    engine's coefficients are the shift-factored fractions of ``weyl.py``.
+    field of ``PolynomialRing``.
     """
 
     __slots__ = ("domain",)
@@ -1145,7 +980,8 @@ def _make_fraction(ring, num, den, coprime=False):
 
 
 class FractionElement:
-    """num/den with a nonzero denominator; equality by cross-multiplication."""
+    """num/den with a nonzero denominator in the canonical form of
+    ``FractionField``, so equality and hashing read the stored pair."""
 
     __slots__ = ("ring", "num", "den")
 
@@ -1229,9 +1065,10 @@ class FractionElement:
     def __eq__(self, other):
         if other.__class__ is not FractionElement or other.ring is not self.ring:
             return _coerced(operator.eq, self, other)
-        return (self.num * other.den - other.num * self.den).is_zero()
+        return self.num == other.num and self.den == other.den
 
-    __hash__ = None  # equality is not structural
+    def __hash__(self):
+        return hash((self.ring, self.num, self.den))
 
     def __repr__(self):
         if self.den.is_one():

@@ -25,7 +25,9 @@ h - 1 = f_1 up to a power of q (the Gosper-Petkovsek shift-factored form,
 Petkovsek-Wilf-Zeilberger, *A = B*, 1996).  Z[q, h] has no gcd here, so
 each coefficient is kept as the triple (num, e, {m: e_m}) of
 num q^e / prod f_m^(e_m), with num in Z[q, h] divisible neither by q nor
-by a listed f_m (``ShiftFraction``).  The f_m are pairwise coprime
+by a listed f_m (``ShiftFraction``).  An element of Z[q, h] is a plain
+term map {(a, b): c} for the terms c q^a h^b, with a, b >= 0 and c a
+nonzero int; the zero polynomial is {}.  The f_m are pairwise coprime
 irreducibles, so the triple is canonical: equality is structural, and a
 product or a sum needs only trial divisions by listed f_m, never a gcd.
 
@@ -46,29 +48,16 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .rings import (
-    LETTER_BUDGET,
-    BivariatePolynomial,
-    BivariateRing,
-    RingError,
-    RingMismatchError,
-    _check_same_ring,
-    _coerced,
-    _reflected,
-    power,
-)
+from .rings import LETTER_BUDGET, RingError, _coerced, _reflected, power
 
 
 class EngineMode:
-    """Coefficient context for the skew-Laurent engine: Z[q, h], its
-    shift-factored fraction field, q and h as elements of Z[q, h], and the
-    generator images and sigma pairs, each computed on first use.  Use the
-    one shared instance, ``EngineMode.symbolic()``."""
+    """Coefficient context for the skew-Laurent engine: the shift-factored
+    fraction field of Z[q, h], and the generator images and sigma pairs,
+    each computed on first use.  Use the one shared instance,
+    ``EngineMode.symbolic()``."""
 
     def __init__(self):
-        self.domain = BivariateRing(("q", "h"))
-        self.q = self.domain.monomial(1, 0)
-        self.h = self.domain.monomial(0, 1)
         self.coeff_field = ShiftFractionField(self)
         self._images = None
         self._sigma = {}
@@ -80,22 +69,23 @@ class EngineMode:
     # coefficient helpers ---------------------------------------------------
 
     def q_coeff(self) -> ShiftFraction:
-        return self.coeff_field(self.q)
+        return self.coeff_field({(1, 0): 1})
 
     def h_coeff(self) -> ShiftFraction:
-        return self.coeff_field(self.h)
+        return self.coeff_field({(0, 1): 1})
 
     def sigma_pair(self, k: int):
-        """Elements (z, d) of Z[q, h] with sigma^k(h) = z/d, computed once
-        per k: (f_k, q^k) for k >= 0 and (f_k, 1) for k < 0, where f_k is the
-        shift factor h - [k]_q, or q^m h + [m]_q for k = -m, and
-        [m]_q = 1 + q + ... + q^(m-1)."""
+        """Term maps (z, d) with sigma^k(h) = z/d, computed once per k:
+        (f_k, q^k) for k >= 0 and (f_k, 1) for k < 0, where f_k is the
+        shift factor h - [k]_q, or q^n h + [n]_q for k = -n, and
+        [n]_q = 1 + q + ... + q^(n-1)."""
         pair = self._sigma.get(k)
         if pair is None:
-            s, qk = self.domain.zero, self.domain.one
-            for _ in range(abs(k)):
-                s, qk = s + qk, qk * self.q
-            pair = (self.h - s, qk) if k >= 0 else (qk * self.h + s, self.domain.one)
+            n = abs(k)
+            if k >= 0:
+                pair = ({(0, 1): 1, **{(i, 0): -1 for i in range(n)}}, {(n, 0): 1})
+            else:
+                pair = ({(n, 1): 1, **{(i, 0): 1 for i in range(n)}}, {(0, 0): 1})
             self._sigma[k] = pair
         return pair
 
@@ -132,32 +122,90 @@ class EngineMode:
 
 
 # ---------------------------------------------------------------------------
+# Z[q, h] as term maps {(a, b): c}
+# ---------------------------------------------------------------------------
+
+def _term_map(value):
+    """An int or a term map as a term map with no zero coefficient."""
+    if isinstance(value, int):
+        return {(0, 0): value} if value else {}
+    if isinstance(value, dict):
+        if any(a < 0 or b < 0 for a, b in value):
+            raise ValueError("negative exponent in a polynomial of Z[q,h]")
+        return {e: c for e, c in value.items() if c}
+    raise TypeError(f"cannot build an element of Z[q,h] from {value!r}")
+
+
+def _add(x, y, sign=1):
+    """x + sign * y, dropping the terms that cancel."""
+    out = dict(x)
+    for e, c in y.items():
+        s = out.get(e, 0) + sign * c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _mul(x, y):
+    """x * y, dropping the terms that cancel."""
+    out: dict = {}
+    for (a1, b1), c1 in x.items():
+        for (a2, b2), c2 in y.items():
+            e = (a1 + a2, b1 + b2)
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _poly_str(x):
+    """x as text, terms by descending exponents of q then h: 3*q^2*h - 1."""
+    if not x:
+        return "0"
+    out = ""
+    for a, b in sorted(x, reverse=True):
+        c = x[a, b]
+        body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in (("q", a), ("h", b)) if e)
+        if not body:
+            term = str(c)
+        elif c in (1, -1):
+            term = body if c == 1 else f"-{body}"
+        else:
+            term = f"{c}*{body}"
+        if not out:
+            out = term
+        else:
+            out += " - " + term[1:] if term.startswith("-") else " + " + term
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the twist sigma(h) = (h - 1)/q and its powers
 # ---------------------------------------------------------------------------
 
-def _h_parts(poly, mode):
-    """The coefficients c_0, ..., c_top of poly = sum_b c_b h^b, each an
-    element of Z[q, h] free of h."""
+def _h_parts(poly):
+    """The coefficients c_0, ..., c_top of poly = sum_b c_b h^b, each a term
+    map free of h."""
     by_b: dict[int, dict] = {}
-    for (a, b), c in poly.terms.items():
+    for (a, b), c in poly.items():
         by_b.setdefault(b, {})[(a, 0)] = c
-    return [BivariatePolynomial(mode.domain, by_b.get(b, {})) for b in range(max(by_b) + 1)]
+    return [by_b.get(b, {}) for b in range(max(by_b) + 1)]
 
 
-def _subst_h(poly, k: int, mode):
-    """poly with h replaced by sigma^k(h) = z/d (see ``EngineMode.sigma_pair``)
-    times d^top, by Horner's rule; returns (that numerator, top), where top
-    is the h-degree of poly."""
-    if poly.is_zero() or k == 0:
-        return poly, 0
-    z, d = mode.sigma_pair(k)
-    parts = _h_parts(poly, mode)
+def _subst_h(poly, z, d):
+    """poly, nonzero, with h replaced by z/d and times d^top, by Horner's
+    rule; returns (that numerator, top), where top is the h-degree of poly."""
+    parts = _h_parts(poly)
     top = len(parts) - 1
     acc = parts[top]
-    dp = mode.domain.one
+    dp = {(0, 0): 1}
     for b in range(top - 1, -1, -1):
-        dp = dp * d
-        acc = acc * z + parts[b] * dp
+        dp = _mul(dp, d)
+        acc = _add(_mul(acc, z), _mul(parts[b], dp))
     return acc, top
 
 
@@ -174,7 +222,7 @@ def sigma_apply(f, k: int, mode: EngineMode):
         raise RingError(f"{f!r} is not a coefficient of the Weyl engine")
     if k == 0 or f.is_zero():
         return f
-    numer, b = _subst_h(f.numer, k, mode)
+    numer, b = _subst_h(f.numer, *mode.sigma_pair(k))
     qexp = f.qexp - k * b if k > 0 else f.qexp
     shifts = {}
     for m, e in f.shifts.items():
@@ -193,68 +241,67 @@ class ShiftFractionField:
     coefficients of the engine (see the module docstring).
 
     An element is the triple (numer, qexp, shifts) standing for
-    numer q^qexp / prod_m f_m^shifts[m]: numer is in Z[q, h] and divisible
-    neither by q nor by a listed f_m, and each listed exponent is positive;
-    zero is (0, 0, {}).  The triple is canonical, so equality is
-    structural.  A denominator or divisor of any other shape (2, h + 1)
-    raises ``RingError``; the engine never forms one.  ``num`` and ``den``
-    expand the value over Z[q, h] on demand.
+    numer q^qexp / prod_m f_m^shifts[m]: numer is a term map of Z[q, h]
+    divisible neither by q nor by a listed f_m, and each listed exponent is
+    positive; zero is ({}, 0, {}).  The triple is canonical, so equality is
+    structural.  ``field(num, den=None)`` takes each of num and den as an
+    int or a term map.  A denominator or divisor of any other shape
+    (2, h + 1) raises ``RingError``; the engine never forms one.  ``num``
+    and ``den`` expand the value over Z[q, h] on demand.
     """
 
-    __slots__ = ("mode", "domain")
+    __slots__ = ("mode",)
 
     def __init__(self, mode):
         self.mode = mode
-        self.domain = mode.domain
 
     def factor(self, m: int):
-        """The shift factor f_m, an element of Z[q, h]."""
+        """The shift factor f_m as a term map."""
         return self.mode.sigma_pair(m)[0]
 
     def expand(self, shifts, poly):
         """poly * prod f_m^shifts[m] over Z[q, h]."""
         for m, e in shifts.items():
-            poly = poly * self.factor(m) ** e
+            for _ in range(e):
+                poly = _mul(poly, self.factor(m))
         return poly
 
     def __call__(self, num, den=None) -> ShiftFraction:
         if isinstance(num, ShiftFraction):
-            if num.ring != self:
-                raise RingMismatchError(f"{num!r} is not in {self}")
             if den is not None:
                 raise ValueError("denominator not allowed with a fraction input")
             return num
-        num = self.domain(num)
-        sign, qexp, shifts = (1, 0, {}) if den is None else self._factored(self.domain(den))
-        if num.is_zero():
+        num = _term_map(num)
+        sign, qexp, shifts = (1, 0, {}) if den is None else self._factored(_term_map(den))
+        if not num:
             return self.zero
-        num, v = _strip_q(num if sign > 0 else -num)
+        num, v = _strip_q(num if sign > 0 else {e: -c for e, c in num.items()})
         num, shifts = _divide_out(num, shifts, self)
         return ShiftFraction(self, num, v - qexp, shifts)
 
     def _factored(self, den):
         """(sign, a, shifts) with den = sign q^a prod f_m^shifts[m]."""
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError(f"zero denominator in {self}")
         rest, a = _strip_q(den)
-        span, top = rest.degree_in(0), rest.degree_in(1)
+        span, top = max(a for a, _ in rest), max(b for _, b in rest)
         # f_m has q-degree m - 1 for m >= 2 and n for m = -n, so no other
         # shift factor divides den; each divides it at most top times
         trial = {m: top for m in range(-span, span + 2)}
         rest, left = _divide_out(rest, trial, self)
-        if rest.terms not in ({(0, 0): 1}, {(0, 0): -1}):
-            raise RingError(f"{den!r} is not a power of q times shift factors "
+        if rest not in ({(0, 0): 1}, {(0, 0): -1}):
+            raise RingError(f"{_poly_str(den)} is not a power of q times shift factors "
                             "h - [m]_q and q^n h + [n]_q")
         shifts = {m: top - left.get(m, 0) for m in trial if left.get(m, 0) < top}
-        return rest.terms[(0, 0)], a, shifts
+        return rest[(0, 0)], a, shifts
 
     @property
     def zero(self):
-        return ShiftFraction(self, self.domain.zero, 0, {})
+        return ShiftFraction(self, {}, 0, {})
 
     @property
     def one(self):
-        return ShiftFraction(self, self.domain.one, 0, {})
+        return ShiftFraction(self, {(0, 0): 1}, 0, {})
 
     def __eq__(self, other):
         return other is self or isinstance(other, ShiftFractionField)
@@ -263,22 +310,22 @@ class ShiftFractionField:
         return hash("ShiftFractionField")
 
     def __repr__(self):
-        return f"Frac({self.domain})"
+        return "Frac(Z[q,h])"
 
 
 def _times_q(poly, k: int):
     """poly * q^k for k >= 0."""
     if not k:
         return poly
-    return BivariatePolynomial(poly.ring, {(a + k, b): c for (a, b), c in poly.terms.items()})
+    return {(a + k, b): c for (a, b), c in poly.items()}
 
 
 def _strip_q(poly):
     """(poly / q^v, v) for the largest v with q^v dividing poly, nonzero."""
-    v = min(a for a, _ in poly.terms)
+    v = min(a for a, _ in poly)
     if not v:
         return poly, 0
-    return BivariatePolynomial(poly.ring, {(a - v, b): c for (a, b), c in poly.terms.items()}), v
+    return {(a - v, b): c for (a, b), c in poly.items()}, v
 
 
 def _divide_out(numer, shifts, field):
@@ -301,13 +348,13 @@ def _shift_quotient(numer, m: int, field):
     """numer / f_m if f_m divides numer, else None: one synthetic division
     by f_m = q^n h + beta(q), from the top h-degree down."""
     rows: dict[int, dict] = {}
-    for (a, b), c in numer.terms.items():
+    for (a, b), c in numer.items():
         rows.setdefault(b, {})[a] = c
     top = max(rows)
     if not top:
         return None
     n, beta = 0, {}
-    for (a, b), c in field.factor(m).terms.items():
+    for (a, b), c in field.factor(m).items():
         if b:
             n = a
         else:
@@ -331,7 +378,7 @@ def _shift_quotient(numer, m: int, field):
                 else:
                     del nxt[a + a2]
         r = nxt
-    return None if r else BivariatePolynomial(numer.ring, quot)
+    return None if r else quot
 
 
 class ShiftFraction:
@@ -348,38 +395,36 @@ class ShiftFraction:
 
     @property
     def num(self):
-        """The numerator over Z[q, h], expanded."""
+        """The numerator over Z[q, h], expanded, as a term map."""
         return _times_q(self.numer, max(self.qexp, 0))
 
     @property
     def den(self):
-        """The denominator over Z[q, h], expanded."""
-        return self.ring.expand(self.shifts, self.ring.domain.monomial(max(-self.qexp, 0), 0))
+        """The denominator over Z[q, h], expanded, as a term map."""
+        return self.ring.expand(self.shifts, {(max(-self.qexp, 0), 0): 1})
 
     def is_zero(self):
-        return self.numer.is_zero()
+        return not self.numer
 
     def is_one(self):
-        return self.qexp == 0 and not self.shifts and self.numer.is_one()
+        return self.qexp == 0 and not self.shifts and self.numer == {(0, 0): 1}
 
     def _coerce(self, other):
         if isinstance(other, ShiftFraction):
-            _check_same_ring(self, other)
             return ShiftFraction(self.ring, other.numer, other.qexp, other.shifts)
-        if isinstance(other, (int, BivariatePolynomial)):
+        if isinstance(other, int):
             return self.ring(other)
         return NotImplemented
 
-    def _combine(self, other, op):
-        # self op other for op + or -, both nonzero, over the least common
-        # denominator
+    def _combine(self, other, sign):
+        # self + sign * other, both nonzero, over the least common denominator
         qexp = min(self.qexp, other.qexp)
         shifts = dict(self.shifts)
         for m, e in other.shifts.items():
             if e > shifts.get(m, 0):
                 shifts[m] = e
-        numer = op(self._lifted(qexp, shifts), other._lifted(qexp, shifts))
-        if numer.is_zero():
+        numer = _add(self._lifted(qexp, shifts), other._lifted(qexp, shifts), sign)
+        if not numer:
             return self.ring.zero
         numer, v = _strip_q(numer)
         # Where one operand lists f_m with the lesser exponent, f_m divides
@@ -401,43 +446,44 @@ class ShiftFraction:
     def __add__(self, other):
         if other.__class__ is not ShiftFraction or other.ring is not self.ring:
             return _coerced(operator.add, self, other)
-        if other.numer.is_zero():
+        if not other.numer:
             return self
-        return other if self.numer.is_zero() else self._combine(other, operator.add)
+        return other if not self.numer else self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if other.__class__ is not ShiftFraction or other.ring is not self.ring:
             return _coerced(operator.sub, self, other)
-        if other.numer.is_zero():
+        if not other.numer:
             return self
-        return -other if self.numer.is_zero() else self._combine(other, operator.sub)
+        return -other if not self.numer else self._combine(other, -1)
 
     __rsub__ = _reflected(operator.sub)
 
     def __neg__(self):
-        return ShiftFraction(self.ring, -self.numer, self.qexp, self.shifts)
+        return ShiftFraction(self.ring, {e: -c for e, c in self.numer.items()},
+                             self.qexp, self.shifts)
 
     def __mul__(self, other):
         if other.__class__ is not ShiftFraction or other.ring is not self.ring:
             return _coerced(operator.mul, self, other)
-        if self.numer.is_zero() or other.numer.is_zero():
+        if not self.numer or not other.numer:
             return self.ring.zero
         # each numerator cancels against the other operand's shift factors
         a, right = _divide_out(self.numer, other.shifts, self.ring)
         b, shifts = _divide_out(other.numer, self.shifts, self.ring)
         for m, e in right.items():
             shifts[m] = shifts.get(m, 0) + e
-        return ShiftFraction(self.ring, a * b, self.qexp + other.qexp, shifts)
+        return ShiftFraction(self.ring, _mul(a, b), self.qexp + other.qexp, shifts)
 
     __rmul__ = __mul__
 
     def inv(self):
-        if self.numer.is_zero():
+        if not self.numer:
             raise ZeroDivisionError(f"inverse of 0 in {self.ring}")
         sign, _, shifts = self.ring._factored(self.numer)
-        numer = self.ring.expand(self.shifts, self.ring.domain(sign))
+        numer = self.ring.expand(self.shifts, {(0, 0): sign})
         return ShiftFraction(self.ring, numer, -self.qexp, shifts)
 
     def __truediv__(self, other):
@@ -463,10 +509,10 @@ class ShiftFraction:
     def __repr__(self):
         parts = [] if self.qexp >= 0 else ["q" if self.qexp == -1 else f"q^{-self.qexp}"]
         for m in sorted(self.shifts):
-            f, e = repr(self.ring.factor(m)), self.shifts[m]
+            f, e = _poly_str(self.ring.factor(m)), self.shifts[m]
             f = f"({f})" if " " in f else f
             parts.append(f if e == 1 else f"{f}^{e}")
-        num = repr(self.num)
+        num = _poly_str(self.num)
         if not parts:
             return num
         num = f"({num})" if " " in num else num
@@ -536,7 +582,7 @@ class SkewLaurentElement:
         worst = 0
         for c in self.terms.values():
             for part in (c.num, c.den):
-                worst = max(worst, part.total_degree() or 0)
+                worst = max(worst, max((a + b for a, b in part), default=0))
         return worst
 
     def __repr__(self):
@@ -629,8 +675,25 @@ def sub(a, b):
     return Add((a, Neg(b)))
 
 
+# Largest total degree in q and h that a stored numerator may reach while
+# ``evaluate`` multiplies out a product.  The cost of a product grows with
+# that degree, which the letter budget does not bound: u^k reaches
+# k(k + 1)/2.  The weyl-verify products peak at 25 and (u v' + v u' + q)^8
+# at 64.  The degree is a proxy: on a 2-core x86-64 container the slowest
+# accepted input measured is (u' + v' + q u' v' + 1)^8 (0.7 s), and its
+# ninth power is refused after 1.5 s, while (u' + v')^16 and u^200 are
+# refused within 0.2 s.  At 128, (u' + q v' + 1)^12 (2 s) would pass.
+NUMERATOR_DEGREE_BUDGET = 72
+
+
+def _numerator_degree(value: SkewLaurentElement) -> int:
+    return max((a + b for c in value.terms.values() for a, b in c.numer), default=0)
+
+
 def evaluate(expr, mode: EngineMode) -> SkewLaurentElement:
-    """Map an expression tree to its skew-Laurent normal form."""
+    """Map an expression tree to its skew-Laurent normal form.  A product
+    whose partial result has a stored numerator of total degree above
+    ``NUMERATOR_DEGREE_BUDGET`` raises ``ValueError``."""
     if isinstance(expr, Gen):
         return mode.images()[expr.name]
     if isinstance(expr, QScalar):
@@ -648,6 +711,9 @@ def evaluate(expr, mode: EngineMode) -> SkewLaurentElement:
         acc = mode.one
         for f in expr.factors:
             acc = skew_mul(acc, evaluate(f, mode))
+            if _numerator_degree(acc) > NUMERATOR_DEGREE_BUDGET:
+                raise ValueError("product with a coefficient numerator of degree "
+                                 f"above {NUMERATOR_DEGREE_BUDGET}")
         return acc
     raise TypeError(f"not an algebra expression: {expr!r}")
 
@@ -850,7 +916,7 @@ def _survives_q1(diff: SkewLaurentElement) -> SkewLaurentElement:
     kept = {}
     for e, c in diff.terms.items():
         at_one: dict[int, int] = {}
-        for (_a, b), n in c.numer.terms.items():
+        for (_a, b), n in c.numer.items():
             at_one[b] = at_one.get(b, 0) + n
         if any(at_one.values()):
             kept[e] = c

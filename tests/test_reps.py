@@ -3,6 +3,7 @@ import pytest
 from weylknots.linalg import Matrix, det_exact
 from weylknots.reps import (
     BUILTIN_SPECS,
+    DIMENSION_BUDGET,
     MatrixRep,
     RepError,
     RepSpec,
@@ -223,6 +224,25 @@ class TestSpecs:
     def test_unknown_name(self):
         with pytest.raises(RepError, match="no builtin"):
             build_rep("nonesuch")
+
+    @pytest.mark.parametrize("change", [
+        {"n": 2.9}, {"n": True}, {"n": "abc"}, {"n": 0}, {"n": -3},
+        {"n": DIMENSION_BUDGET + 1}, {"n": None}, {"p": "7"}, {"p": 7.0}, {"p": False},
+        {"params": "x"}, {"params": ["q", 3]},
+    ], ids=repr)
+    def test_json_field_types(self, change):
+        spec = {"family": "q_upper", "n": 2, "p": 7,
+                "params": {"q": 3, "a": 1, "b": 1, "d": 2, "e": 1}}
+        assert RepSpec.from_json(spec).build().dim == 2
+        with pytest.raises(RepError, match="RepSpec"):
+            RepSpec.from_json({**spec, **change})
+
+    def test_json_not_an_object(self):
+        for text in ("[1, 2]", "3", "{bad", ""):
+            with pytest.raises(RepError, match="JSON object"):
+                RepSpec.from_json(text)
+        with pytest.raises(RepError, match="missing 'n'"):
+            RepSpec.from_json({"family": "q_upper"})
 
     def test_missing_param(self):
         with pytest.raises(RepError, match="needs parameter"):

@@ -1,9 +1,14 @@
+import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+import weylknots
+
+ROOT = Path(__file__).resolve().parents[1]
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 @pytest.mark.xfail(strict=True, reason="weylknots.cli lands with ROADMAP item 1")
@@ -14,3 +19,24 @@ def test_console_scripts_import():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "weylknots").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_runtime_dependencies(path):
+    # every import of the package is relative or from the standard library
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            assert module.partition(".")[0] in sys.stdlib_module_names, module
+
+
+def test_exports_resolve():
+    assert weylknots.__all__
+    for name in weylknots.__all__:
+        assert getattr(weylknots, name, None) is not None, name

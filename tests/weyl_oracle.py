@@ -86,10 +86,11 @@ class FixedQWeyl:
         raise TypeError(f"not an algebra expression: {expr!r}")
 
     def specialize(self, poly):
-        """An element of Z[q, h] with q := q0, as an element of F[h]."""
+        """A term map {(a, b): c} of Z[q, h] with q := q0, as an element of
+        F[h]."""
         q = self.ring.field(self.q0)
         coeffs = {}
-        for (a, b), c in poly.terms.items():
+        for (a, b), c in poly.items():
             coeffs[b] = coeffs.get(b, 0) + q ** a * c
         top = max(coeffs, default=-1)
         return self.ring([coeffs.get(b, 0) for b in range(top + 1)])
