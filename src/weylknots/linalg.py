@@ -1,19 +1,22 @@
 """Exact dense linear algebra over the rings of ``weylknots.rings``.
 
-Matrices are immutable grids of ring elements sharing one ring tag.  Each
-ring kind has one elimination:
+Matrices are immutable grids of ring elements sharing one ring tag.  There
+are two entry kinds, each with one elimination:
 
 * fields (Z_p, Q and Frac(F[x])): one forward Gaussian pass
   (``_gaussian_pass``) gives the rank and the determinant, the signed
-  product of its pivots; ``mat_inverse`` runs the same pass on [M | I] over
-  the fraction field of the entry ring, reads the determinant off its
-  pivots, back-substitutes and maps back;
-* Laurent and polynomial matrices: one Euclidean elimination over F[x]
-  (``_smith_diagonal``) gives the determinant, the rank and the elementary
-  ideals.  Laurent rows are first cleared to F[x] by powers of x, which are
-  units; F[x, x^-1] is a principal ideal domain, so the gcd of the s x s
-  minors is the product of the first s invariant factors, and their number
-  is the rank.
+  product of its pivots; ``mat_inverse`` runs the same pass on [M | I],
+  reads the determinant off its pivots and back-substitutes;
+* Laurent rings F[x, x^-1]: one Euclidean elimination over F[x]
+  (``_smith_diagonal``) on the rows cleared to F[x] by powers of x, which
+  are units, gives the determinant, the rank and the elementary ideals.
+  F[x, x^-1] is a principal ideal domain, so the gcd of the s x s minors
+  is the product of the first s invariant factors, and their number is
+  the rank.  ``mat_inverse`` embeds Laurent entries in Frac(F[x]) and maps
+  the result back.
+
+Any other entry ring raises ``RingError``.  Entries answer ``is_unit()``
+themselves.
 
 Products, in ``Matrix.__mul__`` and in ``braids.represent``, go through one
 row-times-matrix kernel, ``_row_times``.
@@ -21,8 +24,7 @@ row-times-matrix kernel, ``_row_times``.
 Each matrix runs its elimination at most once: the result is kept on the
 ``Matrix`` (which is immutable, so it cannot go stale), and
 ``rank_over_fractions``, ``det_exact``, ``invariant_factors`` and
-``minors_gcd`` all read that one result.  Determinants over any other ring
-raise ``RingError``.
+``minors_gcd`` all read that one result.
 """
 
 from __future__ import annotations
@@ -31,13 +33,9 @@ import math
 from fractions import Fraction
 
 from .rings import (
-    FieldScalar,
-    FractionElement,
     FractionField,
-    LaurentPolynomial,
     LaurentRing,
     NonUnitError,
-    PolynomialRing,
     PrimeField,
     RationalField,
     RingError,
@@ -109,10 +107,6 @@ class Matrix:
 
     def transpose(self):
         return Matrix(list(zip(*self.rows)), self.ring)
-
-    def map_entries(self, fn, ring=None):
-        return Matrix([[fn(e) for e in r] for r in self.rows],
-                      ring if ring is not None else None)
 
     def __add__(self, other):
         self._compat(other, same_shape=True)
@@ -242,18 +236,17 @@ def _gaussian_pass(rows, width):
 def _elimination(m: Matrix):
     """The one elimination of m, run on first use and kept on m.
 
-    A field matrix gives (rank, det) from the Gaussian pass.  A Laurent or
-    polynomial matrix gives (factors, unit, shift) from the Euclidean pass
-    over F[x] (``_smith_diagonal``) on its rows cleared by x^-shift (shift
-    0 over F[x]), the factors as a tuple.  Any other ring raises RingError.
+    A field matrix gives (rank, det) from the Gaussian pass.  A Laurent
+    matrix gives (factors, unit, shift) from the Euclidean pass over F[x]
+    (``_smith_diagonal``) on its rows cleared by x^-shift, the factors as a
+    tuple.  Any other ring raises RingError.
     """
     if m._elim is None:
         ring = m.ring
         if isinstance(ring, _FIELDS):
             m._elim = _gaussian_pass([list(r) for r in m.rows], m.ncols)
-        elif isinstance(ring, (LaurentRing, PolynomialRing)):
-            rows, shift = (_laurent_clear_rows(m) if isinstance(ring, LaurentRing)
-                           else (m.rows, 0))
+        elif isinstance(ring, LaurentRing):
+            rows, shift = _laurent_clear_rows(m)
             diag, unit = _smith_diagonal(rows)
             m._elim = (tuple(diag), unit, shift)
         else:
@@ -262,12 +255,12 @@ def _elimination(m: Matrix):
 
 
 def det_exact(m: Matrix):
-    """Exact determinant in the entry ring (Laurent results stay Laurent).
+    """Exact determinant in the entry ring, a field or a Laurent ring.
 
-    Field matrices take the Gaussian pass.  Laurent and polynomial matrices
-    take the Euclidean pass over F[x]: det = u * d_1 ... d_N, shifted back
-    by the exponent cleared from the rows, and zero with fewer than N
-    factors.  Any other ring raises RingError."""
+    Field matrices take the Gaussian pass.  Laurent matrices take the
+    Euclidean pass over F[x]: det = u * d_1 ... d_N, shifted back by the
+    exponent cleared from the rows, and zero with fewer than N factors.
+    Any other ring raises RingError."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     ring = m.ring
@@ -280,84 +273,47 @@ def det_exact(m: Matrix):
     det = factors[0].ring.one
     for d in factors:
         det = det * d
-    det = det.scale(unit)
-    return ring.from_poly(det, shift) if isinstance(ring, LaurentRing) else det
-
-
-def _is_unit_in(value, ring):
-    if isinstance(ring, _FIELDS):
-        return not value.is_zero()
-    if isinstance(ring, LaurentRing):
-        return value.is_unit()
-    if isinstance(ring, PolynomialRing):
-        return not value.is_zero() and value.is_constant()
-    raise RingError(f"no unit test for {ring}")
+    return ring.from_poly(det.scale(unit), shift)
 
 
 # ---------------------------------------------------------------------------
-# fraction-field embedding and inverses
+# inverses
 # ---------------------------------------------------------------------------
-
-def fraction_field_over(ring):
-    """The smallest supported field containing the given entry ring."""
-    if isinstance(ring, _FIELDS):
-        return ring
-    if isinstance(ring, LaurentRing):
-        return FractionField(ring.poly_ring)
-    if isinstance(ring, PolynomialRing):
-        return FractionField(ring)
-    raise RingError(f"no fraction field support for {ring}")
-
-
-def to_fraction(entry, field):
-    if isinstance(entry, (FieldScalar, FractionElement)):
-        return entry
-    if isinstance(entry, LaurentPolynomial):
-        num = entry.poly.shift(max(entry.offset, 0))
-        den = entry.ring.poly_ring.gen ** max(-entry.offset, 0)
-        return field(num, den)
-    if isinstance(entry, UniPolynomial):
-        return field(entry)
-    raise RingError(f"cannot embed {entry!r} into {field}")
-
-
-def from_fraction(entry, ring):
-    """Map a fraction back into a Laurent/polynomial ring; the reduced
-    denominator must be a monomial (monic after normalization)."""
-    if ring == entry.ring:
-        return entry
-    if isinstance(ring, LaurentRing):
-        den = entry.den
-        if den.is_zero() or any(den.coeffs[:-1]) or den.coeffs[-1] != 1:
-            raise RingError(f"denominator {den!r} is not a monomial")
-        return ring.from_poly(entry.num, -den.degree)
-    if isinstance(ring, PolynomialRing):
-        if not entry.den.is_one():
-            raise RingError(f"denominator {entry.den!r} is not 1")
-        return entry.num
-    raise RingError(f"cannot map a fraction into {ring}")
-
 
 def mat_inverse(m: Matrix) -> Matrix:
-    """Exact inverse over the fraction field of the entry ring.
+    """Exact inverse of a field or Laurent matrix.
 
+    A Laurent entry f x^k, f with a nonzero constant term, embeds in
+    Frac(F[x]) as f x^k / 1 or f / x^-k; a canonical fraction of a Laurent
+    polynomial has a denominator x^k, so the results map straight back.
     One Gaussian pass (``_gaussian_pass``) reduces [m | I] to echelon form
-    and gives det(m), mapped back to the entry ring; when it is not a unit
-    there, NonUnitError carries it (zero when m is singular).  Back
-    substitution then clears the columns above each pivot, bottom up, on
-    the right half only: the left half is triangular, and each step
-    changes it in the pivot column alone.  Scaling and row operations skip
-    the zero entries of the pivot row."""
+    and gives det(m); when it is not a unit of the entry ring, NonUnitError
+    carries it (zero when m is singular).  Back substitution then clears
+    the columns above each pivot, bottom up, on the right half only: the
+    left half is triangular, and each step changes it in the pivot column
+    alone.  Scaling and row operations skip the zero entries of the pivot
+    row."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
-    field = fraction_field_over(m.ring)
-    n = m.nrows
+    ring, rows, n = m.ring, m.rows, m.nrows
+    back = None
+    if isinstance(ring, LaurentRing):
+        field, x = FractionField(ring.poly_ring), ring.poly_ring.gen
+        rows = [[field(e.poly.shift(max(e.offset, 0)), x ** max(-e.offset, 0))
+                 for e in row] for row in rows]
+        back = lambda f: ring.from_poly(f.num, -f.den.degree)
+    elif isinstance(ring, _FIELDS):
+        field = ring
+    else:
+        raise RingError(f"no inverse over {ring}")
     z, o = field.zero, field.one
-    aug = [[to_fraction(e, field) for e in row] + [o if i == j else z for j in range(n)]
-           for i, row in enumerate(m.rows)]
-    det = from_fraction(_gaussian_pass(aug, n)[1], m.ring)
-    if not _is_unit_in(det, m.ring):
-        raise NonUnitError(f"determinant {det!r} is not a unit in {m.ring}", det)
+    aug = [list(row) + [o if i == j else z for j in range(n)]
+           for i, row in enumerate(rows)]
+    det = _gaussian_pass(aug, n)[1]
+    if back is not None:
+        det = back(det)
+    if not det.is_unit():
+        raise NonUnitError(f"determinant {det!r} is not a unit in {ring}", det)
     inv_rows = [row[n:] for row in aug]
     for k in range(n - 1, -1, -1):
         inv = aug[k][k].inv()
@@ -367,17 +323,17 @@ def mat_inverse(m: Matrix) -> Matrix:
             if not f.is_zero():
                 inv_rows[i] = [a if b.is_zero() else a - f * b
                                for a, b in zip(inv_rows[i], pivot_row)]
-    if field == m.ring:
-        return Matrix(inv_rows, field)
-    return Matrix([[from_fraction(e, m.ring) for e in row] for row in inv_rows],
-                  m.ring)
+    if back is not None:
+        inv_rows = [[back(e) for e in row] for row in inv_rows]
+    return Matrix(inv_rows, ring)
 
 
 def rank_over_fractions(m: Matrix) -> int:
-    """Rank over the fraction field of the entry ring.
+    """Rank of a field or Laurent matrix over the fraction field of its
+    entry ring.
 
-    Laurent and polynomial matrices count their invariant factors; field
-    matrices take the Gaussian pass (see ``_elimination``).
+    Laurent matrices count their invariant factors; field matrices take the
+    Gaussian pass (see ``_elimination``).
     """
     elim = _elimination(m)
     return elim[0] if isinstance(m.ring, _FIELDS) else len(elim[0])
@@ -482,23 +438,20 @@ def _smith_diagonal(rows):
 
 
 def invariant_factors(m: Matrix) -> list:
-    """Invariant factors d_1 | d_2 | ... of a Laurent or polynomial matrix,
-    each monic, as many as the rank; zero factors are left out.
+    """Invariant factors d_1 | d_2 | ... of a Laurent matrix, the one entry
+    kind besides fields, each monic, as many as the rank; zero factors are
+    left out.  Field matrices and any other ring raise RingError.
 
-    Laurent rows are first cleared to F[x] by powers of x, which are units,
-    and each factor then has its power of x stripped as well, so a Laurent
-    factor is canonical in the sense of ``laurent_canonicalize``.  Over the
-    principal ideal domain F[x, x^-1] the product d_1 ... d_s generates the
-    ideal of all s x s minors.
+    The rows are first cleared to F[x] by powers of x, which are units, and
+    each factor then has its power of x stripped as well, so it is
+    canonical in the sense of ``laurent_canonicalize``.  Over the principal
+    ideal domain F[x, x^-1] the product d_1 ... d_s generates the ideal of
+    all s x s minors.
     """
     ring = m.ring
-    if not isinstance(ring, (LaurentRing, PolynomialRing)):
-        raise RingError(f"invariant factors need a Laurent or polynomial matrix, "
-                        f"got ring {ring}")
-    factors = _elimination(m)[0]
-    if isinstance(ring, LaurentRing):
-        return [laurent_canonicalize(ring.from_poly(d))[0] for d in factors]
-    return list(factors)
+    if not isinstance(ring, LaurentRing):
+        raise RingError(f"invariant factors need a Laurent matrix, got ring {ring}")
+    return [laurent_canonicalize(ring.from_poly(d))[0] for d in _elimination(m)[0]]
 
 
 def minors_gcd(m: Matrix, r: int) -> UniPolynomial:

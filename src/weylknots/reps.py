@@ -23,8 +23,8 @@ Families:
 * ``family_q_upper`` -- the upper-triangular pair with geometric diagonals
   q^(n-1)a ... a and c ... q^(n-1)c, where c = 1/(a q^(n-1) (1-q)).
 
-Representations over a characteristic-zero field with q = 1 are rejected
-at construction: trace(UV - VU) = 0 can never equal trace(I) = n.
+Representations with q = 1 are rejected at construction unless n = 0 in
+the entry ring: trace(UV - VU) = 0 can never equal trace(I) = n otherwise.
 """
 
 from __future__ import annotations
@@ -41,24 +41,12 @@ from .rings import (
     NonUnitError,
     PolynomialRing,
     PrimeField,
-    RationalField,
     RingError,
-    parse_polynomial,
 )
 
 
 class RepError(RingError):
     """Representation construction or validation failure."""
-
-
-def _characteristic(ring) -> int:
-    if isinstance(ring, (PrimeField, RationalField)):
-        return ring.p
-    if isinstance(ring, (PolynomialRing, LaurentRing)):
-        return _characteristic(ring.field)
-    if isinstance(ring, FractionField):
-        return _characteristic(ring.domain)
-    raise RepError(f"unknown characteristic for {ring}")
 
 
 class MatrixRep:
@@ -78,10 +66,10 @@ class MatrixRep:
         self.dim = U.nrows
         self.ring = U.ring
         self.label = label
-        if _characteristic(self.ring) == 0 and q.is_one():
+        if q.is_one() and not self.ring(self.dim).is_zero():
             raise RepError(
-                "no q=1 representation exists over characteristic 0: "
-                f"trace(UV - VU) = 0 but trace(I) = {self.dim}")
+                f"no q=1 representation of dimension {self.dim} exists over "
+                f"{self.ring}: trace(UV - VU) = 0 but trace(I) = {self.dim}")
         got = U * V - (V * U).scale(q)
         identity = Matrix.identity(self.ring, self.dim)
         parts = []
@@ -366,29 +354,66 @@ class RepSpec:
             raise RepError(f"RepSpec p must be null or an int, got {p!r}")
         if not isinstance(params, dict):
             raise RepError(f"RepSpec params must be an object, got {params!r}")
+        if not isinstance(family, str):
+            raise RepError(f"RepSpec family must be a string, got {family!r}")
         return cls(family=family, n=n, p=p, params=dict(params), name=data.get("name", ""))
 
     def build(self) -> MatrixRep:
-        params = self.params
+        """The family member.  An unknown family, a p that is not a prime
+        where one is needed or given, and a missing, unknown or ill-typed
+        parameter raise ``RepError`` naming it; parameter text that does not
+        parse raises ``RepError`` quoting it."""
+        if self.family not in _SPEC_FAMILIES:
+            raise RepError(f"unknown family {self.family!r}")
+        make, keys = _SPEC_FAMILIES[self.family]
+        char_p = make in (family_char_p_bidiagonal, family_truncated)
+        if char_p or self.p is not None:
+            try:
+                PrimeField(self.p)
+            except ValueError:
+                raise RepError(f"family {self.family!r} needs p, a prime, "
+                               f"got {self.p!r}") from None
+        args = [self._param(key) for key in keys]
+        extra = set(self.params) - {key.removesuffix("[]") for key in keys}
+        if extra:
+            raise RepError(f"family {self.family!r} takes no parameter {sorted(extra)}")
         try:
-            if self.family == "char_p_bidiagonal":
-                rep = family_char_p_bidiagonal(self.n, self.p, params["x"],
-                                               params["y"], params["a"])
-            elif self.family == "truncated":
-                rep = family_truncated(self.n, self.p, params["i"], params["j"])
-            elif self.family == "q_bidiagonal":
-                rep = family_q_bidiagonal(self.n, params["q"], params["a"],
-                                          params["b"], p=self.p)
-            elif self.family == "q_upper":
-                rep = family_q_upper(self.n, params["q"], params["a"], params["b"],
-                                     params["d"], params["e"], p=self.p)
-            else:
-                raise RepError(f"unknown family {self.family!r}")
-        except KeyError as missing:
-            raise RepError(f"family {self.family!r} needs parameter {missing}")
+            rep = make(self.n, self.p, *args) if char_p else make(self.n, *args, self.p)
+        except ValueError as err:
+            raise RepError(f"family {self.family!r}: {err}") from None
         if self.name:
             rep.label = self.name
         return rep
+
+    def _param(self, key):
+        """params[name] for key "name" (an int or a string) or "name[]" (a
+        list of them)."""
+        name = key.removesuffix("[]")
+        if name not in self.params:
+            raise RepError(f"family {self.family!r} needs parameter {name!r}")
+        value = self.params[name]
+        if name == key:
+            ok, kind = _is_scalar(value), "an int or a string"
+        else:
+            ok = isinstance(value, (list, tuple)) and all(map(_is_scalar, value))
+            kind = "a list of ints and strings"
+        if not ok:
+            raise RepError(f"parameter {name!r} of family {self.family!r} must be "
+                           f"{kind}, got {value!r}")
+        return value
+
+
+def _is_scalar(value):
+    return type(value) is int or isinstance(value, str)
+
+
+# Each family of a RepSpec and its params in call order; "[]" marks a list.
+_SPEC_FAMILIES = {
+    "char_p_bidiagonal": (family_char_p_bidiagonal, ("x", "y", "a[]")),
+    "truncated": (family_truncated, ("i[]", "j[]")),
+    "q_bidiagonal": (family_q_bidiagonal, ("q", "a", "b[]")),
+    "q_upper": (family_q_upper, ("q", "a", "b", "d", "e")),
+}
 
 
 BUILTIN_SPECS = {

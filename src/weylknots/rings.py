@@ -140,6 +140,9 @@ class FieldScalar:
     def is_one(self):
         return self.value == 1
 
+    def is_unit(self):
+        return bool(self.value)
+
     def inv(self):
         return FieldScalar(self.ring, self.ring.cinv(self.value))
 
@@ -615,12 +618,14 @@ def _poly_str(field, coeffs, var):
 _TERM_RE = re.compile(
     r"(?P<sign>[+-])?\s*(?P<coeff>\d+(?:/\d+)?)?\s*\*?\s*"
     r"(?:(?P<var>[A-Za-zλ_][A-Za-z0-9_]*)\s*(?:\^\s*(?P<exp>-?\d+))?)?\s*"
+    r"(?:/\s*(?P<over>[A-Za-zλ_][A-Za-z0-9_]*)\s*(?:\^\s*(?P<k>\d+))?\s*)?"
 )
 
 
 def _parse_terms(text: str, ring):
     """Parse `2y^3 + y + 1`-style text in ring's indeterminate into
-    {exponent: coefficient sum}, unreduced, for ``from_raw``.  Each
+    {exponent: coefficient sum}, unreduced, for ``from_raw``.  A term may be
+    divided by a power of the indeterminate, as in `2y/y^3`.  Each
     coefficient goes through the field's own conversion; a denominator that
     is zero there raises ValueError naming the term."""
     field = ring.field
@@ -643,16 +648,18 @@ def _parse_terms(text: str, ring):
                              f"{m.group(0).strip()!r}") from None
         if m.group("sign") == "-":
             coeff = -coeff
-        var = m.group("var")
-        if var is not None:
-            if var != ring.var:
-                raise ValueError(f"expected indeterminate {ring.var!r}, got {var!r}")
-            exp = int(m.group("exp")) if m.group("exp") else 1
-            if abs(exp) > LETTER_BUDGET:
+        exp = 0
+        for var, power, sign in (("var", "exp", 1), ("over", "k", -1)):
+            if m.group(var) is None:
+                continue
+            if m.group(var) != ring.var:
+                raise ValueError(f"expected indeterminate {ring.var!r}, "
+                                 f"got {m.group(var)!r}")
+            k = int(m.group(power) or 1)
+            if abs(k) > LETTER_BUDGET:
                 raise ValueError(f"exponent above {LETTER_BUDGET} in the term "
                                  f"{m.group(0).strip()!r}")
-        else:
-            exp = 0
+            exp += sign * k
         terms[exp] = terms.get(exp, 0) + coeff
     return terms
 
@@ -867,9 +874,11 @@ def laurent_canonicalize(f: LaurentPolynomial):
 
 
 def parse_laurent(text: str, ring: LaurentRing) -> LaurentPolynomial:
-    text = text.strip()
-    m = re.fullmatch(r"\(?\s*(?P<num>[^()/]+?)\s*\)?\s*/\s*(?P<var>[A-Za-z_][A-Za-z0-9_]*)"
-                     r"(?:\^(?P<k>\d+))?", text)
+    """A sum of terms, each divided by at most one power of the
+    indeterminate (`y + 2 + 1/y^2`), or one parenthesized polynomial over
+    such a power (`(y^2 + 1)/y^3`); any other text raises ValueError."""
+    m = re.fullmatch(r"\s*\((?P<num>[^()]*)\)\s*/\s*(?P<var>[A-Za-zλ_][A-Za-z0-9_]*)"
+                     r"(?:\s*\^\s*(?P<k>\d+))?\s*", text)
     if m:
         if m.group("var") != ring.var:
             raise ValueError(f"expected indeterminate {ring.var!r} in {text!r}")
@@ -877,8 +886,7 @@ def parse_laurent(text: str, ring: LaurentRing) -> LaurentPolynomial:
         if k > LETTER_BUDGET:
             raise ValueError(f"exponent above {LETTER_BUDGET} in the term "
                              f"'/{m.group('var')}^{k}'")
-        num = parse_polynomial(m.group("num"), ring.poly_ring)
-        return ring.from_poly(num, -k)
+        return ring.from_poly(parse_polynomial(m.group("num"), ring.poly_ring), -k)
     terms = _parse_terms(text, ring)
     low = min(terms)
     return ring.from_poly(_terms_poly(terms, ring.poly_ring, low), low)
@@ -995,6 +1003,9 @@ class FractionElement:
 
     def is_one(self):
         return self.num == self.den
+
+    def is_unit(self):
+        return not self.num.is_zero()
 
     def _coerce(self, other):
         if isinstance(other, FractionElement):

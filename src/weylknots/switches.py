@@ -26,7 +26,7 @@ inverses.
 
 from __future__ import annotations
 
-from .linalg import Matrix, _is_unit_in, det_exact, mat_inverse
+from .linalg import Matrix, det_exact, mat_inverse
 from .reps import MatrixRep
 from .rings import (
     QQ,
@@ -78,7 +78,7 @@ class LinearSwitch:
         ``mat_inverse(S)`` when q is None or not a unit."""
         if self._S_inv is None:
             s, q, ring = self.S, self.q, self.ring
-            if q is not None and _is_unit_in(q, ring):
+            if q is not None and q.is_unit():
                 i2k = Matrix.identity(ring, 2 * self.k)
                 self._S_inv = (s - i2k.scale(ring.one - q)).scale(ring.one.exact_div(q))
             else:
@@ -106,7 +106,7 @@ def weyl_switch(rep: MatrixRep, label=None) -> LinearSwitch:
     A = Vinv * Uinv
     C = (Uinv + V.scale(q)) * A * (identity - A)
     D = identity.scale(rep.ring.one - q) - Uinv * Vinv
-    if not _is_unit_in(q, rep.ring):
+    if not q.is_unit():
         raise SwitchError(f"block C is singular: det = {det_exact(C)!r}")
     return LinearSwitch(A, U, C, D, q, label=label or f"weyl({rep.label})",
                         _token=_SWITCH_TOKEN)

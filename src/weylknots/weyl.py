@@ -675,25 +675,25 @@ def sub(a, b):
     return Add((a, Neg(b)))
 
 
-# Largest total degree in q and h that a stored numerator may reach while
-# ``evaluate`` multiplies out a product.  The cost of a product grows with
-# that degree, which the letter budget does not bound: u^k reaches
-# k(k + 1)/2.  The weyl-verify products peak at 25 and (u v' + v u' + q)^8
-# at 64.  The degree is a proxy: on a 2-core x86-64 container the slowest
-# accepted input measured is (u' + v' + q u' v' + 1)^8 (0.7 s), and its
-# ninth power is refused after 1.5 s, while (u' + v')^16 and u^200 are
-# refused within 0.2 s.  At 128, (u' + q v' + 1)^12 (2 s) would pass.
-NUMERATOR_DEGREE_BUDGET = 72
+# Largest number of stored numerator terms, summed over the coefficients
+# of ``evaluate``'s partial product.  The letter budget does not bound the
+# cost of a product, and that cost tracks this count: on a 2-core x86-64
+# container (u' + v' + q u' v' + 1)^k for k = 7 / 8 / 9 stores 6,769 /
+# 14,231 / 27,729 terms in 0.2 / 0.54 / 1.7 s, and u^40 19,800 in 2.6 s.
+# The benchmark's weyl-verify products peak at 168 terms and
+# (u v' + v u' + q)^8 at 705; each runaway input of the tests is refused
+# within about 0.1 s.
+NUMERATOR_TERM_BUDGET = 2048
 
 
-def _numerator_degree(value: SkewLaurentElement) -> int:
-    return max((a + b for c in value.terms.values() for a, b in c.numer), default=0)
+def _numerator_terms(value: SkewLaurentElement) -> int:
+    return sum(len(c.numer) for c in value.terms.values())
 
 
 def evaluate(expr, mode: EngineMode) -> SkewLaurentElement:
     """Map an expression tree to its skew-Laurent normal form.  A product
-    whose partial result has a stored numerator of total degree above
-    ``NUMERATOR_DEGREE_BUDGET`` raises ``ValueError``."""
+    whose partial result stores more than ``NUMERATOR_TERM_BUDGET``
+    numerator terms raises ``ValueError``."""
     if isinstance(expr, Gen):
         return mode.images()[expr.name]
     if isinstance(expr, QScalar):
@@ -711,9 +711,9 @@ def evaluate(expr, mode: EngineMode) -> SkewLaurentElement:
         acc = mode.one
         for f in expr.factors:
             acc = skew_mul(acc, evaluate(f, mode))
-            if _numerator_degree(acc) > NUMERATOR_DEGREE_BUDGET:
-                raise ValueError("product with a coefficient numerator of degree "
-                                 f"above {NUMERATOR_DEGREE_BUDGET}")
+            if _numerator_terms(acc) > NUMERATOR_TERM_BUDGET:
+                raise ValueError("product with more than "
+                                 f"{NUMERATOR_TERM_BUDGET} numerator terms")
         return acc
     raise TypeError(f"not an algebra expression: {expr!r}")
 

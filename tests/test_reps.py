@@ -71,6 +71,16 @@ class TestValidate:
         with pytest.raises(RepError, match="trace"):
             MatrixRep(i2, i2, ring.one)
 
+    def test_q1_guard_reads_n_in_the_entry_ring(self):
+        # trace(UV - VU) = 0, so q = 1 needs n = 0 in the ring: 2 = 0 in
+        # Z_2 but not in Z_3 or Frac(Q[q])
+        for ring in (F3, FractionField(PolynomialRing(QQ, "q"))):
+            i2 = Matrix.identity(ring, 2)
+            with pytest.raises(RepError, match=r"trace\(I\) = 2"):
+                MatrixRep(i2, i2, ring.one)
+        with pytest.raises(RepError, match="UV - qVU != I"):
+            MatrixRep(Matrix.identity(F2, 2), Matrix.identity(F2, 2), F2.one)
+
 
 class TestCharPBidiagonal:
     def test_kishino_matrices(self):
@@ -228,7 +238,7 @@ class TestSpecs:
     @pytest.mark.parametrize("change", [
         {"n": 2.9}, {"n": True}, {"n": "abc"}, {"n": 0}, {"n": -3},
         {"n": DIMENSION_BUDGET + 1}, {"n": None}, {"p": "7"}, {"p": 7.0}, {"p": False},
-        {"params": "x"}, {"params": ["q", 3]},
+        {"params": "x"}, {"params": ["q", 3]}, {"family": ["q_upper"]},
     ], ids=repr)
     def test_json_field_types(self, change):
         spec = {"family": "q_upper", "n": 2, "p": 7,
@@ -247,6 +257,40 @@ class TestSpecs:
     def test_missing_param(self):
         with pytest.raises(RepError, match="needs parameter"):
             RepSpec("q_upper", n=2, p=7, params={"q": 3}).build()
+
+    # one valid spec per family, and a change to it that build() refuses
+    VALID_SPECS = {
+        "char_p_bidiagonal": {"n": 3, "p": 3,
+                              "params": {"x": "1", "y": "y", "a": ["1", "1"]}},
+        "truncated": {"n": 2, "p": 2, "params": {"i": ["1", "1"], "j": ["x"]}},
+        "q_bidiagonal": {"n": 2, "p": 7, "params": {"q": 3, "a": 2, "b": [1]}},
+        "q_upper": {"n": 2, "p": 7, "params": {"q": 3, "a": 1, "b": 1, "d": 2, "e": 1}},
+    }
+
+    @pytest.mark.parametrize("family, key, value, match", [
+        ("char_p_bidiagonal", "p", None, r"needs p, a prime, got None"),
+        ("truncated", "j", 5,
+         r"parameter 'j' of family 'truncated' must be a list of ints and strings, got 5"),
+        ("char_p_bidiagonal", "a", "11",
+         r"parameter 'a' of family 'char_p_bidiagonal' must be a list .*, got '11'"),
+        ("q_upper", "q", 2.5,
+         r"parameter 'q' of family 'q_upper' must be an int or a string, got 2.5"),
+        ("q_bidiagonal", "a", True,
+         r"parameter 'a' of family 'q_bidiagonal' must be an int or a string, got True"),
+        ("q_upper", "p", 4, r"needs p, a prime, got 4"),
+        ("char_p_bidiagonal", "y", "y + 1)/y", r"bad polynomial syntax near '\)/y'"),
+        ("q_bidiagonal", "d", 2, r"family 'q_bidiagonal' takes no parameter \['d'\]"),
+    ], ids=["p-null", "j-int", "a-string", "q-float", "a-bool", "p-not-prime",
+            "unparsable", "unknown-key"])
+    def test_build_names_the_bad_parameter(self, family, key, value, match):
+        spec = {"family": family, **self.VALID_SPECS[family]}
+        RepSpec.from_json(spec).build()
+        if key == "p":
+            spec["p"] = value
+        else:
+            spec["params"] = {**spec["params"], key: value}
+        with pytest.raises(RepError, match=match):
+            RepSpec.from_json(spec).build()
 
     def test_det_u_is_unit(self):
         for name in BUILTIN_SPECS:

@@ -438,6 +438,37 @@ class TestLaurent:
         u = L3y.monomial(3, F3(2))
         assert u * u.inv() == L3y.one
 
+    def test_sum_with_a_quotient_term(self):
+        y = L5y.gen
+        assert L5y("y + 1/y") == y + y ** -1
+        assert L5y("2 + 3y^2/y^4 - y") == 2 + 3 * y ** -2 - y
+        assert L5y("(y + 1)/y") == (y + 1) * y ** -1
+
+    @pytest.mark.parametrize("text", [
+        "(y + 1/y", "y + 1)/y", "(y)+(1)/y", "1/y^2/y", "/y", "(y + 1)/2",
+        "(y + 1)/y + 1", "y/x"])
+    def test_unbalanced_or_ambiguous_quotients_raise(self, text):
+        with pytest.raises(ValueError):
+            L5y(text)
+
+    def test_repr_round_trip_over_q(self):
+        ring = LaurentRing(QX)
+        for coeffs, offset in [([Fraction(1, 2)], -1), ([Fraction(-1, 2)], -2),
+                               ([Fraction(-1, 3), -1], -2), ([1, 0, 2], -3)]:
+            f = ring.from_poly(QX(coeffs), offset)
+            assert ring(repr(f)) == f, repr(f)
+
+
+def test_entries_answer_is_unit():
+    # every matrix entry kind of linalg: field scalars, fractions and
+    # Laurent polynomials
+    frac = FractionField(R3y)
+    assert F3(2).is_unit() and not F3(0).is_unit()
+    assert QQ(Fraction(1, 2)).is_unit() and not QQ(0).is_unit()
+    assert frac(R3y("y + 1"), R3y("y")).is_unit() and not frac.zero.is_unit()
+    assert L3y("2/y^3").is_unit() and not L3y("y + 1").is_unit()
+    assert not L3y.zero.is_unit()
+
 
 class TestFractions:
     def test_cancellation(self):

@@ -40,3 +40,25 @@ def test_exports_resolve():
     assert weylknots.__all__
     for name in weylknots.__all__:
         assert getattr(weylknots, name, None) is not None, name
+
+
+# The underscore names one module of the package may import from another.
+PRIVATE_IMPORTS = {
+    ("braids", "linalg", "_row_times"),
+    ("weyl", "rings", "_coerced"),
+    ("weyl", "rings", "_reflected"),
+}
+
+
+def test_private_names_stay_in_their_module():
+    found = set()
+    for path in sorted((ROOT / "src" / "weylknots").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not node.module:
+                continue
+            if node.level or node.module.startswith("weylknots."):
+                module = node.module.rpartition(".")[2]
+                found.update((path.stem, module, alias.name) for alias in node.names
+                             if alias.name.startswith("_"))
+    assert found <= PRIVATE_IMPORTS, sorted(found - PRIVATE_IMPORTS)

@@ -6,15 +6,22 @@ from test_linalg import bareiss_det
 from weylknots import linalg
 from weylknots.linalg import Matrix, mat_inverse
 from weylknots.reps import (
+    BUILTIN_SPECS,
     MatrixRep,
     RepError,
+    RepSpec,
     build_rep,
-    family_char_p_bidiagonal,
     family_q_bidiagonal,
     family_q_upper,
-    family_truncated,
 )
-from weylknots.rings import QQ, LaurentRing, PolynomialRing, PrimeField
+from weylknots.rings import (
+    QQ,
+    FractionField,
+    LaurentRing,
+    PolynomialRing,
+    PrimeField,
+    RationalField,
+)
 from weylknots.switches import (
     LinearSwitch,
     SwitchError,
@@ -47,22 +54,23 @@ def _factorization_inverse(switch: LinearSwitch) -> Matrix:
 
 
 def _seeded_rep(family, seed, n=3, p=101):
-    """A member of a rep family with seeded parameters; the q-families take
-    q symbolic when p is None."""
+    """A member of a rep family with seeded parameters, built from its
+    ``RepSpec``; the q-families take q symbolic when p is None."""
     rng = random.Random(seed)
     unit = lambda: rng.randrange(1, p or 10)
     if family == "char_p_bidiagonal":
         mono = lambda: f"{unit()}x^{rng.randrange(-2, 3)}"
-        return family_char_p_bidiagonal(n, p, mono(), mono(),
-                                        [unit() for _ in range(n - 1)])
-    if family == "truncated":
-        return family_truncated(
-            n, p, [unit(), unit()] + [rng.randrange(p) for _ in range(n - 2)],
-            [rng.randrange(p) for _ in range(n)])
-    q = "q" if p is None else rng.randrange(2, p)
-    if family == "q_bidiagonal":
-        return family_q_bidiagonal(n, q, unit(), [unit() for _ in range(n - 1)], p=p)
-    return family_q_upper(n, q, unit(), unit(), unit(), unit(), p=p)
+        params = {"x": mono(), "y": mono(), "a": [unit() for _ in range(n - 1)]}
+    elif family == "truncated":
+        params = {"i": [unit(), unit()] + [rng.randrange(p) for _ in range(n - 2)],
+                  "j": [rng.randrange(p) for _ in range(n)]}
+    else:
+        params = {"q": "q" if p is None else rng.randrange(2, p)}
+        if family == "q_bidiagonal":
+            params.update(a=unit(), b=[unit() for _ in range(n - 1)])
+        else:
+            params.update(zip("abde", (unit(), unit(), unit(), unit())))
+    return RepSpec(family, n=n, p=p, params=params).build()
 
 
 WEYL_REPS = {
@@ -139,6 +147,29 @@ class TestCheckSwitch:
         C = Matrix([[F7(1), F7(0)], [F7(0), F7(0)]])
         with pytest.raises(SwitchError, match="braid relation"):
             sawollek_switch(B, C)
+
+
+class TestEntryKinds:
+    """Every switch factory gives blocks over a field or a Laurent ring, the
+    two entry kinds of ``linalg``."""
+
+    KINDS = (PrimeField, RationalField, FractionField, LaurentRing)
+
+    @pytest.mark.parametrize("name", sorted(ALL_REPS))
+    def test_weyl_switch(self, name):
+        assert isinstance(weyl_switch(ALL_REPS[name]()).ring, self.KINDS)
+
+    def test_builtin_reps(self):
+        for name in BUILTIN_SPECS:
+            assert isinstance(weyl_switch(build_rep(name)).ring, LaurentRing)
+
+    def test_burau_and_sawollek(self):
+        switches = [burau_switch(), burau_switch(ring=L5t),
+                    sawollek_switch(L5t.gen, 2, ring=L5t)]
+        switches += [sawollek_switch(b, c, ring=ring) for b, c, ring in SAWOLLEK_SCALARS]
+        for s in switches:
+            assert isinstance(s.ring, self.KINDS), s
+            assert (s.S * s.inverse()).is_identity(), s
 
 
 class TestWorkCounts:
