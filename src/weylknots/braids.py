@@ -187,7 +187,6 @@ def represent(word: BraidWord, switch: LinearSwitch) -> Matrix:
         raise SwitchError("flat braid words need an involutive switch (S^2 = I)")
     ring = switch.ring
     n, k = word.n, switch.k
-    zero = ring.zero
     rows = [list(r) for r in Matrix.identity(ring, n * k).rows]
     for let in word.letters:
         lo = (let.index - 1) * k
@@ -198,5 +197,5 @@ def represent(word: BraidWord, switch: LinearSwitch) -> Matrix:
             continue
         block = (switch.S if let.exp == 1 else switch.inverse()).rows
         for row in rows:
-            row[lo:hi] = _row_times(row[lo:hi], block, zero)
+            row[lo:hi] = _row_times(row[lo:hi], block, ring)
     return Matrix(rows, ring)

@@ -19,7 +19,12 @@ Any other entry ring raises ``RingError``.  Entries answer ``is_unit()``
 themselves.
 
 Products, in ``Matrix.__mul__`` and in ``braids.represent``, go through one
-row-times-matrix kernel, ``_row_times``.
+row-times-matrix kernel, ``_row_times``.  It computes each output entry by
+one ``dot`` of the entry ring over the entry's nonzero products, which sums
+raw values (residues, Fractions over a common denominator, unreduced
+coefficient lists) and reduces them once, so no ring element is built for
+a single product or partial sum.  Only Frac(F[x]) adds its products one by
+one.
 
 Each matrix runs its elimination at most once: the result is kept on the
 ``Matrix`` (which is immutable, so it cannot go stale), and
@@ -137,8 +142,7 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} "
                              f"by {other.nrows}x{other.ncols}")
-        zero = self.ring.zero
-        return Matrix([_row_times(row, other.rows, zero) for row in self.rows],
+        return Matrix([_row_times(row, other.rows, self.ring) for row in self.rows],
                       self.ring)
 
     def scale(self, scalar):
@@ -161,20 +165,15 @@ class Matrix:
         return f"[{body}]"
 
 
-def _row_times(row, rows, zero):
-    """The vector row * rows, for a row of len(rows) entries and a list of
-    equally long rows.  Sums run in row order and skip every product with a
-    zero factor, so a zero entry of row costs nothing."""
+def _row_times(row, rows, ring):
+    """The vector row * rows over ring, for a row of len(rows) entries and a
+    list of equally long rows.  Each output entry is one ``ring.dot`` over
+    its (a, b) pairs with no zero factor, in row order, so it is reduced
+    once; a zero entry of row costs nothing."""
     terms = [(r, a) for r, a in zip(rows, row) if not a.is_zero()]
-    out = []
-    for c in range(len(rows[0])):
-        acc = zero
-        for r, a in terms:
-            b = r[c]
-            if not b.is_zero():
-                acc = acc + a * b
-        out.append(acc)
-    return out
+    dot = ring.dot
+    return [dot([(a, b) for r, a in terms if not (b := r[c]).is_zero()])
+            for c in range(len(rows[0]))]
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,14 @@ Representation conventions:
 
 Multiplication of prime-field polynomials goes through Kronecker
 substitution (pack into one big int, multiply, unpack), which keeps the
-Euclidean elimination in ``linalg`` fast over Z_p[x].
+Euclidean elimination in ``linalg`` fast over Z_p[x].  Each coefficient is
+one fixed-width digit of 1, 2, 4 or 8 bytes, wide enough that no
+convolution coefficient overflows into the next, and ``array`` packs and
+unpacks the digits in C.  A product that would need digits wider than 64
+bits, or that has at most 64 coefficient pairs, is convolved directly.
+
+Each ring a ``linalg.Matrix`` multiplies has ``dot(pairs)``, the sum of
+a * b over a list of element pairs, normalized once.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
+from array import array
 from fractions import Fraction
 
 
@@ -250,6 +259,10 @@ class PrimeField:
     czero = 0
     cone = 1
 
+    def dot(self, pairs):
+        """The sum of a * b over a list of scalar pairs, reduced once."""
+        return FieldScalar(self, sum([a.value * b.value for a, b in pairs]) % self.p)
+
     def cinv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in Z_{self.p}")
@@ -298,6 +311,17 @@ class RationalField:
     czero = Fraction(0)
     cone = Fraction(1)
 
+    def dot(self, pairs):
+        """The sum of a * b over a list of scalar pairs: numerators summed
+        over the product of the denominators, and one Fraction reduced at the
+        end."""
+        num, den = 0, 1
+        for a, b in pairs:
+            x, y = a.value, b.value
+            d = x.denominator * y.denominator
+            num, den = num * d + x.numerator * y.numerator * den, den * d
+        return FieldScalar(self, Fraction(num, den))
+
     def cinv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
@@ -325,19 +349,21 @@ QQ = RationalField()
 # univariate polynomials
 # ---------------------------------------------------------------------------
 
-def _kronecker_mul(a, b, p):
-    # Pack coefficient tuples into big ints so Python's integer
-    # multiplication does the convolution; digit width is chosen so no
-    # convolution coefficient overflows into the next digit.
-    digit_bits = 2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 1
-    nbytes = (digit_bits + 7) // 8
-    ea = int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in a), "little")
-    eb = int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in b), "little")
-    prod = ea * eb
-    out_len = len(a) + len(b) - 1
-    raw = prod.to_bytes(out_len * nbytes + nbytes, "little")
-    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
-            for i in range(out_len)]
+# array typecodes of the fixed-width Kronecker digits, by byte width, in
+# increasing order
+_DIGIT_CODES = {array(t).itemsize: t for t in "BHILQ"}
+
+
+def _kronecker_mul(a, b, nbytes):
+    # Pack coefficient lists into big ints, one nbytes-wide digit each, so
+    # Python's integer multiplication does the convolution; array packs and
+    # unpacks the digits in C.  The caller picks a width at which no
+    # convolution coefficient overflows into the next digit.  Reading array
+    # buffers in the host's byte order reverses the digits of both operands
+    # and of the product on a big-endian host, which is the same convolution.
+    code, order = _DIGIT_CODES[nbytes], sys.byteorder
+    prod = int.from_bytes(array(code, a), order) * int.from_bytes(array(code, b), order)
+    return array(code, prod.to_bytes((len(a) + len(b) - 1) * nbytes, order)).tolist()
 
 
 def _convolve(a, b):
@@ -351,14 +377,20 @@ def _convolve(a, b):
 
 
 def _mul_raw(field, a, b):
-    """The unreduced coefficient list of the product a * b."""
+    """The unreduced coefficient list of the product a * b.  Over Z_p a
+    product of more than 64 coefficient pairs goes through Kronecker
+    substitution when its digits fit in 64 bits."""
     if not a or not b:
         return []
-    if field.p:
-        if len(a) * len(b) > 64:
-            return _kronecker_mul(a, b, field.p)
-        return _convolve(a, b)
-    return _rational_mul(a, b)
+    p = field.p
+    if not p:
+        return _rational_mul(a, b)
+    if len(a) * len(b) > 64:
+        # bits of the largest convolution coefficient, with one to spare
+        bits = 2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 1
+        if bits <= 64:
+            return _kronecker_mul(a, b, next(n for n in _DIGIT_CODES if 8 * n >= bits))
+    return _convolve(a, b)
 
 
 def _rational_mul(a, b):
@@ -431,6 +463,17 @@ class PolynomialRing:
             coeffs.pop()
         return UniPolynomial(self, tuple(coeffs))
 
+    def dot(self, pairs):
+        """The sum of a * b over a list of polynomial pairs: the products'
+        coefficient lists summed unreduced, then normalized once."""
+        field, acc = self.field, []
+        for a, b in pairs:
+            raw = _mul_raw(field, a.coeffs, b.coeffs)
+            acc += [field.czero] * (len(raw) - len(acc))
+            for i, c in enumerate(raw):
+                acc[i] += c
+        return self.from_raw(acc)
+
     @property
     def zero(self):
         return UniPolynomial(self, ())
@@ -485,12 +528,12 @@ class UniPolynomial:
         return NotImplemented
 
     def _combine(self, other, op):
-        # op on each coefficient pair, the shorter operand padded with zeros
-        out = list(self.coeffs)
-        out += [self.ring.field.czero] * (len(other.coeffs) - len(out))
-        for i, c in enumerate(other.coeffs):
-            out[i] = op(out[i], c)
-        return self.ring.from_raw(out)
+        # op on each coefficient pair, self padded with zeros when shorter;
+        # a longer self keeps its top coefficients as they are
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a += (self.ring.field.czero,) * (len(b) - len(a))
+        return self.ring.from_raw([*map(op, a, b), *a[len(b):]])
 
     def __add__(self, other):
         if other.__class__ is not UniPolynomial or other.ring is not self.ring:
@@ -601,8 +644,9 @@ def _poly_str(field, coeffs, var):
                 term = vp
             elif cs == "-1":
                 term = f"-{vp}"
-            elif "/" in cs or (cs.startswith("-") and "/" in cs):
-                term = f"({cs}){vp}"
+            elif "/" in cs:
+                # (1/2)y, and -(1/2)y with the sign outside, as parsed back
+                term = f"({cs}){vp}".replace("(-", "-(")
             else:
                 term = f"{cs}{vp}"
         parts.append(term)
@@ -616,7 +660,7 @@ def _poly_str(field, coeffs, var):
 
 
 _TERM_RE = re.compile(
-    r"(?P<sign>[+-])?\s*(?P<coeff>\d+(?:/\d+)?)?\s*\*?\s*"
+    r"(?P<sign>[+-])?\s*(?P<coeff>\d+(?:/\d+)?|\(\d+/\d+\))?\s*\*?\s*"
     r"(?:(?P<var>[A-Za-zλ_][A-Za-z0-9_]*)\s*(?:\^\s*(?P<exp>-?\d+))?)?\s*"
     r"(?:/\s*(?P<over>[A-Za-zλ_][A-Za-z0-9_]*)\s*(?:\^\s*(?P<k>\d+))?\s*)?"
 )
@@ -624,10 +668,11 @@ _TERM_RE = re.compile(
 
 def _parse_terms(text: str, ring):
     """Parse `2y^3 + y + 1`-style text in ring's indeterminate into
-    {exponent: coefficient sum}, unreduced, for ``from_raw``.  A term may be
-    divided by a power of the indeterminate, as in `2y/y^3`.  Each
-    coefficient goes through the field's own conversion; a denominator that
-    is zero there raises ValueError naming the term."""
+    {exponent: coefficient sum}, unreduced, for ``from_raw``.  A fraction
+    multiplying the indeterminate may be parenthesized, as ``repr`` prints
+    it: `(1/2)y`.  A term may be divided by a power of the indeterminate, as
+    in `2y/y^3`.  Each coefficient goes through the field's own conversion;
+    a denominator that is zero there raises ValueError naming the term."""
     field = ring.field
     pos = 0
     terms: dict[int, object] = {}
@@ -642,7 +687,7 @@ def _parse_terms(text: str, ring):
         if m.group("sign") is None and m.start() != 0:
             raise ValueError(f"missing +/- before {text[m.start():]!r}")
         try:
-            coeff = field(Fraction(m.group("coeff") or 1)).value
+            coeff = field(Fraction((m.group("coeff") or "1").strip("()"))).value
         except ZeroDivisionError:
             raise ValueError(f"zero denominator over {field} in the term "
                              f"{m.group(0).strip()!r}") from None
@@ -725,6 +770,20 @@ class LaurentRing:
         if shift:
             poly = UniPolynomial(self.poly_ring, poly.coeffs[shift:])
         return LaurentPolynomial(self, poly, offset + shift)
+
+    def dot(self, pairs):
+        """The sum of a * b over a list of Laurent pairs: the products'
+        coefficient lists summed unreduced, each placed at its offset above
+        the least one, then normalized once."""
+        field, acc = self.field, []
+        base = min((a.offset + b.offset for a, b in pairs), default=0)
+        for a, b in pairs:
+            raw = _mul_raw(field, a.poly.coeffs, b.poly.coeffs)
+            k = a.offset + b.offset - base
+            acc += [field.czero] * (k + len(raw) - len(acc))
+            for i, c in enumerate(raw, k):
+                acc[i] += c
+        return self.from_poly(self.poly_ring.from_raw(acc), base)
 
     @property
     def zero(self):
@@ -876,9 +935,10 @@ def laurent_canonicalize(f: LaurentPolynomial):
 def parse_laurent(text: str, ring: LaurentRing) -> LaurentPolynomial:
     """A sum of terms, each divided by at most one power of the
     indeterminate (`y + 2 + 1/y^2`), or one parenthesized polynomial over
-    such a power (`(y^2 + 1)/y^3`); any other text raises ValueError."""
-    m = re.fullmatch(r"\s*\((?P<num>[^()]*)\)\s*/\s*(?P<var>[A-Za-zλ_][A-Za-z0-9_]*)"
-                     r"(?:\s*\^\s*(?P<k>\d+))?\s*", text)
+    such a power (`(y^2 + 1)/y^3`, whose fractions may be parenthesized
+    as in `((1/2)y + 3)/y`); any other text raises ValueError."""
+    m = re.fullmatch(r"\s*\((?P<num>(?:[^()]|\(\d+/\d+\))*)\)\s*/\s*"
+                     r"(?P<var>[A-Za-zλ_][A-Za-z0-9_]*)(?:\s*\^\s*(?P<k>\d+))?\s*", text)
     if m:
         if m.group("var") != ring.var:
             raise ValueError(f"expected indeterminate {ring.var!r} in {text!r}")
@@ -938,6 +998,11 @@ class FractionField:
             # n/1 is already canonical
             return FractionElement(self, self.domain(num), self.domain.one)
         return _make_fraction(self, self.domain(num), self.domain(den))
+
+    def dot(self, pairs):
+        """The sum of a * b over a list of fraction pairs, in order."""
+        products = [a * b for a, b in pairs]
+        return sum(products[1:], products[0]) if products else self.zero
 
     @property
     def zero(self):

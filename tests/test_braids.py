@@ -17,13 +17,15 @@ from weylknots.braids import (
 )
 from weylknots.linalg import Matrix
 from weylknots.reps import build_rep, family_q_bidiagonal, family_q_upper
-from weylknots.rings import LETTER_BUDGET
+from weylknots.rings import LETTER_BUDGET, QQ, FractionField
 from weylknots.switches import SwitchError, burau_switch, weyl_switch
 
 
 # the dense letter-matrix product: the reference for ``represent`` ----------
+# Grids of ring elements multiplied by a plain triple loop over entries, so
+# the reference shares no code with ``linalg``'s product kernel.
 
-def _embed_blocks(ring, n: int, k: int, i: int, two_by_two: Matrix) -> Matrix:
+def _embed_blocks(ring, n: int, k: int, i: int, two_by_two) -> list:
     """Place a 2k x 2k block operator on strands (i, i+1) of n strands."""
     size = n * k
     grid = [[ring.one if r == c else ring.zero for c in range(size)]
@@ -32,10 +34,10 @@ def _embed_blocks(ring, n: int, k: int, i: int, two_by_two: Matrix) -> Matrix:
     for r in range(2 * k):
         for c in range(2 * k):
             grid[base + r][base + c] = two_by_two.rows[r][c]
-    return Matrix(grid, ring)
+    return grid
 
 
-def _twist_matrix(ring, n: int, k: int, i: int) -> Matrix:
+def _twist_matrix(ring, n: int, k: int, i: int) -> list:
     size = n * k
     grid = [[ring.zero] * size for _ in range(size)]
     base = (i - 1) * k
@@ -46,19 +48,31 @@ def _twist_matrix(ring, n: int, k: int, i: int) -> Matrix:
         grid[base + k + r][base + k + r] = ring.zero
         grid[base + r][base + k + r] = ring.one
         grid[base + k + r][base + r] = ring.one
-    return Matrix(grid, ring)
+    return grid
+
+
+def _grid_product(ring, a, b) -> list:
+    size = len(a)
+    out = [[ring.zero] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(size):
+            for t in range(size):
+                out[i][j] = out[i][j] + a[i][t] * b[t][j]
+    return out
 
 
 def dense_represent(word, switch) -> Matrix:
     ring, n, k = switch.ring, word.n, switch.k
-    result = Matrix.identity(ring, n * k)
+    result = [[ring.one if r == c else ring.zero for c in range(n * k)]
+              for r in range(n * k)]
     for let in word.letters:
         if let.kind == "t":
-            result = result * _twist_matrix(ring, n, k, let.index)
+            letter = _twist_matrix(ring, n, k, let.index)
         else:
             block = switch.S if let.exp == 1 else switch.inverse()
-            result = result * _embed_blocks(ring, n, k, let.index, block)
-    return result
+            letter = _embed_blocks(ring, n, k, let.index, block)
+        result = _grid_product(ring, result, letter)
+    return Matrix(result, ring)
 
 
 def random_word(rng, strands, length, flavor):
@@ -187,6 +201,19 @@ class TestRepresent:
     def test_classical_burau(self):
         switch = burau_switch()
         word = parse_braid("s1 s2^-1 s1 s3 s2^-1", CLASSICAL)
+        assert represent(word, switch) == dense_represent(word, switch)
+
+    def test_classical_burau_over_q(self):
+        switch = burau_switch("2/3", QQ)
+        word = parse_braid("s1 s2^-1 s1 s3 s2^-1 s1^-1", CLASSICAL)
+        assert represent(word, switch) == dense_represent(word, switch)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_symbolic_q_upper_matches_dense_product(self, seed):
+        switch = weyl_switch(family_q_upper(2, q="q", a=2, b=1, d=1, e=1))
+        assert isinstance(switch.ring, FractionField)
+        rng = random.Random(seed)
+        word = random_word(rng, 3, 6, VIRTUAL)
         assert represent(word, switch) == dense_represent(word, switch)
 
     def test_empty_word_is_identity(self):

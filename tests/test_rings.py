@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weylknots import rings
 from weylknots.linalg import Matrix
 from weylknots.reps import family_char_p_bidiagonal
 from weylknots.rings import (
@@ -458,6 +459,23 @@ class TestLaurent:
             f = ring.from_poly(QX(coeffs), offset)
             assert ring(repr(f)) == f, repr(f)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repr_round_trip_over_q_with_fractions(self, seed):
+        # fractional, negative and interior-zero coefficients, printed as
+        # -(1/2)x^3 + 3x - 2/5 and (...)/x^k
+        rng = random.Random(seed)
+        ring = LaurentRing(QX)
+        seen = set()
+        for _ in range(50):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+                      if rng.random() < 0.7 else 0 for _ in range(rng.randint(1, 7))]
+            f = QX(coeffs)
+            assert QX(repr(f)) == f, repr(f)
+            g = ring.from_poly(f, rng.randint(-6, 3))
+            assert ring(repr(g)) == g, repr(g)
+            seen.update(t for t in ("-(", "+ (", "/x") if t in repr(g))
+        assert seen == {"-(", "+ (", "/x"}
+
 
 def test_entries_answer_is_unit():
     # every matrix entry kind of linalg: field scalars, fractions and
@@ -468,6 +486,114 @@ def test_entries_answer_is_unit():
     assert frac(R3y("y + 1"), R3y("y")).is_unit() and not frac.zero.is_unit()
     assert L3y("2/y^3").is_unit() and not L3y("y + 1").is_unit()
     assert not L3y.zero.is_unit()
+
+
+def _random_coeff(rng, field):
+    if field.p:
+        return rng.randrange(field.p)
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+
+
+def _random_element(rng, ring):
+    """A seeded element of a matrix entry ring, zero about one time in six;
+    polynomials have interior zero coefficients and Laurent ones negative
+    offsets."""
+    if rng.random() < 1 / 6:
+        return ring.zero
+    if isinstance(ring, (PrimeField, RationalField)):
+        return ring(_random_coeff(rng, ring))
+    if isinstance(ring, FractionField):
+        den = ring.domain.zero
+        while den.is_zero():
+            den = _random_element(rng, ring.domain)
+        return ring(_random_element(rng, ring.domain), den)
+    field = ring.field
+    coeffs = [0 if rng.random() < 0.3 else _random_coeff(rng, field)
+              for _ in range(rng.randint(1, 5))]
+    if isinstance(ring, LaurentRing):
+        return ring.from_poly(ring.poly_ring(coeffs), rng.randint(-4, 2))
+    return ring(coeffs)
+
+
+DOT_RINGS = {
+    "Z101": PrimeField(101), "Q": QQ, "Z7[x]": PolynomialRing(PrimeField(7), "x"),
+    "Q[x]": QX, "Z2[x,1/x]": L2x, "Z3[y,1/y]": L3y,
+    "Q[t,1/t]": LaurentRing(PolynomialRing(QQ, "t")),
+    "Frac(Q[q])": FractionField(PolynomialRing(QQ, "q")),
+}
+
+
+class TestDot:
+    """``ring.dot``, the one sum in the matrix product kernel, against the
+    left-to-right sum of element products."""
+
+    @pytest.mark.parametrize("name", sorted(DOT_RINGS))
+    def test_matches_the_element_sum(self, name):
+        ring = DOT_RINGS[name]
+        rng = random.Random(name)
+        for _ in range(40):
+            pairs = [(_random_element(rng, ring), _random_element(rng, ring))
+                     for _ in range(rng.randint(1, 8))]
+            expected = ring.zero
+            for a, b in pairs:
+                expected = expected + a * b
+            assert ring.dot(pairs) == expected, pairs
+
+    @pytest.mark.parametrize("name", sorted(DOT_RINGS))
+    def test_empty_and_cancelling_sums_are_the_canonical_zero(self, name):
+        ring = DOT_RINGS[name]
+        rng = random.Random(name)
+        a, b = _random_element(rng, ring), _random_element(rng, ring)
+        while a.is_zero() or b.is_zero():
+            a, b = _random_element(rng, ring), _random_element(rng, ring)
+        c = _random_element(rng, ring)
+        for pairs in ([], [(a, b), (-a, b)], [(a, b), (c, c), (-b, a), (-c, c)]):
+            d = ring.dot(pairs)
+            assert d.is_zero() and d == ring.zero and repr(d) == "0"
+            if isinstance(ring, LaurentRing):
+                assert d.offset == 0 and d.poly.coeffs == ()
+            elif isinstance(ring, (PolynomialRing, FractionField)):
+                zero = d.num if isinstance(ring, FractionField) else d
+                assert zero.coeffs == ()
+            else:
+                assert type(d.value) is type(ring.zero.value)
+
+    def test_rational_values_stay_fractions(self):
+        pairs = [(QQ(2), QQ(3)), (QQ("1/2"), QQ("2/3"))]
+        d = QQ.dot(pairs)
+        assert d.value == Fraction(19, 3) and type(d.value) is Fraction
+        f = QX.dot([(QX([1, 2]), QX([3])), (QX(["1/2"]), QX([0, 2]))])
+        assert f == QX([3, 7]) and all(type(c) is Fraction for c in f.coeffs)
+
+
+P28 = 268435399  # the largest prime below 2^28
+
+
+class TestKroneckerProduct:
+    """``_mul_raw`` over Z_p against the schoolbook ``_convolve``: Kronecker
+    digits of each width, and the fallback once a digit needs more than 64
+    bits (2 * bits(p - 1) + bits(shorter length) + 1)."""
+
+    @pytest.mark.parametrize("p,lengths,path", [
+        (2, (9, 9), 1), (3, (9, 9), 2), (101, (9, 9), 4), (101, (40, 33), 4),
+        (65521, (9, 9), 8), (2**31 - 1, (1, 100), 8), (2**31 - 1, (2, 100), None),
+        (P28, (127, 130), 8), (P28, (128, 130), None), (7, (8, 8), None)])
+    def test_matches_the_schoolbook_convolution(self, monkeypatch, p, lengths, path):
+        convolve, kronecker = rings._convolve, rings._kronecker_mul
+        paths = []
+        monkeypatch.setattr(rings, "_convolve",
+                            lambda a, b: paths.append(None) or convolve(a, b))
+        monkeypatch.setattr(rings, "_kronecker_mul",
+                            lambda a, b, n: paths.append(n) or kronecker(a, b, n))
+        rng = random.Random(p)
+        F = PrimeField(p)
+        m, n = lengths
+        for a, b in [([p - 1] * m, [p - 1] * n),
+                     ([rng.randrange(p) for _ in range(m)],
+                      [rng.randrange(p) for _ in range(n)])]:
+            assert rings._mul_raw(F, a, b) == convolve(a, b)
+            assert rings._mul_raw(F, b, a) == convolve(b, a)
+        assert paths == [path] * 4
 
 
 class TestFractions:

@@ -9,6 +9,7 @@ from weylknots.rings import LETTER_BUDGET, RingError
 from weylknots.weyl import (
     IDENTITY_SUITE,
     NUMERATOR_TERM_BUDGET,
+    NUMERATOR_WORK_BUDGET,
     ONE,
     Q,
     U,
@@ -531,22 +532,40 @@ def _numerator_terms(value):
 
 
 class TestEvaluationBudget:
-    """Products are refused once the partial product stores more than
-    NUMERATOR_TERM_BUDGET numerator terms.  Each of these inputs once ran
-    for seconds to minutes; the last two passed a budget on numerator
-    degree, after 1.5 s and 2 s.  Each is refused within 0.1 s on a 2-core
-    x86-64 container; the bound below leaves room for a loaded host."""
+    """Products are refused before a factor whose numerator terms times
+    those of the partial product exceed NUMERATOR_WORK_BUDGET, and once the
+    partial product stores more than NUMERATOR_TERM_BUDGET numerator terms.
+    Each of these inputs once ran for seconds to minutes; the two
+    (u^k + v^k)^2 passed the term budget alone and were refused only after
+    about 1.5 and 3 s.  Each is refused within 0.1 s on a 2-core x86-64
+    container; the bound below leaves room for a loaded host."""
 
     @pytest.mark.parametrize("text", [
         "u^40", "u^200", "(u^10 + v^10)^4", "(u' + v')^16", "(u' + v')^20",
-        "(u + v)^512", "(u' + v' + q u' v' + 1)^9", "(u' + q v' + 1)^12"])
+        "(u + v)^512", "(u' + v' + q u' v' + 1)^9", "(u' + q v' + 1)^12",
+        "(u^15 + v^15)^2", "(u^17 + v^17)^2"])
     def test_runaway_products_raise_fast(self, text):
         expr = parse_expression(text)
         start = time.perf_counter()
-        with pytest.raises(ValueError,
-                           match=f"more than {NUMERATOR_TERM_BUDGET} numerator terms"):
+        with pytest.raises(ValueError, match="numerator term"):
             evaluate(expr, SYM)
         assert time.perf_counter() - start < 0.5
+
+    def test_work_budget_both_sides(self, monkeypatch):
+        # (u^8 + v^8)^2 multiplies 121 x 121 numerator terms and passes;
+        # (u^10 + v^10)^2, 251 x 251, is refused before its one skew_mul
+        # of the two bases
+        assert 121 ** 2 <= NUMERATOR_WORK_BUDGET < 251 ** 2
+        square = evaluate(parse_expression("(u^8 + v^8)^2"), SYM)
+        base = evaluate(parse_expression("u^8 + v^8"), SYM)
+        assert square == skew_mul(base, base)
+        pairs = []
+        monkeypatch.setattr(weyl, "skew_mul", lambda a, b: pairs.append(
+            _numerator_terms(a) * _numerator_terms(b)) or skew_mul(a, b))
+        with pytest.raises(ValueError, match=f"63001 numerator term pairs, more "
+                                             f"than {NUMERATOR_WORK_BUDGET}"):
+            evaluate(parse_expression("(u^10 + v^10)^2"), SYM)
+        assert pairs and max(pairs) <= NUMERATOR_WORK_BUDGET
 
     def test_boundary(self):
         assert _numerator_terms(evaluate(parse_expression(f"{X}^8"), SYM)) == 705
