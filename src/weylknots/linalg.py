@@ -1,19 +1,18 @@
 """Exact dense linear algebra over the rings of ``weylknots.rings``.
 
 Matrices are immutable grids of ring elements sharing one ring tag.  There
-are two entry kinds, each with one elimination:
-
-* fields (Z_p, Q and Frac(F[x])): one forward Gaussian pass
-  (``_gaussian_pass``) gives the rank and the determinant, the signed
-  product of its pivots; ``mat_inverse`` runs the same pass on [M | I],
-  reads the determinant off its pivots and back-substitutes;
-* Laurent rings F[x, x^-1]: one Euclidean elimination over F[x]
-  (``_smith_diagonal``) on the rows cleared to F[x] by powers of x, which
-  are units, gives the determinant, the rank and the elementary ideals.
-  F[x, x^-1] is a principal ideal domain, so the gcd of the s x s minors
-  is the product of the first s invariant factors, and their number is
-  the rank.  ``mat_inverse`` embeds Laurent entries in Frac(F[x]) and maps
-  the result back.
+are two entry kinds, fields (Z_p, Q and Frac(F[x])) and Laurent rings
+F[x, x^-1], and one forward elimination for both, ``_gaussian_pass``.  It
+pivots on units only: over a field every nonzero entry, over F[x, x^-1]
+the monomials c x^k.  Eliminating on a unit pivot drops one invariant
+factor 1 and keeps the others (Fitting's lemma), so a Laurent matrix sends
+only what the pass leaves, its core, to the Euclidean elimination over
+F[x] (``_smith_diagonal``), cleared to F[x] by powers of x, which are
+units too.  F[x, x^-1] is a principal ideal domain, so the gcd of the
+s x s minors is the product of the first s invariant factors, and their
+number is the rank.  Over a field the core is zero.  ``mat_inverse`` runs
+the same pass on [M | I] and back-substitutes; it embeds Laurent entries
+in Frac(F[x]) and maps the result back.
 
 Any other entry ring raises ``RingError``.  Entries answer ``is_unit()``
 themselves.
@@ -26,10 +25,10 @@ coefficient lists) and reduces them once, so no ring element is built for
 a single product or partial sum.  Only Frac(F[x]) adds its products one by
 one.
 
-Each matrix runs its elimination at most once: the result is kept on the
-``Matrix`` (which is immutable, so it cannot go stale), and
-``rank_over_fractions``, ``det_exact``, ``invariant_factors`` and
-``minors_gcd`` all read that one result.
+Each matrix runs its elimination at most once: the result, (rank, det,
+factors) for both kinds, is kept on the ``Matrix`` (which is immutable, so
+it cannot go stale), and ``rank_over_fractions``, ``det_exact``,
+``invariant_factors`` and ``minors_gcd`` all read that one result.
 """
 
 from __future__ import annotations
@@ -180,44 +179,48 @@ def _row_times(row, rows, ring):
 # determinants
 # ---------------------------------------------------------------------------
 
-def _laurent_clear_rows(m: Matrix):
-    """Multiply each row by x^-k to make it polynomial; returns (F[x] rows,
-    total extracted exponent)."""
-    pring = m.ring.poly_ring
+def _laurent_clear_rows(rows):
+    """Multiply each Laurent row by x^-k to make it polynomial; returns
+    (F[x] rows, total extracted exponent)."""
+    pring = rows[0][0].ring.poly_ring
     total = 0
-    rows = []
-    for row in m.rows:
+    cleared = []
+    for row in rows:
         exps = [e.min_exp for e in row if not e.is_zero()]
         k = min(exps) if exps else 0
         total += k
-        rows.append([e.poly.shift(e.offset - k) if not e.is_zero() else pring.zero
-                     for e in row])
-    return rows, total
+        cleared.append([e.poly.shift(e.offset - k) if not e.is_zero() else pring.zero
+                        for e in row])
+    return cleared, total
 
 
 def _gaussian_pass(rows, width):
-    """(rank, det) of a list of field rows by one forward Gaussian pass,
-    reducing the rows in place to echelon form.  Pivots are taken only in
-    the first ``width`` columns, but row operations run over whole rows,
-    so an augmented block rides along.  det is the signed product of the
-    pivots, zero unless the rows are square in those columns and of full
-    rank.  Row operations skip the zero entries of the (unscaled) pivot
-    row."""
-    ring = rows[0][0].ring
-    det = ring.one
+    """(rank, det, free) of a list of field or Laurent rows by one forward
+    pass on unit pivots, reducing the rows in place.  In each column the
+    first unit at or below the current row is the pivot; a column with none
+    is free.  Pivots are taken only in the first ``width`` columns, but row
+    operations run over whole rows, so an augmented block rides along.
+
+    Afterwards rows[rank:] are zero in every pivot column, so their free
+    columns hold what is left, zero over a field.  det is the signed product
+    of the pivots: -1 per row swap, and -1 for each free column that a pivot
+    column moves past, so that a square matrix has determinant det times
+    that of rows[rank:] in the free columns.  Row operations skip the zero
+    entries of the (unscaled) pivot row."""
+    det = rows[0][0].ring.one
     rank = 0
-    col = 0
-    while rank < len(rows) and col < width:
-        pivot = None
-        for i in range(rank, len(rows)):
-            if not rows[i][col].is_zero():
-                pivot = i
+    free = []
+    for col in range(width):
+        for pivot in range(rank, len(rows)):
+            if rows[pivot][col].is_unit():
                 break
-        if pivot is None:
-            col += 1
+        else:
+            free.append(col)
             continue
         if pivot != rank:
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            det = -det
+        if len(free) % 2:
             det = -det
         pivot_row = rows[rank]
         det = det * pivot_row[col]
@@ -228,51 +231,49 @@ def _gaussian_pass(rows, width):
                 rows[i] = [a if b.is_zero() else a - f * b
                            for a, b in zip(rows[i], pivot_row)]
         rank += 1
-        col += 1
-    return rank, (det if rank == len(rows) == width else ring.zero)
+    return rank, det, free
 
 
 def _elimination(m: Matrix):
-    """The one elimination of m, run on first use and kept on m.
+    """The one elimination of m, (rank, det, factors), run on first use and
+    kept on m; det is zero unless m is square and of full rank.
 
-    A field matrix gives (rank, det) from the Gaussian pass.  A Laurent
-    matrix gives (factors, unit, shift) from the Euclidean pass over F[x]
-    (``_smith_diagonal``) on its rows cleared by x^-shift, the factors as a
-    tuple.  Any other ring raises RingError.
+    Both kinds run ``_gaussian_pass``.  A Laurent matrix then clears its
+    core (the rows left by the pass, in its free columns, which held no unit
+    when the pass reached them) by powers of x and reduces only that by
+    ``_smith_diagonal``: its factors are one 1 per unit pivot followed by
+    the core's diagonal, and its det is the pass's times the core's,
+    u * d_1 ... d_k shifted back by the cleared exponent.  A field matrix
+    has no factors.  Any other ring raises RingError.
     """
     if m._elim is None:
         ring = m.ring
-        if isinstance(ring, _FIELDS):
-            m._elim = _gaussian_pass([list(r) for r in m.rows], m.ncols)
-        elif isinstance(ring, LaurentRing):
-            rows, shift = _laurent_clear_rows(m)
-            diag, unit = _smith_diagonal(rows)
-            m._elim = (tuple(diag), unit, shift)
-        else:
+        laurent = isinstance(ring, LaurentRing)
+        if not (laurent or isinstance(ring, _FIELDS)):
             raise RingError(f"no determinant or rank over {ring}")
+        rows = [list(r) for r in m.rows]
+        rank, det, free = _gaussian_pass(rows, m.ncols)
+        factors = (ring.poly_ring.one,) * rank if laurent else ()
+        if laurent and free and rank < m.nrows:
+            core, shift = _laurent_clear_rows([[row[j] for j in free]
+                                               for row in rows[rank:]])
+            diag, unit = _smith_diagonal(core)
+            core_det = math.prod(diag, start=ring.poly_ring.one)
+            det = det * ring.from_poly(core_det.scale(unit), shift)
+            factors += tuple(diag)
+            rank += len(diag)
+        m._elim = (rank, det if rank == m.nrows == m.ncols else ring.zero, factors)
     return m._elim
 
 
 def det_exact(m: Matrix):
-    """Exact determinant in the entry ring, a field or a Laurent ring.
-
-    Field matrices take the Gaussian pass.  Laurent matrices take the
-    Euclidean pass over F[x]: det = u * d_1 ... d_N, shifted back by the
-    exponent cleared from the rows, and zero with fewer than N factors.
+    """Exact determinant in the entry ring, a field or a Laurent ring, read
+    off the one elimination: the signed product of the unit pivots, times
+    the determinant of the core over F[x] for a Laurent matrix.
     Any other ring raises RingError."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    ring = m.ring
-    elim = _elimination(m)
-    if isinstance(ring, _FIELDS):
-        return elim[1]
-    factors, unit, shift = elim
-    if len(factors) < m.nrows:
-        return ring.zero
-    det = factors[0].ring.one
-    for d in factors:
-        det = det * d
-    return ring.from_poly(det.scale(unit), shift)
+    return _elimination(m)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +286,13 @@ def mat_inverse(m: Matrix) -> Matrix:
     A Laurent entry f x^k, f with a nonzero constant term, embeds in
     Frac(F[x]) as f x^k / 1 or f / x^-k; a canonical fraction of a Laurent
     polynomial has a denominator x^k, so the results map straight back.
-    One Gaussian pass (``_gaussian_pass``) reduces [m | I] to echelon form
-    and gives det(m); when it is not a unit of the entry ring, NonUnitError
-    carries it (zero when m is singular).  Back substitution then clears
-    the columns above each pivot, bottom up, on the right half only: the
-    left half is triangular, and each step changes it in the pivot column
-    alone.  Scaling and row operations skip the zero entries of the pivot
-    row."""
+    One pass (``_gaussian_pass``) reduces [m | I] to echelon form and gives
+    det(m), the product of its pivots when all n are found and zero
+    otherwise; when it is not a unit of the entry ring, NonUnitError
+    carries it.  Back substitution then clears the columns above each
+    pivot, bottom up, on the right half only: the left half is triangular,
+    and each step changes it in the pivot column alone.  Scaling and row
+    operations skip the zero entries of the pivot row."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
     ring, rows, n = m.ring, m.rows, m.nrows
@@ -308,7 +309,9 @@ def mat_inverse(m: Matrix) -> Matrix:
     z, o = field.zero, field.one
     aug = [list(row) + [o if i == j else z for j in range(n)]
            for i, row in enumerate(rows)]
-    det = _gaussian_pass(aug, n)[1]
+    rank, det, _ = _gaussian_pass(aug, n)
+    if rank < n:
+        det = field.zero
     if back is not None:
         det = back(det)
     if not det.is_unit():
@@ -329,13 +332,9 @@ def mat_inverse(m: Matrix) -> Matrix:
 
 def rank_over_fractions(m: Matrix) -> int:
     """Rank of a field or Laurent matrix over the fraction field of its
-    entry ring.
-
-    Laurent matrices count their invariant factors; field matrices take the
-    Gaussian pass (see ``_elimination``).
-    """
-    elim = _elimination(m)
-    return elim[0] if isinstance(m.ring, _FIELDS) else len(elim[0])
+    entry ring: the unit pivots plus, for a Laurent matrix, the invariant
+    factors of its core (see ``_elimination``)."""
+    return _elimination(m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +440,16 @@ def invariant_factors(m: Matrix) -> list:
     kind besides fields, each monic, as many as the rank; zero factors are
     left out.  Field matrices and any other ring raise RingError.
 
-    The rows are first cleared to F[x] by powers of x, which are units, and
-    each factor then has its power of x stripped as well, so it is
-    canonical in the sense of ``laurent_canonicalize``.  Over the principal
-    ideal domain F[x, x^-1] the product d_1 ... d_s generates the ideal of
-    all s x s minors.
+    Each unit pivot of the pass gives a factor 1, and the core's factors
+    follow (see ``_elimination``), each with its power of x stripped, so it
+    is canonical in the sense of ``laurent_canonicalize``.  Over the PID
+    F[x, x^-1] the product d_1 ... d_s generates the ideal of all s x s
+    minors.
     """
     ring = m.ring
     if not isinstance(ring, LaurentRing):
         raise RingError(f"invariant factors need a Laurent matrix, got ring {ring}")
-    return [laurent_canonicalize(ring.from_poly(d))[0] for d in _elimination(m)[0]]
+    return [laurent_canonicalize(ring.from_poly(d))[0] for d in _elimination(m)[2]]
 
 
 def minors_gcd(m: Matrix, r: int) -> UniPolynomial:

@@ -331,13 +331,17 @@ class RepSpec:
     @classmethod
     def from_json(cls, data) -> RepSpec:
         """The spec of a JSON object: n an int from 1 to DIMENSION_BUDGET,
-        p null or an int, params an object; anything else raises
+        p null or an int, params an object, name a string; anything else,
+        JSON nested too deeply for the parser included, raises
         ``RepError``."""
         if isinstance(data, str):
             try:
                 data = json.loads(data)
             except json.JSONDecodeError as err:
                 raise RepError(f"a RepSpec is a JSON object: {err}") from None
+            except RecursionError:
+                raise RepError("a RepSpec is a JSON object, got JSON nested too "
+                               "deeply to parse") from None
         if not isinstance(data, dict):
             raise RepError(f"a RepSpec is a JSON object, got {data!r}")
         extra = set(data) - {"family", "n", "p", "params", "name"}
@@ -347,7 +351,7 @@ class RepSpec:
             family, n = data["family"], data["n"]
         except KeyError as missing:
             raise RepError(f"RepSpec is missing {missing}") from None
-        p, params = data.get("p"), data.get("params", {})
+        p, params, name = data.get("p"), data.get("params", {}), data.get("name", "")
         if type(n) is not int or not 1 <= n <= DIMENSION_BUDGET:
             raise RepError(f"RepSpec n must be an int from 1 to {DIMENSION_BUDGET}, got {n!r}")
         if p is not None and type(p) is not int:
@@ -356,7 +360,9 @@ class RepSpec:
             raise RepError(f"RepSpec params must be an object, got {params!r}")
         if not isinstance(family, str):
             raise RepError(f"RepSpec family must be a string, got {family!r}")
-        return cls(family=family, n=n, p=p, params=dict(params), name=data.get("name", ""))
+        if not isinstance(name, str):
+            raise RepError(f"RepSpec name must be a string, got {name!r}")
+        return cls(family=family, n=n, p=p, params=dict(params), name=name)
 
     def build(self) -> MatrixRep:
         """The family member.  An unknown family, a p that is not a prime
@@ -430,7 +436,8 @@ BUILTIN_SPECS = {
 
 def build_rep(source) -> MatrixRep:
     """Build from a builtin name, a JSON file path, a JSON string, a dict,
-    a RepSpec or a finished MatrixRep."""
+    a RepSpec or a finished MatrixRep.  A path that is missing, cannot be
+    read or is not UTF-8 text raises ``RepError``."""
     if isinstance(source, MatrixRep):
         return source
     if isinstance(source, RepSpec):
@@ -444,7 +451,10 @@ def build_rep(source) -> MatrixRep:
             return RepSpec.from_json(source).build()
         try:
             with open(source, "r", encoding="utf-8") as fh:
-                return RepSpec.from_json(fh.read()).build()
+                text = fh.read()
         except FileNotFoundError:
             raise RepError(f"no builtin rep or spec file named {source!r}") from None
+        except (OSError, UnicodeDecodeError) as err:
+            raise RepError(f"cannot read spec file {source!r}: {err}") from None
+        return RepSpec.from_json(text).build()
     raise RepError(f"cannot build a representation from {source!r}")

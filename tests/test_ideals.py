@@ -4,6 +4,8 @@ E_r is the monic gcd of the (N-r)-minors, the product of the first N-r
 invariant factors; the sequence runs from the corank until it reaches 1.
 """
 
+import time
+
 import pytest
 from test_linalg import bareiss_det
 
@@ -53,6 +55,23 @@ def test_kishino(text):
 ])
 def test_flat_fixtures(text, expected):
     assert ideals(closure("flat2", text)) == expected
+
+
+@pytest.mark.parametrize("n", [16, 32, 48])
+def test_kishino3_whorls(n):
+    # N = 3n + 3; the unit pivots leave a core of at most 5 x 5, so
+    # whorl(48), which took 21-23 s by the Smith step on all of M - I,
+    # stays well inside 10 s
+    start = time.perf_counter()
+    assert ideals(closure("kishino3", f"whorl({n})")) == (3, {3: "1"})
+    assert time.perf_counter() - start < 10
+
+
+def test_flat2_whorl48():
+    a = closure("flat2", "whorl(48)")
+    x = a.ring.poly_ring.gen
+    e0 = (x ** 48 + 1) * (x ** 140 + x ** 48 + x ** 44 + 1)
+    assert ideals(a) == (0, {0: repr(e0), 1: "x^48 + 1", 2: "1"})
 
 
 def test_whorl16_factors_multiply_to_the_determinant():

@@ -381,9 +381,35 @@ def random_matrix(rng, ring, nrows, ncols, degree, zero_share=0.25):
                     for _ in range(ncols)] for _ in range(nrows)], ring)
 
 
+def unit_heavy_matrix(rng, ring, nrows, ncols):
+    """About 60% of the columns are units c x^k (a fifth of them zero), the
+    others non-units of degree up to 2, so about half the entries are units
+    and the unit-pivot pass leaves free columns between its pivot
+    columns."""
+    field = ring.field
+
+    def entry(unit_column):
+        if not unit_column:
+            while (e := _random_entry(rng, ring, 2)).is_unit():
+                pass
+            return e
+        if rng.random() < 0.2:
+            return ring.zero
+        c = (rng.randrange(1, field.p) if isinstance(field, PrimeField)
+             else rng.choice([-2, -1, 1, 2]))
+        return ring.monomial(rng.randint(-2, 2), c)
+
+    columns = []
+    for _ in range(ncols):
+        unit_column = rng.random() < 0.6
+        columns.append([entry(unit_column) for _ in range(nrows)])
+    return Matrix(list(zip(*columns)), ring)
+
+
 def oracle_cases(ring, seed):
     """Seeded square matrices: full random, rank-deficient products of
-    N x k and k x N matrices, and matrices with a zero row or column."""
+    N x k and k x N matrices, matrices with a zero row or column, and one
+    6 x 6 matrix that is half units."""
     rng = random.Random(seed)
     sizes = [(n, 2) for n in range(1, 6)] + [(6, 1)]
     for n, degree in sizes:
@@ -402,6 +428,7 @@ def oracle_cases(ring, seed):
             for row in rows:
                 row[zero] = ring.zero
         yield Matrix(rows, ring)
+    yield unit_heavy_matrix(random.Random(seed), ring, 6, 6)
 
 
 # seed 1 over Q holds the dense 6x6 rank-5 matrix whose coefficients grew to
@@ -432,6 +459,10 @@ class TestInvariantFactors:
             poly = Matrix([[e.poly for e in row] for row in m.rows], R3y)
             with pytest.raises(RingError, match="no determinant or rank"):
                 rank_over_fractions(poly)
+        # free columns between the unit pivot columns
+        for nrows, ncols in [(2, 5), (5, 2), (3, 4), (6, 3)] * 3:
+            m = unit_heavy_matrix(rng, L3y, nrows, ncols)
+            assert rank_over_fractions(m) == gaussian_rank(m) == len(direct_factors(m))
 
     def test_zero_and_identity(self):
         assert invariant_factors(Matrix.zeros(L2x, 3)) == []
@@ -444,6 +475,37 @@ class TestInvariantFactors:
     def test_field_matrix_rejected(self):
         with pytest.raises(RingError):
             invariant_factors(Matrix.identity(F3, 2))
+
+
+def direct_factors(m):
+    """The invariant factors of a Laurent matrix by the Smith step on all of
+    its cleared rows, with no unit-pivot pass first."""
+    rows, _ = linalg._laurent_clear_rows(m.rows)
+    diag, _ = linalg._smith_diagonal(rows)
+    return [laurent_canonicalize(m.ring.from_poly(d))[0] for d in diag]
+
+
+class TestFreeColumns:
+    """Free columns between pivot columns flip the sign of det once for
+    each free column a pivot column moves past; the factors of the core
+    follow the unit pivots' ones."""
+
+    @pytest.mark.parametrize("name", sorted(LAURENT_RINGS))
+    def test_matches_the_oracles(self, name):
+        ring = LAURENT_RINGS[name]
+        rng = random.Random(70 + sorted(LAURENT_RINGS).index(name))
+        odd_moves = 0
+        for n in [2, 3, 4, 5, 6] * 4:
+            m = unit_heavy_matrix(rng, ring, n, n)
+            _, _, free = linalg._gaussian_pass([list(r) for r in m.rows], n)
+            pivots = sorted(set(range(n)) - set(free))
+            odd_moves += sum(sum(f < c for f in free) for c in pivots) % 2
+            assert det_exact(m) == bareiss_det(m), m
+            assert invariant_factors(m) == direct_factors(m), m
+            if n <= 5:
+                for r in range(n):
+                    assert minors_gcd(m, r) == brute_force_minors_gcd(m, r), (m, r)
+        assert odd_moves >= 3
 
 
 def _exact_det_entry(rng, ring, degree):
@@ -644,27 +706,46 @@ class TestOneElimination:
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        count = {}
+        """Each call of the two eliminations, by name: the (rows, columns)
+        it was given and what it returned."""
+        calls = {}
         for name in ("_smith_diagonal", "_gaussian_pass"):
-            def counted(*args, _run=getattr(linalg, name), _name=name):
-                count[_name] = count.get(_name, 0) + 1
-                return _run(*args)
+            def counted(rows, *args, _run=getattr(linalg, name), _name=name):
+                shape = (len(rows), len(rows[0]))
+                out = _run(rows, *args)
+                calls.setdefault(_name, []).append((shape, out))
+                return out
             monkeypatch.setattr(linalg, name, counted)
-        return count
+        return calls
 
     def test_closure_sequence_eliminates_once(self, passes):
+        # every kind runs the unit-pivot pass once; a Laurent matrix runs
+        # the Smith step at most once, on the rows the pass left in its
+        # free columns
+        cores = 0
         for m in elimination_cases():
             if m.is_square():
                 m = m - Matrix.identity(m.ring, m.nrows)
             passes.clear()
-            rank_over_fractions(m)
+            rank = rank_over_fractions(m)
             if m.is_square():
                 det_exact(m)
                 if isinstance(m.ring, LaurentRing):
                     for r in range(m.nrows):
                         minors_gcd(m, r)
-            field = isinstance(m.ring, linalg._FIELDS)
-            assert passes == {"_gaussian_pass" if field else "_smith_diagonal": 1}, m
+            [(_, (units, _, free))] = passes.pop("_gaussian_pass")
+            smith = passes.pop("_smith_diagonal", [])
+            assert not passes, m
+            if isinstance(m.ring, linalg._FIELDS):
+                assert not smith and rank == units, m
+            elif smith:
+                [(shape, (diag, _))] = smith
+                assert shape == (m.nrows - units, len(free)), m
+                assert rank == units + len(diag), m
+                cores += 1
+            else:
+                assert rank == units and not (free and units < m.nrows), m
+        assert cores
 
     def test_inverse_runs_one_gaussian_pass(self, passes):
         # Laurent matrices over Z_2, Z_3 and Q, and field matrices over
@@ -678,7 +759,7 @@ class TestOneElimination:
                 inv = mat_inverse(m)
             except NonUnitError as err:
                 inv, det = None, err.value
-            assert passes == {"_gaussian_pass": 1}, m
+            assert {name: len(c) for name, c in passes.items()} == {"_gaussian_pass": 1}, m
             if inv is None:
                 assert det == det_exact(_copy(m)), m
                 assert not det.is_unit(), m

@@ -254,6 +254,31 @@ class TestSpecs:
         with pytest.raises(RepError, match="missing 'n'"):
             RepSpec.from_json({"family": "q_upper"})
 
+    def test_directory_is_not_a_spec_file(self, tmp_path):
+        with pytest.raises(RepError, match=r"cannot read spec file .*directory") as info:
+            build_rep(str(tmp_path))
+        assert "\n" not in str(info.value)
+
+    def test_binary_file_is_not_a_spec_file(self, tmp_path):
+        binary = tmp_path / "rep.bin"
+        binary.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\x80")
+        with pytest.raises(RepError, match=r"cannot read spec file .*utf-8") as info:
+            build_rep(str(binary))
+        assert "\n" not in str(info.value)
+
+    def test_deeply_nested_json(self):
+        depth = 100_000
+        with pytest.raises(RepError, match="nested too deeply") as info:
+            RepSpec.from_json("[" * depth + "]" * depth)
+        assert "\n" not in str(info.value)
+
+    def test_name_must_be_a_string(self):
+        spec = {"family": "q_upper", "n": 2, "p": 7, "name": "mine",
+                "params": {"q": 3, "a": 1, "b": 1, "d": 2, "e": 1}}
+        assert RepSpec.from_json(spec).build().label == "mine"
+        with pytest.raises(RepError, match="RepSpec name must be a string, got 5"):
+            RepSpec.from_json({**spec, "name": 5})
+
     def test_missing_param(self):
         with pytest.raises(RepError, match="needs parameter"):
             RepSpec("q_upper", n=2, p=7, params={"q": 3}).build()
