@@ -21,9 +21,9 @@ Products, in ``Matrix.__mul__`` and in ``braids.represent``, go through one
 row-times-matrix kernel, ``_row_times``.  It computes each output entry by
 one ``dot`` of the entry ring over the entry's nonzero products, which sums
 raw values (residues, Fractions over a common denominator, unreduced
-coefficient lists) and reduces them once, so no ring element is built for
-a single product or partial sum.  Only Frac(F[x]) adds its products one by
-one.
+coefficient lists, fraction numerators over a shared denominator) and
+reduces them once, so no ring element is built for a single product or
+partial sum.
 
 Each matrix runs its elimination at most once: the result, (rank, det,
 factors) for both kinds, is kept on the ``Matrix`` (which is immutable, so
@@ -168,7 +168,7 @@ def _row_times(row, rows, ring):
     """The vector row * rows over ring, for a row of len(rows) entries and a
     list of equally long rows.  Each output entry is one ``ring.dot`` over
     its (a, b) pairs with no zero factor, in row order, so it is reduced
-    once; a zero entry of row costs nothing."""
+    once, over every entry ring; a zero entry of row costs nothing."""
     terms = [(r, a) for r, a in zip(rows, row) if not a.is_zero()]
     dot = ring.dot
     return [dot([(a, b) for r, a in terms if not (b := r[c]).is_zero()])

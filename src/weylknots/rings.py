@@ -7,8 +7,8 @@ the same class and the very same ring object goes straight to the
 arithmetic; any other operand (an int, a lift, an element of an equal but
 distinct ring) is first coerced into that ring object by ``_coerced``, with
 the ring check, and the operator runs again.  The ring objects double as
-factories: ``ring(x)`` builds an element from ints, strings or lists, and
-is the one conversion of an int.
+factories: ``ring(x)`` builds an element from ints, strings (parsed by
+``weylknots.polytext``) or lists, and is the one conversion of an int.
 
 Representation conventions:
 
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 import operator
-import re
 import sys
 from array import array
 from fractions import Fraction
@@ -384,7 +383,8 @@ def _mul_raw(field, a, b):
         return []
     p = field.p
     if not p:
-        return _rational_mul(a, b)
+        ints, d = _integer_mul(a, b)
+        return [Fraction(c, d) for c in ints]
     if len(a) * len(b) > 64:
         # bits of the largest convolution coefficient, with one to spare
         bits = 2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 1
@@ -393,17 +393,24 @@ def _mul_raw(field, a, b):
     return _convolve(a, b)
 
 
-def _rational_mul(a, b):
-    # Scale each operand to integers over the lcm of its denominators,
-    # convolve the integers, and build one Fraction per output coefficient.
-    # The lcm arguments are lists: unpacking generator expressions here raised
+def _integer_mul(a, b):
+    """The product of two nonempty Fraction lists as (ints, d), the integer
+    list ints over the one denominator d: each operand is scaled to integers
+    over the lcm of its denominators and the integers are convolved, so the
+    caller builds one Fraction per coefficient it keeps."""
+    ia, da = _scaled(a)
+    ib, db = _scaled(b)
+    return _convolve(ia, ib), da * db
+
+
+def _scaled(coeffs):
+    """A Fraction list as (ints, d): integers over the lcm d of its
+    denominators."""
+    # The lcm argument is a list: unpacking a generator expression here raised
     # the peak memory of the symbolic-switch benchmark by about 4%.
-    da = math.lcm(*[c.denominator for c in a])
-    db = math.lcm(*[c.denominator for c in b])
-    ia = [c.numerator * (da // c.denominator) for c in a]
-    ib = [c.numerator * (db // c.denominator) for c in b]
-    d = da * db
-    return [Fraction(c, d) for c in _convolve(ia, ib)]
+    ratios = [c.as_integer_ratio() for c in coeffs]
+    d = math.lcm(*[q for _, q in ratios])
+    return [n * (d // q) for n, q in ratios], d
 
 
 def _divmod_raw(field, a, b):
@@ -447,6 +454,7 @@ class PolynomialRing:
                 raise RingMismatchError(f"{value!r} is not in {self}")
             return value
         if isinstance(value, str):
+            from .polytext import parse_polynomial
             return parse_polynomial(value, self)
         if isinstance(value, (int, FieldScalar)):
             value = [value]
@@ -659,71 +667,6 @@ def _poly_str(field, coeffs, var):
     return out
 
 
-_TERM_RE = re.compile(
-    r"(?P<sign>[+-])?\s*(?P<coeff>\d+(?:/\d+)?|\(\d+/\d+\))?\s*\*?\s*"
-    r"(?:(?P<var>[A-Za-zλ_][A-Za-z0-9_]*)\s*(?:\^\s*(?P<exp>-?\d+))?)?\s*"
-    r"(?:/\s*(?P<over>[A-Za-zλ_][A-Za-z0-9_]*)\s*(?:\^\s*(?P<k>\d+))?\s*)?"
-)
-
-
-def _parse_terms(text: str, ring):
-    """Parse `2y^3 + y + 1`-style text in ring's indeterminate into
-    {exponent: coefficient sum}, unreduced, for ``from_raw``.  A fraction
-    multiplying the indeterminate may be parenthesized, as ``repr`` prints
-    it: `(1/2)y`.  A term may be divided by a power of the indeterminate, as
-    in `2y/y^3`.  Each coefficient goes through the field's own conversion;
-    a denominator that is zero there raises ValueError naming the term."""
-    field = ring.field
-    pos = 0
-    terms: dict[int, object] = {}
-    text = text.strip()
-    if not text:
-        raise ValueError("empty polynomial string")
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos or (m.group("coeff") is None and m.group("var") is None):
-            raise ValueError(f"bad polynomial syntax near {text[pos:]!r}")
-        pos = m.end()
-        if m.group("sign") is None and m.start() != 0:
-            raise ValueError(f"missing +/- before {text[m.start():]!r}")
-        try:
-            coeff = field(Fraction((m.group("coeff") or "1").strip("()"))).value
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator over {field} in the term "
-                             f"{m.group(0).strip()!r}") from None
-        if m.group("sign") == "-":
-            coeff = -coeff
-        exp = 0
-        for var, power, sign in (("var", "exp", 1), ("over", "k", -1)):
-            if m.group(var) is None:
-                continue
-            if m.group(var) != ring.var:
-                raise ValueError(f"expected indeterminate {ring.var!r}, "
-                                 f"got {m.group(var)!r}")
-            k = int(m.group(power) or 1)
-            if abs(k) > LETTER_BUDGET:
-                raise ValueError(f"exponent above {LETTER_BUDGET} in the term "
-                                 f"{m.group(0).strip()!r}")
-            exp += sign * k
-        terms[exp] = terms.get(exp, 0) + coeff
-    return terms
-
-
-def _terms_poly(terms, ring: PolynomialRing, low: int) -> UniPolynomial:
-    """sum of c * var^(e - low) over the parsed {e: c}, e >= low."""
-    coeffs = [ring.field.czero] * (max(terms) - low + 1)
-    for e, c in terms.items():
-        coeffs[e - low] = c
-    return ring.from_raw(coeffs)
-
-
-def parse_polynomial(text: str, ring: PolynomialRing) -> UniPolynomial:
-    terms = _parse_terms(text, ring)
-    if any(e < 0 for e in terms):
-        raise ValueError(f"negative exponent in plain polynomial: {text!r}")
-    return _terms_poly(terms, ring, 0)
-
-
 # ---------------------------------------------------------------------------
 # Laurent polynomials
 # ---------------------------------------------------------------------------
@@ -754,6 +697,7 @@ class LaurentRing:
         if isinstance(value, str):
             if offset:
                 raise ValueError("offset not allowed with string input")
+            from .polytext import parse_laurent
             return parse_laurent(value, self)
         if isinstance(value, (int, FieldScalar, list, tuple)):
             value = self.poly_ring(value)
@@ -932,26 +876,6 @@ def laurent_canonicalize(f: LaurentPolynomial):
     return f.poly.monic(), (FieldScalar(field, c), -f.offset)
 
 
-def parse_laurent(text: str, ring: LaurentRing) -> LaurentPolynomial:
-    """A sum of terms, each divided by at most one power of the
-    indeterminate (`y + 2 + 1/y^2`), or one parenthesized polynomial over
-    such a power (`(y^2 + 1)/y^3`, whose fractions may be parenthesized
-    as in `((1/2)y + 3)/y`); any other text raises ValueError."""
-    m = re.fullmatch(r"\s*\((?P<num>(?:[^()]|\(\d+/\d+\))*)\)\s*/\s*"
-                     r"(?P<var>[A-Za-zλ_][A-Za-z0-9_]*)(?:\s*\^\s*(?P<k>\d+))?\s*", text)
-    if m:
-        if m.group("var") != ring.var:
-            raise ValueError(f"expected indeterminate {ring.var!r} in {text!r}")
-        k = int(m.group("k") or 1)
-        if k > LETTER_BUDGET:
-            raise ValueError(f"exponent above {LETTER_BUDGET} in the term "
-                             f"'/{m.group('var')}^{k}'")
-        return ring.from_poly(parse_polynomial(m.group("num"), ring.poly_ring), -k)
-    terms = _parse_terms(text, ring)
-    low = min(terms)
-    return ring.from_poly(_terms_poly(terms, ring.poly_ring, low), low)
-
-
 # ---------------------------------------------------------------------------
 # fractions over a polynomial domain
 # ---------------------------------------------------------------------------
@@ -973,8 +897,11 @@ class FractionField:
       with a zero factor is zero, with no normalization at all.
 
     Over Q[x], products (``_mul_raw``) convolve the operands scaled to
-    integers and build one ``Fraction`` per output coefficient, not one per
-    coefficient pair.
+    integers (``_integer_mul``) and build one ``Fraction`` per output
+    coefficient, not one per coefficient pair.  ``dot``, the matrix
+    product's sum of products, keeps its numerators in those integers and
+    normalizes each sum once; a denominator that is a power of x, the
+    common case on symbolic Weyl switches, needs no gcd there.
 
     Fractions are matrix entries; a fraction field is not a coefficient
     field of ``PolynomialRing``.
@@ -1000,9 +927,44 @@ class FractionField:
         return _make_fraction(self, self.domain(num), self.domain(den))
 
     def dot(self, pairs):
-        """The sum of a * b over a list of fraction pairs, in order."""
-        products = [a * b for a, b in pairs]
-        return sum(products[1:], products[0]) if products else self.zero
+        """The sum of a * b over a list of fraction pairs, reduced once.
+
+        Each product's denominator is x^k times a part with nonzero constant
+        term, 1 when it is a power of x.  The numerators are aligned over the
+        highest x^k and summed unreduced, one sum per part; the sums are
+        combined by cross-multiplication, and ``_make_fraction`` runs once.
+        A numerator is an integer list over one integer denominator (1 over
+        Z_p), so over Q one Fraction is built per coefficient of a sum."""
+        domain = self.domain
+        field, p = domain.field, domain.field.p
+        sums = {}
+        for a, b in pairs:
+            x, y = a.num.coeffs, b.num.coeffs
+            if x and y:
+                u, v = a.den.coeffs, b.den.coeffs
+                i, j = _valuation(u), _valuation(v)
+                u, v = u[i:], v[j:]
+                part = (v if len(u) == 1 else u if len(v) == 1
+                        else domain.from_raw(_mul_raw(field, u, v)).coeffs)
+                ints, d = (_mul_raw(field, x, y), 1) if p else _integer_mul(x, y)
+                sums.setdefault(part, []).append((i + j, ints, d))
+        if not sums:
+            return self.zero
+        top = max([k for group in sums.values() for k, _, _ in group])
+        fractions = []
+        for part, group in sums.items():
+            common = math.lcm(*[d for _, _, d in group])
+            acc = [0] * max([top - k + len(ints) for k, ints, _ in group])
+            for k, ints, d in group:
+                m = common // d
+                for e, c in enumerate(ints, top - k):
+                    acc[e] += c * m
+            coeffs = acc if p else [Fraction(c, common) for c in acc]
+            fractions.append((domain.from_raw(coeffs), UniPolynomial(domain, part)))
+        num, den = fractions[0]
+        for n, d in fractions[1:]:
+            num, den = num * d + n * den, den * d
+        return _make_fraction(self, num, den.shift(top))
 
     @property
     def zero(self):

@@ -216,6 +216,16 @@ class TestRepresent:
         word = random_word(rng, 3, 6, VIRTUAL)
         assert represent(word, switch) == dense_represent(word, switch)
 
+    @pytest.mark.parametrize("text", ["t2 s1 s2 s1^-1 t2 s1^-1 s2^-1 s1",
+                                      "s1 s2^-1 t1 s1^-1 s2"])
+    def test_symbolic_q_bidiagonal_matches_dense_product(self, text):
+        # every entry of S and S^-1 over Frac(Q[q]) has a power of q as its
+        # denominator; each word has letters of both signs
+        switch = weyl_switch(family_q_bidiagonal(3, q="q", a=2, b=[1, -1]))
+        word = parse_braid(text, VIRTUAL, 3)
+        assert {let.exp for let in word.letters if let.kind == "s"} == {1, -1}
+        assert represent(word, switch) == dense_represent(word, switch)
+
     def test_empty_word_is_identity(self):
         switch = ZP_SWITCHES["q_upper"]()
         assert represent(parse_braid("", strands=3), switch).is_identity()

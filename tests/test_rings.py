@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from weylknots import rings
 from weylknots.linalg import Matrix
+from weylknots.polytext import parse_laurent
 from weylknots.reps import family_char_p_bidiagonal
 from weylknots.rings import (
     QQ,
@@ -21,7 +22,6 @@ from weylknots.rings import (
     RationalField,
     RingMismatchError,
     laurent_canonicalize,
-    parse_laurent,
     poly_gcd,
 )
 from weylknots.weyl import EngineMode
@@ -520,7 +520,16 @@ DOT_RINGS = {
     "Q[x]": QX, "Z2[x,1/x]": L2x, "Z3[y,1/y]": L3y,
     "Q[t,1/t]": LaurentRing(PolynomialRing(QQ, "t")),
     "Frac(Q[q])": FractionField(PolynomialRing(QQ, "q")),
+    "Frac(Z5[x])": FractionField(PolynomialRing(PrimeField(5), "x")),
 }
+FRACTION_RINGS = sorted(name for name in DOT_RINGS if name.startswith("Frac"))
+
+
+def _fraction_denominators(domain):
+    """Powers of x, polynomials with a nonzero constant term, and products
+    of the two."""
+    x = domain.gen
+    return [domain.one, x, x ** 3, x + 1, x * x + 2, x ** 2 * (x + 1), (x + 3) ** 2]
 
 
 class TestDot:
@@ -557,6 +566,54 @@ class TestDot:
                 assert zero.coeffs == ()
             else:
                 assert type(d.value) is type(ring.zero.value)
+
+    @pytest.mark.parametrize("name", FRACTION_RINGS)
+    def test_mixed_denominators(self, name):
+        ring = DOT_RINGS[name]
+        dom = ring.domain
+        dens = _fraction_denominators(dom)
+        rng = random.Random(name)
+        for _ in range(60):
+            pairs = [tuple(ring(_random_element(rng, dom), rng.choice(dens))
+                           for _ in range(2)) for _ in range(rng.randint(1, 6))]
+            expected = ring.zero
+            for a, b in pairs:
+                expected = expected + a * b
+            assert ring.dot(pairs) == expected, pairs
+
+    @pytest.mark.parametrize("name", FRACTION_RINGS)
+    def test_sums_cancel_over_general_denominators(self, name):
+        # each pair of products is equal and opposite, with unreduced
+        # denominators x^k (x + 2) (x + 1) and x^k (x + 2)
+        ring = DOT_RINGS[name]
+        dom = ring.domain
+        x = dom.gen
+        for k in range(3):
+            a = ring(x + 1, x ** k * (x + 2))
+            b = ring(dom.one, x + 1)
+            c = ring(-dom.one, x ** k * (x + 2))
+            for pairs in ([(a, b), (c, ring.one)],
+                          [(b, a), (a, b), (ring.one, c), (c, ring.one)]):
+                d = ring.dot(pairs)
+                assert d.is_zero() and d.num.coeffs == () and d.den.is_one()
+
+    @pytest.mark.parametrize("name", FRACTION_RINGS)
+    def test_fractions_reduce_once_per_entry(self, name, monkeypatch):
+        ring = DOT_RINGS[name]
+        dom = ring.domain
+        dens = _fraction_denominators(dom)
+        rng = random.Random(name)
+        # nonzero numerators c + d x, so that no product is skipped
+        draws = [[tuple(ring(dom([rng.randint(1, 4), rng.randint(0, 4)]), rng.choice(dens))
+                        for _ in range(2)) for _ in range(rng.randint(1, 6))]
+                 for _ in range(20)]
+        make, calls = rings._make_fraction, []
+        monkeypatch.setattr(rings, "_make_fraction",
+                            lambda *args, **kwargs: calls.append(args) or make(*args, **kwargs))
+        for pairs in draws:
+            calls.clear()
+            ring.dot(pairs)
+            assert len(calls) == 1, pairs
 
     def test_rational_values_stay_fractions(self):
         pairs = [(QQ(2), QQ(3)), (QQ("1/2"), QQ("2/3"))]

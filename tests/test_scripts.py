@@ -1,6 +1,7 @@
 import ast
 import importlib
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,24 @@ def test_no_runtime_dependencies(path):
             continue
         for module in modules:
             assert module.partition(".")[0] in sys.stdlib_module_names, module
+
+
+# CPython's parser doubles its token array when a module passes this many
+# tokens, comments and blank lines not counted.
+PARSER_TOKEN_STEP = 8192
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "weylknots").glob("*.py")),
+                         ids=lambda path: path.name)
+def test_modules_stay_under_the_parser_token_step(path):
+    """Compiling a module past the step costs about 0.5 MB more peak memory,
+    which the benchmark's ``peak_rss_mb`` reads on every workload, since it
+    runs without cached bytecode.  This check can go once the benchmark
+    times compilation apart from the library's work (ROADMAP item 3)."""
+    with path.open("rb") as source:
+        tokens = [tok for tok in tokenize.tokenize(source.readline) if tok.type not in
+                  (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)]
+    assert len(tokens) < PARSER_TOKEN_STEP, len(tokens)
 
 
 def test_exports_resolve():
