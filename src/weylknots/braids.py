@@ -63,13 +63,6 @@ class BraidWord:
         return BraidWord(self.n, tuple(l.inverse() for l in reversed(self.letters)),
                          self.flavor)
 
-    def stabilized(self) -> BraidWord:
-        """The word times s_n on n+1 strands."""
-        return BraidWord(self.n + 1,
-                         self.letters + (_normalize(Letter("s", self.n, 1),
-                                                    self.flavor),),
-                         self.flavor)
-
     def __str__(self):
         return " ".join(str(l) for l in self.letters) or "<empty>"
 

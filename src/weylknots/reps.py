@@ -70,17 +70,15 @@ class MatrixRep:
             raise RepError(
                 f"no q=1 representation of dimension {self.dim} exists over "
                 f"{self.ring}: trace(UV - VU) = 0 but trace(I) = {self.dim}")
-        got = U * V - (V * U).scale(q)
+        # UV - qVU as one block product, so each entry is reduced once
+        got = Matrix.block([[U, V.scale(-q)]]) * Matrix.block([[V], [U]])
         identity = Matrix.identity(self.ring, self.dim)
+        wrong = next(((i, j) for i, row in enumerate(got.rows)
+                      for j, e in enumerate(row) if e != identity.rows[i][j]), None)
         parts = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if got.rows[i][j] != identity.rows[i][j]:
-                    parts.append(f"UV - qVU != I at entry ({i},{j}): "
-                                 f"got {got.rows[i][j]!r}")
-                    break
-            if parts:
-                break
+        if wrong is not None:
+            i, j = wrong
+            parts.append(f"UV - qVU != I at entry ({i},{j}): got {got.rows[i][j]!r}")
         inverses = []
         for name, m in (("U", U), ("V", V)):
             try:

@@ -31,13 +31,8 @@ Representation conventions:
   skipped where the answer is known (see ``FractionField``).  That pair is
   unique, so equality compares it.
 
-Multiplication of prime-field polynomials goes through Kronecker
-substitution (pack into one big int, multiply, unpack), which keeps the
-Euclidean elimination in ``linalg`` fast over Z_p[x].  Each coefficient is
-one fixed-width digit of 1, 2, 4 or 8 bytes, wide enough that no
-convolution coefficient overflows into the next, and ``array`` packs and
-unpacks the digits in C.  A product that would need digits wider than 64
-bits, or that has at most 64 coefficient pairs, is convolved directly.
+Every polynomial product is one integer convolution, ``_convolve``: over
+Z_p of the residues, over Q of the coefficients scaled to integers.
 
 Each ring a ``linalg.Matrix`` multiplies has ``dot(pairs)``, the sum of
 a * b over a list of element pairs, normalized once.
@@ -47,8 +42,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
-from array import array
 from fractions import Fraction
 
 
@@ -348,23 +341,6 @@ QQ = RationalField()
 # univariate polynomials
 # ---------------------------------------------------------------------------
 
-# array typecodes of the fixed-width Kronecker digits, by byte width, in
-# increasing order
-_DIGIT_CODES = {array(t).itemsize: t for t in "BHILQ"}
-
-
-def _kronecker_mul(a, b, nbytes):
-    # Pack coefficient lists into big ints, one nbytes-wide digit each, so
-    # Python's integer multiplication does the convolution; array packs and
-    # unpacks the digits in C.  The caller picks a width at which no
-    # convolution coefficient overflows into the next digit.  Reading array
-    # buffers in the host's byte order reverses the digits of both operands
-    # and of the product on a big-endian host, which is the same convolution.
-    code, order = _DIGIT_CODES[nbytes], sys.byteorder
-    prod = int.from_bytes(array(code, a), order) * int.from_bytes(array(code, b), order)
-    return array(code, prod.to_bytes((len(a) + len(b) - 1) * nbytes, order)).tolist()
-
-
 def _convolve(a, b):
     """The integer convolution of two nonempty int lists, schoolbook."""
     out = [0] * (len(a) + len(b) - 1)
@@ -376,20 +352,13 @@ def _convolve(a, b):
 
 
 def _mul_raw(field, a, b):
-    """The unreduced coefficient list of the product a * b.  Over Z_p a
-    product of more than 64 coefficient pairs goes through Kronecker
-    substitution when its digits fit in 64 bits."""
+    """The unreduced coefficient list of the product a * b: the convolution
+    of the residues over Z_p, of the scaled integers over Q."""
     if not a or not b:
         return []
-    p = field.p
-    if not p:
+    if not field.p:
         ints, d = _integer_mul(a, b)
         return [Fraction(c, d) for c in ints]
-    if len(a) * len(b) > 64:
-        # bits of the largest convolution coefficient, with one to spare
-        bits = 2 * (p - 1).bit_length() + min(len(a), len(b)).bit_length() + 1
-        if bits <= 64:
-            return _kronecker_mul(a, b, next(n for n in _DIGIT_CODES if 8 * n >= bits))
     return _convolve(a, b)
 
 

@@ -22,7 +22,7 @@ from weylknots.rings import (
     PrimeField,
 )
 
-F2, F3 = PrimeField(2), PrimeField(3)
+F2, F3, F7 = PrimeField(2), PrimeField(3), PrimeField(7)
 L3y = LaurentRing(PolynomialRing(F3, "y"))
 L2x = LaurentRing(PolynomialRing(F2, "x"))
 
@@ -63,10 +63,16 @@ class TestValidate:
                            r"got 0; det\(U\) = x\^2 \+ 1 is not a unit$"):
             MatrixRep(u, Matrix.identity(L2x, 2), L2x.one, label="pair")
 
+    def test_first_failure_in_row_major_order(self):
+        # over Z_7 with q = 3, UV - qVU = [[1, 5], [3, 2]]: (0,0) holds, and
+        # (0,1) comes before (1,0) in row-major order
+        u = lmat(F7, [[0, 1], [2, 0]])
+        v = lmat(F7, [[1, 1], [0, 1]])
+        with pytest.raises(RepError, match=r"^z7: UV - qVU != I at entry \(0,1\): got 5$"):
+            MatrixRep(u, v, F7(3), label="z7")
+
     def test_char0_q1_guard(self):
-        i2 = Matrix.identity(PolynomialRing(QQ, "t"), 2)
-        from weylknots.rings import LaurentRing as LR
-        ring = LR(PolynomialRing(QQ, "t"))
+        ring = LaurentRing(PolynomialRing(QQ, "t"))
         i2 = Matrix.identity(ring, 2)
         with pytest.raises(RepError, match="trace"):
             MatrixRep(i2, i2, ring.one)
@@ -118,7 +124,6 @@ class TestCharPBidiagonal:
 class TestTruncated:
     def test_k_sequence_formulas(self):
         # k_1 = -2 i_2 i_1^-2 and k_2 = (4 i_2^2 - 3 i_1 i_3) i_1^-3
-        F7 = PrimeField(7)
         ring = LaurentRing(PolynomialRing(F7, "x"))
         i1, i2, i3 = 2, 3, 5
         ivals = [ring(c) for c in (1, i1, i2, i3)]

@@ -227,14 +227,21 @@ class TestPolynomials:
         assert q * g + r == f
         assert r.degree is None or r.degree < g.degree
 
-    def test_kronecker_matches_schoolbook(self):
-        # degree high enough to trigger the packed multiplication path
-        f = R3y([i % 3 for i in range(40)] + [1])
-        g = R3y([(2 * i + 1) % 3 for i in range(37)] + [2])
-        slow = R3y.zero
+    @pytest.mark.parametrize("p,f,g", [
+        (3, [i % 3 for i in range(40)] + [1], [(2 * i + 1) % 3 for i in range(37)] + [2]),
+        # all-(p - 1) operands give the largest convolution coefficients
+        (3, [2] * 100, [2] * 130),
+        (65521, [65520] * 100, [65520] * 100),
+        (268435399, [268435398] * 128, [268435398] * 130),
+        (2**31 - 1, [2**31 - 2] * 100, [2**31 - 2] * 200),
+    ], ids=["p3-mixed", "p3-top", "p65521-top", "p268435399-top", "p2147483647-top"])
+    def test_product_matches_shifted_sums(self, p, f, g):
+        ring = PolynomialRing(PrimeField(p), "y")
+        f, g = ring(f), ring(g)
+        slow = ring.zero
         for i, c in enumerate(f.coeffs):
             slow = slow + g.scale(c).shift(i)
-        assert f * g == slow
+        assert f * g == slow == g * f
 
     def test_rational_product_matches_schoolbook(self):
         # mixed denominators, negative and interior-zero coefficients,
@@ -621,36 +628,6 @@ class TestDot:
         assert d.value == Fraction(19, 3) and type(d.value) is Fraction
         f = QX.dot([(QX([1, 2]), QX([3])), (QX(["1/2"]), QX([0, 2]))])
         assert f == QX([3, 7]) and all(type(c) is Fraction for c in f.coeffs)
-
-
-P28 = 268435399  # the largest prime below 2^28
-
-
-class TestKroneckerProduct:
-    """``_mul_raw`` over Z_p against the schoolbook ``_convolve``: Kronecker
-    digits of each width, and the fallback once a digit needs more than 64
-    bits (2 * bits(p - 1) + bits(shorter length) + 1)."""
-
-    @pytest.mark.parametrize("p,lengths,path", [
-        (2, (9, 9), 1), (3, (9, 9), 2), (101, (9, 9), 4), (101, (40, 33), 4),
-        (65521, (9, 9), 8), (2**31 - 1, (1, 100), 8), (2**31 - 1, (2, 100), None),
-        (P28, (127, 130), 8), (P28, (128, 130), None), (7, (8, 8), None)])
-    def test_matches_the_schoolbook_convolution(self, monkeypatch, p, lengths, path):
-        convolve, kronecker = rings._convolve, rings._kronecker_mul
-        paths = []
-        monkeypatch.setattr(rings, "_convolve",
-                            lambda a, b: paths.append(None) or convolve(a, b))
-        monkeypatch.setattr(rings, "_kronecker_mul",
-                            lambda a, b, n: paths.append(n) or kronecker(a, b, n))
-        rng = random.Random(p)
-        F = PrimeField(p)
-        m, n = lengths
-        for a, b in [([p - 1] * m, [p - 1] * n),
-                     ([rng.randrange(p) for _ in range(m)],
-                      [rng.randrange(p) for _ in range(n)])]:
-            assert rings._mul_raw(F, a, b) == convolve(a, b)
-            assert rings._mul_raw(F, b, a) == convolve(b, a)
-        assert paths == [path] * 4
 
 
 class TestFractions:
