@@ -159,10 +159,16 @@ def builtin_word(name: str) -> BraidWord | None:
 
 
 def braid_from_text(text: str, flavor: str = FLAT, strands=None) -> BraidWord:
+    """A builtin word by name, else the parsed text.  A builtin is a flat
+    word on its own n strands; asking for it with another flavor or strand
+    count raises ValueError."""
     word = builtin_word(text)
-    if word is not None:
-        return word
-    return parse_braid(text, flavor, strands)
+    if word is None:
+        return parse_braid(text, flavor, strands)
+    if flavor != FLAT or strands not in (None, word.n):
+        raise ValueError(f"{text.strip()} is a flat word on {word.n} strands, "
+                         f"asked for with flavor {flavor} and strands {strands}")
+    return word
 
 
 # representation -------------------------------------------------------------

@@ -461,8 +461,6 @@ def minors_gcd(m: Matrix, r: int) -> UniPolynomial:
     """
     if not m.is_square():
         raise ValueError("minors of a non-square matrix")
-    if not isinstance(m.ring, LaurentRing):
-        raise RingError(f"minors_gcd needs a Laurent matrix, got ring {m.ring}")
     n = m.nrows
     if not 0 <= r < n:
         raise ValueError(f"codimension {r} out of range for size {n}")
@@ -470,7 +468,4 @@ def minors_gcd(m: Matrix, r: int) -> UniPolynomial:
     pring = m.ring.poly_ring
     if n - r > len(factors):
         return pring.zero
-    acc = pring.one
-    for d in factors[:n - r]:
-        acc = acc * d
-    return acc
+    return math.prod(factors[:n - r], start=pring.one)

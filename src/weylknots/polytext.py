@@ -48,13 +48,13 @@ def _parse_terms(text: str, ring):
         if m.group("sign") == "-":
             coeff = -coeff
         exp = 0
-        for var, power, sign in (("var", "exp", 1), ("over", "k", -1)):
+        for var, group, sign in (("var", "exp", 1), ("over", "k", -1)):
             if m.group(var) is None:
                 continue
             if m.group(var) != ring.var:
                 raise ValueError(f"expected indeterminate {ring.var!r}, "
                                  f"got {m.group(var)!r}")
-            k = int(m.group(power) or 1)
+            k = int(m.group(group) or 1)
             if abs(k) > LETTER_BUDGET:
                 raise ValueError(f"exponent above {LETTER_BUDGET} in the term "
                                  f"{m.group(0).strip()!r}")

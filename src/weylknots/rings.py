@@ -2,13 +2,17 @@
 
 Every value is immutable and carries a reference to its ring, so mixed-ring
 operations fail loudly instead of coercing.  Ring equality is structural,
-so two equal ring objects mix freely.  A binary operator whose operand has
-the same class and the very same ring object goes straight to the
-arithmetic; any other operand (an int, a lift, an element of an equal but
-distinct ring) is first coerced into that ring object by ``_coerced``, with
-the ring check, and the operator runs again.  The ring objects double as
-factories: ``ring(x)`` builds an element from ints, strings (parsed by
-``weylknots.polytext``) or lists, and is the one conversion of an int.
+so two equal ring objects mix freely.  Every element class, the Weyl
+engine's coefficients too, subclasses ``RingElement``.  A binary operator
+whose operand has the same class and the very same ring object goes
+straight to the arithmetic; any other operand (an int, a lift, an element
+of an equal but distinct ring) is first coerced into that ring object by
+``RingElement._mixed``, with the ring check, and the operator runs again.
+The reflected operators, ``exact_div`` and powers are ``RingElement``'s
+alone, except that polynomials divide exactly through ``divmod`` and have
+no negative powers.  The ring objects double as factories: ``ring(x)``
+builds an element from ints, strings (parsed by ``weylknots.polytext``) or
+lists, and is the one conversion of an int.
 
 Representation conventions:
 
@@ -66,38 +70,57 @@ def _check_same_ring(a, b):
         raise RingMismatchError(f"mixed rings: {a.ring} vs {b.ring}")
 
 
-def _coerced(op, a, b):
-    """op(a, b) once b is coerced into a's very ring object, so that op takes
-    its same-ring path; NotImplemented if b cannot be coerced."""
-    b = a._coerce(b)
-    return NotImplemented if b is NotImplemented else op(a, b)
+class RingElement:
+    """The operator protocol every element class shares.
 
+    A subclass has a ``ring`` with a ``one``, a ``_coerce(other)`` giving
+    other in that very ring object or NotImplemented, and its own same-ring
+    operators, each of which hands any other operand to ``_mixed``.  The
+    reflected operators, exact division and powers are built on those
+    here."""
 
-def _reflected(op):
-    """The reflected operator of op: op(other, self), with other coerced."""
-    def method(self, other):
+    __slots__ = ()
+
+    def _mixed(self, op, other):
+        """op(self, other) once other is coerced into self's very ring object,
+        so that op takes its same-ring path; NotImplemented if other cannot
+        be coerced."""
         other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else op(other, self)
-    return method
+        return NotImplemented if other is NotImplemented else op(self, other)
 
+    # Python reflects an operator only when other is not of self's class, so
+    # each coerces other first; + and * commute in every ring here.
+    def __radd__(self, other):
+        return self._mixed(operator.add, other)
 
-def _quotient(result, divisor):
-    """result, or TypeError if a division method could not coerce divisor."""
-    if result is NotImplemented:
-        raise TypeError(f"cannot divide by {divisor!r}")
-    return result
+    def __rmul__(self, other):
+        return self._mixed(operator.mul, other)
 
+    def __rsub__(self, other):
+        return self._mixed(lambda a, b: b - a, other)
 
-def power(base, n: int, one):
-    """base^n for n >= 0 by square-and-multiply; one is the ring's unit."""
-    result = one
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
+    def __rtruediv__(self, other):
+        return self._mixed(lambda a, b: b / a, other)
+
+    def exact_div(self, other):
+        """self / other; TypeError naming other if it cannot be coerced."""
+        result = self.__truediv__(other)
+        if result is NotImplemented:
+            raise TypeError(f"cannot divide by {other!r}")
+        return result
+
+    def __pow__(self, n: int):
+        """self^n by square-and-multiply; a negative n inverts self first."""
+        base, result = self, self.ring.one
+        if n < 0:
+            base, n = self.inv(), -n
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
 
 
 # Most letters a braid word, and most factors a Weyl-algebra product, may
@@ -126,7 +149,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-class FieldScalar:
+class FieldScalar(RingElement):
     """Element of a ``PrimeField`` or of ``QQ``."""
 
     __slots__ = ("ring", "value")
@@ -157,55 +180,39 @@ class FieldScalar:
 
     def __add__(self, other):
         if other.__class__ is not FieldScalar or other.ring is not self.ring:
-            return _coerced(operator.add, self, other)
+            return self._mixed(operator.add, other)
         p = self.ring.p
         v = self.value + other.value
         return FieldScalar(self.ring, v % p if p else v)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         if other.__class__ is not FieldScalar or other.ring is not self.ring:
-            return _coerced(operator.sub, self, other)
+            return self._mixed(operator.sub, other)
         p = self.ring.p
         v = self.value - other.value
         return FieldScalar(self.ring, v % p if p else v)
 
-    __rsub__ = _reflected(operator.sub)
-
     def __mul__(self, other):
         if other.__class__ is not FieldScalar or other.ring is not self.ring:
-            return _coerced(operator.mul, self, other)
+            return self._mixed(operator.mul, other)
         p = self.ring.p
         v = self.value * other.value
         return FieldScalar(self.ring, v % p if p else v)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         if other.__class__ is not FieldScalar or other.ring is not self.ring:
-            return _coerced(operator.truediv, self, other)
+            return self._mixed(operator.truediv, other)
         p = self.ring.p
         v = self.value * self.ring.cinv(other.value)
         return FieldScalar(self.ring, v % p if p else v)
-
-    __rtruediv__ = _reflected(operator.truediv)
-
-    def exact_div(self, other):
-        return _quotient(self.__truediv__(other), other)
 
     def __neg__(self):
         p = self.ring.p
         return FieldScalar(self.ring, -self.value % p if p else -self.value)
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inv() ** (-n)
-        return power(self, n, self.ring.one)
-
     def __eq__(self, other):
         if other.__class__ is not FieldScalar or other.ring is not self.ring:
-            return _coerced(operator.eq, self, other)
+            return self._mixed(operator.eq, other)
         return self.value == other.value
 
     def __hash__(self):
@@ -474,7 +481,7 @@ class PolynomialRing:
         return f"{self.field}[{self.var}]"
 
 
-class UniPolynomial:
+class UniPolynomial(RingElement):
     """Dense univariate polynomial; the zero polynomial's degree is None."""
 
     __slots__ = ("ring", "coeffs")
@@ -514,31 +521,25 @@ class UniPolynomial:
 
     def __add__(self, other):
         if other.__class__ is not UniPolynomial or other.ring is not self.ring:
-            return _coerced(operator.add, self, other)
+            return self._mixed(operator.add, other)
         return self._combine(other, operator.add)
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         if other.__class__ is not UniPolynomial or other.ring is not self.ring:
-            return _coerced(operator.sub, self, other)
+            return self._mixed(operator.sub, other)
         return self._combine(other, operator.sub)
-
-    __rsub__ = _reflected(operator.sub)
 
     def __neg__(self):
         return self.ring.from_raw([-c for c in self.coeffs])
 
     def __mul__(self, other):
         if other.__class__ is not UniPolynomial or other.ring is not self.ring:
-            return _coerced(operator.mul, self, other)
+            return self._mixed(operator.mul, other)
         return self.ring.from_raw(_mul_raw(self.ring.field, self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
 
     def __divmod__(self, other):
         if other.__class__ is not UniPolynomial or other.ring is not self.ring:
-            return _coerced(divmod, self, other)
+            return self._mixed(divmod, other)
         q, r = _divmod_raw(self.ring.field, self.coeffs, other.coeffs)
         return self.ring.from_raw(q), self.ring.from_raw(r)
 
@@ -546,7 +547,10 @@ class UniPolynomial:
         return divmod(self, other)[1]
 
     def exact_div(self, other):
-        q, r = _quotient(self.__divmod__(other), other)
+        qr = self.__divmod__(other)
+        if qr is NotImplemented:
+            raise TypeError(f"cannot divide by {other!r}")
+        q, r = qr
         if not r.is_zero():
             raise RingError(f"inexact polynomial division: {self} by {other}")
         return q
@@ -554,7 +558,7 @@ class UniPolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return power(self, n, self.ring.one)
+        return super().__pow__(n)
 
     def monic(self):
         if self.is_zero():
@@ -578,7 +582,7 @@ class UniPolynomial:
 
     def __eq__(self, other):
         if other.__class__ is not UniPolynomial or other.ring is not self.ring:
-            return _coerced(operator.eq, self, other)
+            return self._mixed(operator.eq, other)
         return self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -656,16 +660,12 @@ class LaurentRing:
     def var(self):
         return self.poly_ring.var
 
-    def __call__(self, value, offset: int = 0) -> LaurentPolynomial:
+    def __call__(self, value) -> LaurentPolynomial:
         if isinstance(value, LaurentPolynomial):
             if value.ring != self:
                 raise RingMismatchError(f"{value!r} is not in {self}")
-            if offset:
-                return self.from_poly(value.poly, value.offset + offset)
             return value
         if isinstance(value, str):
-            if offset:
-                raise ValueError("offset not allowed with string input")
             from .polytext import parse_laurent
             return parse_laurent(value, self)
         if isinstance(value, (int, FieldScalar, list, tuple)):
@@ -673,7 +673,7 @@ class LaurentRing:
         if isinstance(value, UniPolynomial):
             if value.ring != self.poly_ring:
                 raise RingMismatchError(f"{value!r} has the wrong polynomial ring")
-            return self.from_poly(value, offset)
+            return self.from_poly(value)
         raise TypeError(f"cannot build a Laurent polynomial from {value!r}")
 
     def from_poly(self, poly: UniPolynomial, offset: int = 0) -> LaurentPolynomial:
@@ -726,7 +726,7 @@ class LaurentRing:
         return f"{self.poly_ring.field}[{v},{v}^-1]"
 
 
-class LaurentPolynomial:
+class LaurentPolynomial(RingElement):
     """poly * var^offset with poly having a nonzero constant term (or zero)."""
 
     __slots__ = ("ring", "poly", "offset")
@@ -772,36 +772,27 @@ class LaurentPolynomial:
 
     def __add__(self, other):
         if other.__class__ is not LaurentPolynomial or other.ring is not self.ring:
-            return _coerced(operator.add, self, other)
+            return self._mixed(operator.add, other)
         return other if self.is_zero() else self._combine(other, operator.add)
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         if other.__class__ is not LaurentPolynomial or other.ring is not self.ring:
-            return _coerced(operator.sub, self, other)
+            return self._mixed(operator.sub, other)
         return self._combine(other, operator.sub)
-
-    __rsub__ = _reflected(operator.sub)
 
     def __neg__(self):
         return LaurentPolynomial(self.ring, -self.poly, self.offset)
 
     def __mul__(self, other):
         if other.__class__ is not LaurentPolynomial or other.ring is not self.ring:
-            return _coerced(operator.mul, self, other)
+            return self._mixed(operator.mul, other)
         return self.ring.from_poly(self.poly * other.poly, self.offset + other.offset)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         if other.__class__ is not LaurentPolynomial or other.ring is not self.ring:
-            return _coerced(operator.truediv, self, other)
+            return self._mixed(operator.truediv, other)
         return self.ring.from_poly(self.poly.exact_div(other.poly),
                                    self.offset - other.offset)
-
-    def exact_div(self, other):
-        return _quotient(self.__truediv__(other), other)
 
     def inv(self):
         if not self.is_unit():
@@ -809,14 +800,9 @@ class LaurentPolynomial:
         c = self.ring.field.cinv(self.poly.coeffs[0])
         return self.ring.monomial(-self.offset, FieldScalar(self.ring.field, c))
 
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        return power(self, n, self.ring.one)
-
     def __eq__(self, other):
         if other.__class__ is not LaurentPolynomial or other.ring is not self.ring:
-            return _coerced(operator.eq, self, other)
+            return self._mixed(operator.eq, other)
         return self.offset == other.offset and self.poly.coeffs == other.poly.coeffs
 
     def __hash__(self):
@@ -983,7 +969,7 @@ def _make_fraction(ring, num, den, coprime=False):
     return FractionElement(ring, num, den)
 
 
-class FractionElement:
+class FractionElement(RingElement):
     """num/den with a nonzero denominator in the canonical form of
     ``FractionField``, so equality and hashing read the stored pair."""
 
@@ -1021,33 +1007,27 @@ class FractionElement:
 
     def __add__(self, other):
         if other.__class__ is not FractionElement or other.ring is not self.ring:
-            return _coerced(operator.add, self, other)
+            return self._mixed(operator.add, other)
         if other.num.is_zero():
             return self
         return other if self.num.is_zero() else self._combine(other, operator.add)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         if other.__class__ is not FractionElement or other.ring is not self.ring:
-            return _coerced(operator.sub, self, other)
+            return self._mixed(operator.sub, other)
         if other.num.is_zero():
             return self
         return -other if self.num.is_zero() else self._combine(other, operator.sub)
-
-    __rsub__ = _reflected(operator.sub)
 
     def __neg__(self):
         return FractionElement(self.ring, -self.num, self.den)
 
     def __mul__(self, other):
         if other.__class__ is not FractionElement or other.ring is not self.ring:
-            return _coerced(operator.mul, self, other)
+            return self._mixed(operator.mul, other)
         if self.num.is_zero() or other.num.is_zero():
             return self.ring.zero
         return _make_fraction(self.ring, self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
 
     def inv(self):
         if self.num.is_zero():
@@ -1056,22 +1036,12 @@ class FractionElement:
 
     def __truediv__(self, other):
         if other.__class__ is not FractionElement or other.ring is not self.ring:
-            return _coerced(operator.truediv, self, other)
+            return self._mixed(operator.truediv, other)
         return self * other.inv()
-
-    __rtruediv__ = _reflected(operator.truediv)
-
-    def exact_div(self, other):
-        return _quotient(self.__truediv__(other), other)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        return power(self, n, self.ring.one)
 
     def __eq__(self, other):
         if other.__class__ is not FractionElement or other.ring is not self.ring:
-            return _coerced(operator.eq, self, other)
+            return self._mixed(operator.eq, other)
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):

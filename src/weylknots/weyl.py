@@ -48,7 +48,7 @@ import operator
 import re
 from dataclasses import dataclass
 
-from .rings import LETTER_BUDGET, RingError, _coerced, _reflected, power
+from .rings import LETTER_BUDGET, RingElement, RingError
 
 
 class EngineMode:
@@ -381,7 +381,7 @@ def _shift_quotient(numer, m: int, field):
     return None if r else quot
 
 
-class ShiftFraction:
+class ShiftFraction(RingElement):
     """numer q^qexp / prod f_m^shifts[m] in the canonical form of
     ``ShiftFractionField``; equality is structural."""
 
@@ -445,21 +445,17 @@ class ShiftFraction:
 
     def __add__(self, other):
         if other.__class__ is not ShiftFraction or other.ring is not self.ring:
-            return _coerced(operator.add, self, other)
+            return self._mixed(operator.add, other)
         if not other.numer:
             return self
         return other if not self.numer else self._combine(other, 1)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         if other.__class__ is not ShiftFraction or other.ring is not self.ring:
-            return _coerced(operator.sub, self, other)
+            return self._mixed(operator.sub, other)
         if not other.numer:
             return self
         return -other if not self.numer else self._combine(other, -1)
-
-    __rsub__ = _reflected(operator.sub)
 
     def __neg__(self):
         return ShiftFraction(self.ring, {e: -c for e, c in self.numer.items()},
@@ -467,7 +463,7 @@ class ShiftFraction:
 
     def __mul__(self, other):
         if other.__class__ is not ShiftFraction or other.ring is not self.ring:
-            return _coerced(operator.mul, self, other)
+            return self._mixed(operator.mul, other)
         if not self.numer or not other.numer:
             return self.ring.zero
         # each numerator cancels against the other operand's shift factors
@@ -476,8 +472,6 @@ class ShiftFraction:
         for m, e in right.items():
             shifts[m] = shifts.get(m, 0) + e
         return ShiftFraction(self.ring, _mul(a, b), self.qexp + other.qexp, shifts)
-
-    __rmul__ = __mul__
 
     def inv(self):
         if not self.numer:
@@ -488,19 +482,12 @@ class ShiftFraction:
 
     def __truediv__(self, other):
         if other.__class__ is not ShiftFraction or other.ring is not self.ring:
-            return _coerced(operator.truediv, self, other)
+            return self._mixed(operator.truediv, other)
         return self * other.inv()
-
-    __rtruediv__ = _reflected(operator.truediv)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        return power(self, n, self.ring.one)
 
     def __eq__(self, other):
         if other.__class__ is not ShiftFraction or other.ring is not self.ring:
-            return _coerced(operator.eq, self, other)
+            return self._mixed(operator.eq, other)
         return (self.qexp == other.qexp and self.shifts == other.shifts
                 and self.numer == other.numer)
 

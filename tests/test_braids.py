@@ -154,6 +154,17 @@ class TestBuiltinWords:
         assert str(word) == "t1 t2 t3 t2 s1 s2 s3"
         assert word.n == 4
 
+    @pytest.mark.parametrize("text,flavor,strands", [
+        ("kishino", VIRTUAL, 5), ("kishino", VIRTUAL, None), ("kishino", FLAT, 5),
+        ("whorl(3)", CLASSICAL, 2), ("l(2)", FLAT, 3)])
+    def test_builtins_refuse_another_flavor_or_strand_count(self, text, flavor, strands):
+        with pytest.raises(ValueError, match="is a flat word on"):
+            braid_from_text(text, flavor, strands)
+
+    def test_builtins_keep_their_flavor_and_strand_count(self):
+        assert braid_from_text("kishino", FLAT, 3) == braid_from_text("kishino") == word_kishino()
+        assert braid_from_text("whorl(3)", FLAT, 4) == word_whorl(3)
+
     def test_text_falls_back_to_parsing(self):
         assert braid_from_text("s1 t1") == parse_braid("s1 t1", FLAT)
         assert builtin_word("s1 t1") is None

@@ -290,6 +290,12 @@ class TestMinorsGcd:
         with pytest.raises(ValueError):
             minors_gcd(Matrix.identity(L2x, 2), 2)
 
+    def test_zero_past_the_rank(self):
+        m = Matrix([[L2x.one, L2x.zero], [L2x.zero, L2x.zero]], L2x)
+        assert minors_gcd(m, 1) == R2x.one
+        assert minors_gcd(m, 0) == R2x.zero
+        assert minors_gcd(Matrix.zeros(L2x, 2), 1) == R2x.zero
+
     def test_against_brute_force(self):
         import itertools
 

@@ -40,6 +40,15 @@ QX = PolynomialRing(QQ, "x")
 # Its elements of Z[q, h] are term maps {(a, b): c} for c q^a h^b.
 FQH = EngineMode.symbolic().coeff_field
 HF, QF = FQH({(0, 1): 1}), FQH({(1, 0): 1})
+QQ_Q = PolynomialRing(QQ, "q")
+# A unit of each element class that has units: Laurent units are c y^k,
+# and a Weyl coefficient inverts when its numerator is a power of q times
+# shift factors, here -(h - 1).
+UNITS = {
+    "scalar": F3(2), "rational": QQ("3/2"), "laurent": L3y("2y^2"),
+    "fraction": FractionField(QQ_Q)(QQ_Q("q + 1"), QQ_Q("q^2 - 2")),
+    "weyl": (1 - HF) * QF / (HF * (QF * HF + 1)),
+}
 
 
 class TestScalars:
@@ -153,7 +162,7 @@ class TestPolynomials:
             polys += [canonical(R(n)), canonical(R(F(n))), canonical(R(raw)),
                       canonical(R(tuple(raw))), canonical(R.from_raw(raw)),
                       canonical(R(text()))]
-            laurents += [canonical(L(n)), canonical(L(raw, k)), canonical(L(text())),
+            laurents += [canonical(L(n)), canonical(L.from_poly(R(raw), k)), canonical(L(text())),
                          canonical(L(text().replace("y^", "y^-"))),
                          canonical(L(f"({text(dens=(1,))})/y^{abs(k)}")),
                          canonical(L.from_poly(rng.choice(polys), k)),
@@ -174,7 +183,7 @@ class TestPolynomials:
             laurents += [canonical(a + b), canonical(a - b), canonical(a * b),
                          canonical(-a), canonical(a + n), canonical(n - a),
                          canonical(n * a), canonical(a ** rng.randint(0, 4)),
-                         canonical(L(a, k))]
+                         canonical(L.from_poly(a.poly, a.offset + k))]
             polys.append(canonical(laurent_canonicalize(a)[0]))
             if not b.is_zero():
                 laurents += [canonical((a * b) / b), canonical((a * b).exact_div(b))]
@@ -284,14 +293,18 @@ class TestPolynomials:
             f.shift(-1)
 
     def test_powers_match_repeated_products(self):
-        for base in (R3y("y + 2"), L3y("y + 1/y"),
-                     (QF + HF) / (HF * (HF - 1) * (QF * HF + 1))):
+        # every element class; units also to negative powers
+        others = [R3y("y + 2"), L3y("y + 1/y"), (QF + HF) / (HF * (HF - 1) * (QF * HF + 1))]
+        for base, unit in [(x, False) for x in others] + [(u, True) for u in UNITS.values()]:
             acc = base.ring.one
             for n in range(10):
                 assert base ** n == acc
+                assert not unit or base ** -n == acc.inv()
                 acc = acc * base
         u = L3y("y^2")
         assert u ** -3 == u.inv() ** 3 == L3y("1/y^6")
+        with pytest.raises(ValueError, match="negative power"):
+            R3y("y + 2") ** -1
 
 
 @pytest.mark.parametrize("build", [
@@ -394,13 +407,26 @@ def test_reflected_operators_refuse_floats(name):
         assert x != other and other != x
 
 
-# Z[q, h] has no division, so its elements have no exact_div, and neither
-# have the Weyl engine's coefficients; the fraction is one over Z_3[y].
-@pytest.mark.parametrize("name", ["scalar", "poly", "laurent", "fraction"])
+# Every element class has exact_div: polynomials through divmod, the others
+# from RingElement.  The fraction is one over Z_3[y], and the Weyl engine's
+# coefficient one of Frac(Z[q, h]).
+@pytest.mark.parametrize("name", ["scalar", "poly", "laurent", "fraction", "weyl"])
 def test_exact_div_names_the_operand(name):
-    x = FractionField(R3y)(R3y("y"), R3y("y + 1")) if name == "fraction" else ELEMENTS[name]
+    x = {"fraction": FractionField(R3y)(R3y("y"), R3y("y + 1")),
+         "weyl": ELEMENTS["fraction"]}.get(name, ELEMENTS.get(name))
     with pytest.raises(TypeError, match="cannot divide by 1.5"):
         x.exact_div(1.5)
+
+
+@pytest.mark.parametrize("name", sorted(UNITS) + ["poly"])
+def test_int_operands_on_the_left_are_coerced(name):
+    x = R3y("y + 2") if name == "poly" else UNITS[name]
+    two = x.ring(2)
+    assert 2 + x == two + x and (2 + x).ring is x.ring
+    assert 2 - x == two - x and (2 - x).ring is x.ring
+    assert 2 * x == two * x and (2 * x).ring is x.ring
+    if name != "poly":
+        assert 2 / x == two / x and (2 / x).ring is x.ring
 
 
 class TestLaurent:
