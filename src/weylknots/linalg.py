@@ -11,8 +11,9 @@ F[x] (``_smith_diagonal``), cleared to F[x] by powers of x, which are
 units too.  F[x, x^-1] is a principal ideal domain, so the gcd of the
 s x s minors is the product of the first s invariant factors, and their
 number is the rank.  Over a field the core is zero.  ``mat_inverse`` runs
-the same pass on [M | I] and back-substitutes; it embeds Laurent entries
-in Frac(F[x]) and maps the result back.
+the same pass on [M | I] and back-substitutes; a Laurent matrix enters
+Frac(F[x]) by the fraction field's own conversion, and its inverse comes
+back by the Laurent ring's.
 
 Any other entry ring raises ``RingError``.  Entries answer ``is_unit()``
 themselves.
@@ -283,37 +284,30 @@ def det_exact(m: Matrix):
 def mat_inverse(m: Matrix) -> Matrix:
     """Exact inverse of a field or Laurent matrix.
 
-    A Laurent entry f x^k, f with a nonzero constant term, embeds in
-    Frac(F[x]) as f x^k / 1 or f / x^-k; a canonical fraction of a Laurent
-    polynomial has a denominator x^k, so the results map straight back.
-    One pass (``_gaussian_pass``) reduces [m | I] to echelon form and gives
-    det(m), the product of its pivots when all n are found and zero
-    otherwise; when it is not a unit of the entry ring, NonUnitError
-    carries it.  Back substitution then clears the columns above each
-    pivot, bottom up, on the right half only: the left half is triangular,
-    and each step changes it in the pivot column alone.  Scaling and row
-    operations skip the zero entries of the pivot row."""
+    A Laurent matrix is inverted over Frac(F[x]): its entries enter by
+    ``field(e)``, and det and the inverse's entries, fractions n / x^k
+    when det is a unit, come back by ``ring(f)``.  One pass
+    (``_gaussian_pass``) reduces [m | I] to echelon form and gives det(m),
+    the product of its pivots when all n are found and zero otherwise;
+    when it is not a unit of the entry ring, NonUnitError carries it.
+    Back substitution then clears the columns above each pivot, bottom up,
+    on the right half only: the left half is triangular, and each step
+    changes it in the pivot column alone.  Scaling and row operations skip
+    the zero entries of the pivot row."""
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
-    ring, rows, n = m.ring, m.rows, m.nrows
-    back = None
+    ring, n = m.ring, m.nrows
     if isinstance(ring, LaurentRing):
-        field, x = FractionField(ring.poly_ring), ring.poly_ring.gen
-        rows = [[field(e.poly.shift(max(e.offset, 0)), x ** max(-e.offset, 0))
-                 for e in row] for row in rows]
-        back = lambda f: ring.from_poly(f.num, -f.den.degree)
+        field = FractionField(ring.poly_ring)
     elif isinstance(ring, _FIELDS):
         field = ring
     else:
         raise RingError(f"no inverse over {ring}")
     z, o = field.zero, field.one
-    aug = [list(row) + [o if i == j else z for j in range(n)]
-           for i, row in enumerate(rows)]
+    aug = [[field(e) for e in row] + [o if i == j else z for j in range(n)]
+           for i, row in enumerate(m.rows)]
     rank, det, _ = _gaussian_pass(aug, n)
-    if rank < n:
-        det = field.zero
-    if back is not None:
-        det = back(det)
+    det = ring(det if rank == n else z)
     if not det.is_unit():
         raise NonUnitError(f"determinant {det!r} is not a unit in {ring}", det)
     inv_rows = [row[n:] for row in aug]
@@ -325,9 +319,7 @@ def mat_inverse(m: Matrix) -> Matrix:
             if not f.is_zero():
                 inv_rows[i] = [a if b.is_zero() else a - f * b
                                for a, b in zip(inv_rows[i], pivot_row)]
-    if back is not None:
-        inv_rows = [[back(e) for e in row] for row in inv_rows]
-    return Matrix(inv_rows, ring)
+    return Matrix([[ring(e) for e in row] for row in inv_rows], ring)
 
 
 def rank_over_fractions(m: Matrix) -> int:

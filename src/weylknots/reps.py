@@ -119,29 +119,15 @@ def _charp_ring(p, values):
     return LaurentRing(PolynomialRing(PrimeField(p), var))
 
 
-def _charp_value(ring, value):
-    return ring(value if isinstance(value, int) else str(value))
-
-
-def _q_context(p):
-    """(entry ring, embed) for the q-families: Z_p scalars, or Frac(Q[q])
-    with q symbolic when p is None."""
-    if p is not None:
-        fieldring = PrimeField(p)
-
-        def embed(value):
-            if isinstance(value, str) and _NAME_RE.search(value):
-                raise RepError(f"indeterminate parameter {value!r} needs p=None")
-            return fieldring(value if isinstance(value, int) else str(value))
-
-        return fieldring, embed
-    dom = PolynomialRing(QQ, "q")
-    fieldring = FractionField(dom)
-
-    def embed(value):
-        return fieldring(dom(value if isinstance(value, int) else str(value)))
-
-    return fieldring, embed
+def _q_ring(p, values):
+    """Entry ring for the q-families: Frac(Q[q]) with q symbolic when p is
+    None, else Z_p, where the parameters may use no indeterminate."""
+    if p is None:
+        return FractionField(PolynomialRing(QQ, "q"))
+    names = _indeterminates(values)
+    if names:
+        raise RepError(f"indeterminate parameters {names} need p=None")
+    return PrimeField(p)
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +143,8 @@ def family_char_p_bidiagonal(n: int, p: int, x, y, a) -> MatrixRep:
     if len(a) != n - 1:
         raise RepError(f"need {n - 1} superdiagonal parameters, got {len(a)}")
     ring = _charp_ring(p, [x, y, *a])
-    xv = _charp_value(ring, x)
-    yv = _charp_value(ring, y)
-    av = [_charp_value(ring, ai) for ai in a]
+    xv, yv = ring(x), ring(y)
+    av = [ring(ai) for ai in a]
     for nameval, val in (("x", xv), ("y", yv)):
         if val.is_zero():
             raise RepError(f"parameter {nameval} must be nonzero")
@@ -182,20 +167,13 @@ def family_char_p_bidiagonal(n: int, p: int, x, y, a) -> MatrixRep:
 def truncated_k_sequence(i_vals, length: int):
     """Coefficients of (I')^-1 from the difference equation; i_vals are the
     coefficients of I in the entry ring, i_1 a unit."""
-    i1 = i_vals[1]
-    k = [i1.inv()]
+    k = [i_vals[1].inv()]
     for r in range(1, length):
-        acc = None
-        for m in range(1, r + 1):
-            im = i_vals[m + 1] if m + 1 < len(i_vals) else None
-            if im is None or im.is_zero():
-                continue
-            term = (m + 1) * im * k[r - m]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            k.append(k[0] - k[0])
-        else:
-            k.append(-(acc * k[0]))
+        acc = k[0].ring.zero
+        for m in range(1, min(r + 1, len(i_vals) - 1)):
+            if not i_vals[m + 1].is_zero():
+                acc += (m + 1) * i_vals[m + 1] * k[r - m]
+        k.append(-(acc * k[0]))
     return k
 
 
@@ -211,8 +189,8 @@ def family_truncated(n: int, p: int, i_coeffs, j_coeffs) -> MatrixRep:
     if n % p != 0:
         raise RepError(f"characteristic {p} must divide the dimension {n}")
     ring = _charp_ring(p, list(i_coeffs) + list(j_coeffs))
-    ivals = [_charp_value(ring, c) for c in i_coeffs]
-    jvals = [_charp_value(ring, c) for c in j_coeffs]
+    ivals = [ring(c) for c in i_coeffs]
+    jvals = [ring(c) for c in j_coeffs]
     ivals += [ring.zero] * (n - len(ivals))
     jvals += [ring.zero] * (n - len(jvals))
     if ivals[0].is_zero() or ivals[1].is_zero():
@@ -241,13 +219,12 @@ def family_q_bidiagonal(n: int, q, a, b, p: int | None = None) -> MatrixRep:
     """Lower-bidiagonal U (diagonal q^(n-i) a, subdiagonal b_i) and
     upper-bidiagonal V (diagonal q^(n-i) c, superdiagonal beta_i / b_i),
     with beta_i and ac solved exactly from the diagonal recurrence."""
-    ring, embed = _q_context(p)
-    qv = embed(q)
-    av = embed(a)
     b = list(b)
     if len(b) != n - 1:
         raise RepError(f"need {n - 1} subdiagonal parameters, got {len(b)}")
-    bv = [embed(bi) for bi in b]
+    ring = _q_ring(p, [q, a, *b])
+    qv, av = ring(q), ring(a)
+    bv = [ring(bi) for bi in b]
     one = ring.one
     if qv.is_zero() or (one - qv).is_zero():
         raise RepError("q and 1 - q must be invertible")
@@ -286,8 +263,8 @@ def family_q_bidiagonal(n: int, q, a, b, p: int | None = None) -> MatrixRep:
 def family_q_upper(n: int, q, a, b, d, e, p: int | None = None) -> MatrixRep:
     """The upper-triangular pair with geometric diagonals and
     c = 1/(a q^(n-1) (1-q))."""
-    ring, embed = _q_context(p)
-    qv, av, bvv, dv, ev = (embed(v) for v in (q, a, b, d, e))
+    ring = _q_ring(p, [q, a, b, d, e])
+    qv, av, bvv, dv, ev = (ring(v) for v in (q, a, b, d, e))
     one = ring.one
     if qv.is_zero() or (one - qv).is_zero():
         raise RepError("q and 1 - q must be invertible")

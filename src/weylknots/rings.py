@@ -3,16 +3,20 @@
 Every value is immutable and carries a reference to its ring, so mixed-ring
 operations fail loudly instead of coercing.  Ring equality is structural,
 so two equal ring objects mix freely.  Every element class, the Weyl
-engine's coefficients too, subclasses ``RingElement``.  A binary operator
-whose operand has the same class and the very same ring object goes
-straight to the arithmetic; any other operand (an int, a lift, an element
-of an equal but distinct ring) is first coerced into that ring object by
-``RingElement._mixed``, with the ring check, and the operator runs again.
-The reflected operators, ``exact_div`` and powers are ``RingElement``'s
-alone, except that polynomials divide exactly through ``divmod`` and have
-no negative powers.  The ring objects double as factories: ``ring(x)``
-builds an element from ints, strings (parsed by ``weylknots.polytext``) or
-lists, and is the one conversion of an int.
+engine's coefficients too, subclasses ``RingElement``.
+
+``ring(x)`` is the one way a value enters a ring.  It builds an element
+from ints, strings (parsed by ``weylknots.polytext``), coefficient lists
+and the elements of smaller rings, moves an element of an equal ring onto
+the ring object itself, and raises ``RingMismatchError`` for an element of
+an unequal ring.  Between a Laurent ring and its fraction field it converts
+both ways, fractions n / x^k only.  A binary operator whose operand has
+the same class and the very same ring object goes straight to the
+arithmetic; any other operand of that class, or of a type in the class's
+``_lifts``, is converted by ``ring(other)`` in ``RingElement._coerce`` and
+the operator runs again.  The reflected operators, ``exact_div`` and
+powers are ``RingElement``'s alone, except that polynomials divide exactly
+through ``divmod`` and have no / and no negative powers.
 
 Representation conventions:
 
@@ -65,21 +69,31 @@ class NonUnitError(RingError):
         self.value = value
 
 
-def _check_same_ring(a, b):
-    if a.ring is not b.ring and a.ring != b.ring:
-        raise RingMismatchError(f"mixed rings: {a.ring} vs {b.ring}")
+def _check_ring(ring, value):
+    if value.ring != ring:
+        raise RingMismatchError(f"{value!r} is not in {ring}")
 
 
 class RingElement:
     """The operator protocol every element class shares.
 
-    A subclass has a ``ring`` with a ``one``, a ``_coerce(other)`` giving
-    other in that very ring object or NotImplemented, and its own same-ring
+    A subclass has a ``ring`` with a ``one``, the tuple ``_lifts`` of the
+    other types its ring builds elements from, and its own same-ring
     operators, each of which hands any other operand to ``_mixed``.  The
-    reflected operators, exact division and powers are built on those
-    here."""
+    coercion, the reflected operators, exact division and powers are built
+    on those here."""
 
     __slots__ = ()
+    _lifts = ()
+
+    def _coerce(self, other):
+        """other in self's very ring object, built by ``self.ring(other)``
+        when it has self's class or a type in ``_lifts`` (the ring raises
+        ``RingMismatchError`` for an unequal ring); NotImplemented
+        otherwise."""
+        if other.__class__ is self.__class__ or isinstance(other, self._lifts):
+            return self.ring(other)
+        return NotImplemented
 
     def _mixed(self, op, other):
         """op(self, other) once other is coerced into self's very ring object,
@@ -153,6 +167,7 @@ class FieldScalar(RingElement):
     """Element of a ``PrimeField`` or of ``QQ``."""
 
     __slots__ = ("ring", "value")
+    _lifts = (int, Fraction)
 
     def __init__(self, ring, value):
         self.ring = ring
@@ -169,14 +184,6 @@ class FieldScalar(RingElement):
 
     def inv(self):
         return FieldScalar(self.ring, self.ring.cinv(self.value))
-
-    def _coerce(self, other):
-        if isinstance(other, FieldScalar):
-            _check_same_ring(self, other)
-            return FieldScalar(self.ring, other.value)
-        if isinstance(other, (int, Fraction)):
-            return self.ring(other)
-        return NotImplemented
 
     def __add__(self, other):
         if other.__class__ is not FieldScalar or other.ring is not self.ring:
@@ -234,8 +241,9 @@ class PrimeField:
 
     def __call__(self, value) -> FieldScalar:
         if isinstance(value, FieldScalar):
-            if value.ring != self:
-                raise RingMismatchError(f"{value!r} is not in {self}")
+            if value.ring is not self:
+                _check_ring(self, value)
+                value = FieldScalar(self, value.value)
             return value
         if isinstance(value, str):
             value = int(value)
@@ -289,8 +297,9 @@ class RationalField:
 
     def __call__(self, value) -> FieldScalar:
         if isinstance(value, FieldScalar):
-            if value.ring != self:
-                raise RingMismatchError(f"{value!r} is not rational")
+            if value.ring is not self:
+                _check_ring(self, value)
+                value = FieldScalar(self, value.value)
             return value
         if isinstance(value, (int, str)):
             value = Fraction(value)
@@ -426,8 +435,9 @@ class PolynomialRing:
 
     def __call__(self, value) -> UniPolynomial:
         if isinstance(value, UniPolynomial):
-            if value.ring != self:
-                raise RingMismatchError(f"{value!r} is not in {self}")
+            if value.ring is not self:
+                _check_ring(self, value)
+                value = UniPolynomial(self, value.coeffs)
             return value
         if isinstance(value, str):
             from .polytext import parse_polynomial
@@ -485,6 +495,7 @@ class UniPolynomial(RingElement):
     """Dense univariate polynomial; the zero polynomial's degree is None."""
 
     __slots__ = ("ring", "coeffs")
+    _lifts = (int, FieldScalar)
 
     def __init__(self, ring, coeffs):
         self.ring = ring
@@ -502,14 +513,6 @@ class UniPolynomial(RingElement):
 
     def is_constant(self):
         return len(self.coeffs) <= 1
-
-    def _coerce(self, other):
-        if isinstance(other, UniPolynomial):
-            _check_same_ring(self, other)
-            return UniPolynomial(self.ring, other.coeffs)
-        if isinstance(other, (int, FieldScalar)):
-            return self.ring(other)
-        return NotImplemented
 
     def _combine(self, other, op):
         # op on each coefficient pair, self padded with zeros when shorter;
@@ -545,6 +548,9 @@ class UniPolynomial(RingElement):
 
     def __mod__(self, other):
         return divmod(self, other)[1]
+
+    def __rtruediv__(self, other):
+        return NotImplemented  # polynomials have no /, so other / self is refused
 
     def exact_div(self, other):
         qr = self.__divmod__(other)
@@ -602,7 +608,7 @@ def _valuation(coeffs):
 
 def poly_gcd(a: UniPolynomial, b: UniPolynomial) -> UniPolynomial:
     """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
-    _check_same_ring(a, b)
+    _check_ring(a.ring, b)
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
@@ -661,19 +667,24 @@ class LaurentRing:
         return self.poly_ring.var
 
     def __call__(self, value) -> LaurentPolynomial:
+        """The Laurent polynomial of an element of this ring, an int, a
+        scalar, a polynomial, a coefficient list, text, or a fraction
+        n / x^k (``ValueError`` for any other fraction)."""
         if isinstance(value, LaurentPolynomial):
-            if value.ring != self:
-                raise RingMismatchError(f"{value!r} is not in {self}")
+            if value.ring is not self:
+                _check_ring(self, value)
+                value = LaurentPolynomial(self, self.poly_ring(value.poly), value.offset)
             return value
         if isinstance(value, str):
             from .polytext import parse_laurent
             return parse_laurent(value, self)
-        if isinstance(value, (int, FieldScalar, list, tuple)):
-            value = self.poly_ring(value)
-        if isinstance(value, UniPolynomial):
-            if value.ring != self.poly_ring:
-                raise RingMismatchError(f"{value!r} has the wrong polynomial ring")
-            return self.from_poly(value)
+        if isinstance(value, FractionElement):
+            den = value.den.coeffs
+            if any(den[:-1]):
+                raise ValueError(f"{value!r} is not a Laurent polynomial")
+            return self.from_poly(self.poly_ring(value.num), 1 - len(den))
+        if isinstance(value, (int, FieldScalar, list, tuple, UniPolynomial)):
+            return self.from_poly(self.poly_ring(value))
         raise TypeError(f"cannot build a Laurent polynomial from {value!r}")
 
     def from_poly(self, poly: UniPolynomial, offset: int = 0) -> LaurentPolynomial:
@@ -730,6 +741,7 @@ class LaurentPolynomial(RingElement):
     """poly * var^offset with poly having a nonzero constant term (or zero)."""
 
     __slots__ = ("ring", "poly", "offset")
+    _lifts = (int, FieldScalar, UniPolynomial)
 
     def __init__(self, ring, poly, offset):
         self.ring = ring
@@ -753,14 +765,6 @@ class LaurentPolynomial(RingElement):
     @property
     def max_exp(self):
         return None if self.poly.is_zero() else self.offset + self.poly.degree
-
-    def _coerce(self, other):
-        if isinstance(other, LaurentPolynomial):
-            _check_same_ring(self, other)
-            return LaurentPolynomial(self.ring, other.poly, other.offset)
-        if isinstance(other, (int, FieldScalar, UniPolynomial)):
-            return self.ring(other)
-        return NotImplemented
 
     def _combine(self, other, op):
         # op on the two polynomials shifted to the lesser offset
@@ -858,8 +862,11 @@ class FractionField:
     normalizes each sum once; a denominator that is a power of x, the
     common case on symbolic Weyl switches, needs no gcd there.
 
-    Fractions are matrix entries; a fraction field is not a coefficient
-    field of ``PolynomialRing``.
+    ``field(num, den)`` builds num / den from anything ``domain`` converts,
+    and ``field(x)`` also takes a fraction or a Laurent polynomial f x^k,
+    f(0) != 0, which is f x^k / 1 or f / x^-k.  Fractions are matrix
+    entries; a fraction field is not a coefficient field of
+    ``PolynomialRing``.
     """
 
     __slots__ = ("domain",)
@@ -870,16 +877,20 @@ class FractionField:
         self.domain = domain
 
     def __call__(self, num, den=None) -> FractionElement:
+        if den is not None:
+            return _make_fraction(self, self.domain(num), self.domain(den))
         if isinstance(num, FractionElement):
-            if num.ring != self:
-                raise RingMismatchError(f"{num!r} is not in {self}")
-            if den is not None:
-                raise ValueError("denominator not allowed with a fraction input")
+            if num.ring is not self:
+                _check_ring(self, num)
+                num = FractionElement(self, self.domain(num.num), self.domain(num.den))
             return num
-        if den is None:
-            # n/1 is already canonical
-            return FractionElement(self, self.domain(num), self.domain.one)
-        return _make_fraction(self, self.domain(num), self.domain(den))
+        if isinstance(num, LaurentPolynomial):
+            # f x^k with f(0) != 0 is f x^k / 1 or f / x^-k, both canonical
+            f, k = self.domain(num.poly), num.offset
+            return FractionElement(self, f.shift(max(k, 0)),
+                                   self.domain.one.shift(max(-k, 0)))
+        # n/1 is already canonical
+        return FractionElement(self, self.domain(num), self.domain.one)
 
     def dot(self, pairs):
         """The sum of a * b over a list of fraction pairs, reduced once.
@@ -974,6 +985,7 @@ class FractionElement(RingElement):
     ``FractionField``, so equality and hashing read the stored pair."""
 
     __slots__ = ("ring", "num", "den")
+    _lifts = (int, UniPolynomial)
 
     def __init__(self, ring, num, den):
         self.ring = ring
@@ -988,14 +1000,6 @@ class FractionElement(RingElement):
 
     def is_unit(self):
         return not self.num.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, FractionElement):
-            _check_same_ring(self, other)
-            return FractionElement(self.ring, other.num, other.den)
-        if isinstance(other, (int, UniPolynomial)):
-            return self.ring(other)
-        return NotImplemented
 
     def _combine(self, other, op):
         # self op other for op + or -, both nonzero; equal denominators skip

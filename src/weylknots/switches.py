@@ -60,14 +60,8 @@ class LinearSwitch:
         self.k = A.nrows
         self.ring = A.ring
         self.label = label
-        self._S = None
+        self.S = Matrix.block([[A, B], [C, D]])
         self._S_inv = None
-
-    @property
-    def S(self) -> Matrix:
-        if self._S is None:
-            self._S = Matrix.block([[self.A, self.B], [self.C, self.D]])
-        return self._S
 
     def is_flat(self) -> bool:
         """The switch declares q = 1, where the Hecke quadratic is S^2 = I."""

@@ -270,6 +270,9 @@ class ShiftFractionField:
         if isinstance(num, ShiftFraction):
             if den is not None:
                 raise ValueError("denominator not allowed with a fraction input")
+            if num.ring is not self:
+                # every ShiftFractionField is equal, so num moves onto this one
+                num = ShiftFraction(self, num.numer, num.qexp, num.shifts)
             return num
         num = _term_map(num)
         sign, qexp, shifts = (1, 0, {}) if den is None else self._factored(_term_map(den))
@@ -386,6 +389,7 @@ class ShiftFraction(RingElement):
     ``ShiftFractionField``; equality is structural."""
 
     __slots__ = ("ring", "numer", "qexp", "shifts")
+    _lifts = (int,)
 
     def __init__(self, ring, numer, qexp, shifts):
         self.ring = ring
@@ -408,13 +412,6 @@ class ShiftFraction(RingElement):
 
     def is_one(self):
         return self.qexp == 0 and not self.shifts and self.numer == {(0, 0): 1}
-
-    def _coerce(self, other):
-        if isinstance(other, ShiftFraction):
-            return ShiftFraction(self.ring, other.numer, other.qexp, other.shifts)
-        if isinstance(other, int):
-            return self.ring(other)
-        return NotImplemented
 
     def _combine(self, other, sign):
         # self + sign * other, both nonzero, over the least common denominator

@@ -244,6 +244,17 @@ class TestInverse:
         assert exc.value.value.ring == m.ring
         assert exc.value.value == det_exact(m)
 
+    def test_inverse_without_a_unit_entry(self):
+        # det 1, yet no entry is a unit of Z_13[x, x^-1], so no Laurent pivot
+        # exists: the inverse needs the fraction field
+        ring = LaurentRing(PolynomialRing(PrimeField(13), "x"))
+        m = lmat(ring, [["x + 2", "12x + 4"], ["x + 4", "12x + 2"]])
+        assert det_exact(m) == ring.one
+        assert not any(e.is_unit() for row in m.rows for e in row)
+        inv = mat_inverse(m)
+        assert inv == lmat(ring, [["12x + 2", "x + 9"], ["12x + 9", "x + 2"]])
+        assert (m * inv).is_identity() and (inv * m).is_identity()
+
     def test_inverse_roundtrip_random(self):
         # every ring mat_inverse serves: Laurent, Z_p and Frac(Q[q])
         rng = random.Random(3)

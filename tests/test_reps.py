@@ -175,6 +175,10 @@ class TestQBidiagonal:
         with pytest.raises(RepError, match="1 - q"):
             family_q_bidiagonal(2, q=1, a=1, b=[1], p=5)
 
+    def test_indeterminate_needs_symbolic_q(self):
+        with pytest.raises(RepError, match=r"indeterminate parameters \['q'\] need p=None"):
+            family_q_bidiagonal(2, q="q", a=1, b=[1], p=5)
+
     def test_unsolvable_recurrence(self):
         # q = -1 makes the closing equation singular for n = 2
         with pytest.raises(RepError, match="unsolvable"):

@@ -425,7 +425,11 @@ def test_int_operands_on_the_left_are_coerced(name):
     assert 2 + x == two + x and (2 + x).ring is x.ring
     assert 2 - x == two - x and (2 - x).ring is x.ring
     assert 2 * x == two * x and (2 * x).ring is x.ring
-    if name != "poly":
+    if name == "poly":
+        # polynomials have no /, and the refusal names the int operand
+        with pytest.raises(TypeError, match="'int' and 'UniPolynomial'"):
+            2 / x
+    else:
         assert 2 / x == two / x and (2 / x).ring is x.ring
 
 
@@ -563,6 +567,31 @@ def _fraction_denominators(domain):
     of the two."""
     x = domain.gen
     return [domain.one, x, x ** 3, x + 1, x * x + 2, x ** 2 * (x + 1), (x + 3) ** 2]
+
+
+class TestConversions:
+    """A Laurent polynomial enters Frac(F[x]) by ``field(e)``, and a
+    fraction n / x^k comes back by ``ring(f)``."""
+
+    @pytest.mark.parametrize("name", ["Z3[y,1/y]", "Q[t,1/t]"])
+    def test_laurent_round_trips_through_fractions(self, name):
+        ring = DOT_RINGS[name]
+        field, x = FractionField(ring.poly_ring), ring.poly_ring.gen
+        rng = random.Random(name)
+        for _ in range(60):
+            e = _random_element(rng, ring)
+            f, k = field(e), e.offset
+            made = rings._make_fraction(field, e.poly.shift(max(k, 0)), x ** max(-k, 0))
+            assert (f.num, f.den) == (made.num, made.den)
+            assert ring(f) == e and ring(f).ring is ring
+
+    def test_other_fractions_are_refused(self):
+        field, ring = FractionField(QX), LaurentRing(QX)
+        with pytest.raises(ValueError, match=r"\(x \+ 1\)/\(x \+ 2\) is not a Laurent"):
+            ring(field("x + 1", "x + 2"))
+        # the conversions are explicit: operators do not mix the two rings
+        with pytest.raises(TypeError):
+            ring.gen + field(QX.gen)
 
 
 class TestDot:
@@ -763,6 +792,8 @@ class TestRingEquality:
             assert op(b, a) == op(s(b_text), s(a_text))
         for op in (operator.add, operator.sub, operator.mul):
             assert op(a, b).ring is r and op(b, a).ring is s
+        # conversion lands on the converting ring object itself
+        assert r(b).ring is r and r(b) == r(b_text) and (2 + a).ring is r
         m = Matrix([[a, b], [b, a]], r)
         assert m * Matrix.identity(s, 2) == m
         assert m + Matrix.zeros(s, 2) == Matrix([[a, b], [b, a]], s)

@@ -61,6 +61,17 @@ def test_exports_resolve():
         assert getattr(weylknots, name, None) is not None, name
 
 
+def test_one_coercion():
+    # ring(x) is the one conversion: only RingElement defines _coerce
+    found = set()
+    for path in sorted((ROOT / "src" / "weylknots").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef):
+                found.update(node.name for item in node.body
+                             if isinstance(item, ast.FunctionDef) and item.name == "_coerce")
+    assert found == {"RingElement"}, sorted(found)
+
+
 # The underscore names one module of the package may import from another.
 PRIVATE_IMPORTS = {("braids", "linalg", "_row_times")}
 

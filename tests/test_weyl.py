@@ -504,6 +504,14 @@ class TestShiftFactoredCoefficients:
         with pytest.raises(ValueError, match="denominator not allowed"):
             field(SYM.h_coeff(), 2)
 
+    def test_a_distinct_field_object_converts(self):
+        field = SYM.coeff_field
+        other = type(field)(SYM)
+        h = other(SYM.h_coeff())
+        assert h.ring is other and other(h) is h
+        assert (SYM.h_coeff() + h).ring is field and (h + SYM.h_coeff()).ring is other
+        assert h - SYM.h_coeff() == 0 and field(h) == h
+
 
 class TestCoefficientGrowth:
     """(u v' + v u' + q)^k once took 0.01, 0.17 and 12 s for k = 4, 5, 6
