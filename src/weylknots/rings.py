@@ -35,12 +35,14 @@ Representation conventions:
   plus an integer ``offset`` (the lowest exponent), so the stored pair is
   unique.  Values with negative offset print as ``p(x)/x^k``.
 * ``FractionElement`` keeps numerator/denominator over a univariate
-  domain F[x], reduced and with a monic denominator, the Euclidean gcd
-  skipped where the answer is known (see ``FractionField``).  That pair is
-  unique, so equality compares it.
+  domain F[x], reduced and with a monic denominator, the gcd skipped where
+  the answer is known (see ``FractionField``).  That pair is unique, so
+  equality compares it.
 
 Every polynomial product is one integer convolution, ``_convolve``: over
-Z_p of the residues, over Q of the coefficients scaled to integers.
+Z_p of the residues, over Q of the coefficients scaled to integers.  Every
+gcd over Q runs on those integers too (``_integer_gcd``); over Z_p it is
+the Euclidean algorithm.
 
 Each ring a ``linalg.Matrix`` multiplies has ``dot(pairs)``, the sum of
 a * b over a list of element pairs, normalized once.
@@ -246,7 +248,7 @@ class PrimeField:
                 value = FieldScalar(self, value.value)
             return value
         if isinstance(value, str):
-            value = int(value)
+            value = Fraction(value)
         if isinstance(value, Fraction):
             return FieldScalar(self, value.numerator * self.cinv(value.denominator)
                                % self.p)
@@ -607,11 +609,63 @@ def _valuation(coeffs):
 
 
 def poly_gcd(a: UniPolynomial, b: UniPolynomial) -> UniPolynomial:
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) = 0."""
+    """Monic gcd; gcd(0, 0) = 0.  Over Z_p the Euclidean algorithm; over Q
+    the primitive remainder sequence ``_integer_gcd`` of the operands scaled
+    to integers, made monic with one ``Fraction`` per coefficient."""
     _check_ring(a.ring, b)
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    if a.ring.field.p or not (a.coeffs and b.coeffs):
+        while not b.is_zero():
+            a, b = b, a % b
+        return a.monic()
+    g = _integer_gcd(_scaled(a.coeffs)[0], _scaled(b.coeffs)[0])
+    return UniPolynomial(a.ring, tuple([Fraction(c, g[-1]) for c in g]))
+
+
+def _primitive(a):
+    """A nonzero int list divided by the gcd of its entries, its content."""
+    c = math.gcd(*a)
+    return a if c == 1 else [x // c for x in a]
+
+
+def _integer_gcd(a, b):
+    """A primitive gcd over Z of two nonzero int lists, up to sign; a
+    constant for coprime lists.  This is the primitive remainder sequence
+    (Brown, JACM 1971) with no ``Fraction``: each pseudo-division step
+    scales the remainder by lc(b) / g and subtracts c / g times b, for c its
+    top coefficient and g = gcd(c, lc(b)), and each remainder is divided by
+    its content."""
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        n, lead, r = len(b) - 1, b[-1], list(a)
+        while len(r) > n:
+            c = r.pop()
+            if c:
+                g = math.gcd(c, lead)
+                m, c, s = lead // g, c // g, len(r) - n
+                if m != 1:
+                    r = [x * m for x in r]
+                for j in range(n):
+                    r[s + j] -= c * b[j]
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            break
+        a, b = b, _primitive(r)
+    return b
+
+
+def _exact_quotient(a, b):
+    """a / b for int lists with b | a over Z, by long division."""
+    n, lead, r, quot = len(b) - 1, b[-1], list(a), []
+    while len(r) > n:
+        c = r.pop() // lead
+        quot.append(c)
+        s = len(r) - n
+        for j in range(n):
+            r[s + j] -= c * b[j]
+    return quot[::-1]
 
 
 def _poly_str(field, coeffs, var):
@@ -843,8 +897,8 @@ class FractionField:
     """Frac(D) for D a univariate ``PolynomialRing`` F[x].
 
     Canonical form over D = F[x]: num and den are coprime and den is monic,
-    so each fraction has exactly one stored pair.  The Euclidean gcd runs
-    only when the answer is not already known:
+    so each fraction has exactly one stored pair.  The gcd runs only when
+    the answer is not already known:
 
     * a monomial numerator or denominator c*x^k: the gcd is the power of x
       dividing both (the lesser valuation), stripped without division;
@@ -854,6 +908,12 @@ class FractionField:
       products;
     * a zero operand: a +- 0 is a, 0 + b is b, 0 - b is -b, and a product
       with a zero factor is zero, with no normalization at all.
+
+    Where it runs, the gcd is ``poly_gcd``'s Euclidean algorithm over Z_p.
+    Over Q[x] both sides are scaled to integer lists, their primitive gcd
+    (``_integer_gcd``) is divided out of both on the integers, exactly by
+    Gauss's lemma, and the canonical pair is built with one ``Fraction``
+    per coefficient: no ``Fraction`` arithmetic runs in between.
 
     Over Q[x], products (``_mul_raw``) convolve the operands scaled to
     integers (``_integer_mul``) and build one ``Fraction`` per output
@@ -967,6 +1027,19 @@ def _make_fraction(ring, num, den, coprime=False):
             if s:
                 num = UniPolynomial(ring.domain, num.coeffs[s:])
                 den = UniPolynomial(ring.domain, den.coeffs[s:])
+        elif not ring.domain.field.p:
+            # n / dn over d / dd with n, d integer lists; by Gauss's lemma
+            # their primitive gcd divides both over Z
+            n, dn = _scaled(num.coeffs)
+            d, dd = _scaled(den.coeffs)
+            g = _integer_gcd(n, d)
+            if len(g) > 1:
+                n, d = _exact_quotient(n, g), _exact_quotient(d, g)
+            lead = d[-1]
+            scale = lead * dn
+            return FractionElement(
+                ring, UniPolynomial(ring.domain, tuple([Fraction(c * dd, scale) for c in n])),
+                UniPolynomial(ring.domain, tuple([Fraction(c, lead) for c in d])))
         else:
             g = poly_gcd(num, den)
             if not g.is_one():

@@ -2,6 +2,7 @@
 Frac(Z[q,h]), and the paths that skip the Euclidean gcd or the trial
 divisions."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -31,6 +32,14 @@ QQq = PolynomialRing(QQ, "q")
 FQH = EngineMode.symbolic().coeff_field
 
 
+def euclid_gcd(a, b):
+    """The monic gcd by the Euclidean algorithm on the coefficients, as
+    ``poly_gcd`` ran it over Q too before the integer remainder sequence."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
 def euclid_fraction(ring, num, den):
     """The Frac(F[x]) normalization before the gcd-free paths, copied
     verbatim: Euclidean gcd, then a monic denominator."""
@@ -38,7 +47,7 @@ def euclid_fraction(ring, num, den):
         raise ZeroDivisionError(f"zero denominator in {ring}")
     if num.is_zero():
         return FractionElement(ring, num, ring.domain.one)
-    g = poly_gcd(num, den)
+    g = euclid_gcd(num, den)
     if not g.is_one():
         num = num.exact_div(g)
         den = den.exact_div(g)
@@ -50,25 +59,34 @@ def euclid_fraction(ring, num, den):
     return FractionElement(ring, num, den)
 
 
+def sympy_expr(sympy, p):
+    x = sympy.symbols("x")
+    return sum((sympy.Rational(c.numerator, c.denominator) * x ** k
+                for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+def sympy_coeffs(sympy, expr):
+    """The ascending Fraction tuple of a sympy polynomial in x."""
+    p = sympy.Poly(expr, sympy.symbols("x"), domain="QQ")
+    if p.is_zero:
+        return ()
+    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
 def sympy_pair(num, den):
     """(num, den) coefficient tuples of sympy's cancel, den made monic."""
     sympy = pytest.importorskip("sympy")
-    x = sympy.symbols("x")
+    n, d = sympy.fraction(sympy.cancel(sympy_expr(sympy, num) / sympy_expr(sympy, den)))
+    lead = sympy.Poly(d, sympy.symbols("x"), domain="QQ").LC()
+    return sympy_coeffs(sympy, n / lead), sympy_coeffs(sympy, d / lead)
 
-    def expr(p):
-        return sum((sympy.Rational(c.numerator, c.denominator) * x ** k
-                    for k, c in enumerate(p.coeffs)), sympy.Integer(0))
 
-    n, d = sympy.fraction(sympy.cancel(expr(num) / expr(den)))
-    n, d = sympy.Poly(n, x, domain="QQ"), sympy.Poly(d, x, domain="QQ")
-    n, d = n.quo_ground(d.LC()), d.monic()
-
-    def coeffs(p):
-        if p.is_zero:
-            return ()
-        return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
-
-    return coeffs(n), coeffs(d)
+def sympy_gcd(a, b):
+    """The coefficient tuple of sympy's gcd, made monic."""
+    sympy = pytest.importorskip("sympy")
+    g = sympy.Poly(sympy.gcd(sympy_expr(sympy, a), sympy_expr(sympy, b)),
+                   sympy.symbols("x"), domain="QQ")
+    return () if g.is_zero else sympy_coeffs(sympy, g.monic().as_expr())
 
 
 def random_poly(rng, degree, low=0):
@@ -143,14 +161,85 @@ def test_canonical_form_over_a_prime_field():
         assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
 
 
+def big_poly(rng, degree):
+    """Random coefficients with up to 12-digit numerators over up to
+    15-digit denominators, the leading one negative half the time."""
+    coeffs = [Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 15))
+              for _ in range(degree + 1)]
+    coeffs[-1] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 10 ** 12),
+                          rng.randint(1, 10 ** 15))
+    return QX.from_raw(coeffs)
+
+
+def gcd_pairs(seed):
+    """Seeded Q[x] pairs with the degree of a factor they share: zero,
+    constants, monomials, negative leading coefficients, large
+    denominators, and common factors of known degree."""
+    rng = random.Random(seed)
+    x = QX.gen
+    f, g = random_poly(rng, 3), big_poly(rng, 2)
+    out = [(QX.zero, QX.zero, None), (QX.zero, f, 3), (g, QX.zero, 2),
+           (QX("-2/3"), f, 0), (QX("5"), QX("-7/9"), 0),
+           (QX("-3x^4"), QX("2/5 x^2"), 2), (QX("x^3"), f * x, 1),
+           (-f, -(f * g), 3), (QX("-x^2 + 1/49"), QX("-(1/7)x + 1/49"), 1)]
+    for k in range(5):
+        common = big_poly(rng, k) if rng.random() < 0.5 else random_poly(rng, k)
+        a, b = random_poly(rng, rng.randint(0, 4)), big_poly(rng, rng.randint(0, 3))
+        if rng.random() < 0.3:
+            a = a * x ** rng.randint(1, 2)
+        out.append((a * common, b * common, k))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rational_gcd_matches_euclid_and_sympy(seed):
+    for a, b, shared in gcd_pairs(seed):
+        g = poly_gcd(a, b)
+        assert g.coeffs == euclid_gcd(a, b).coeffs == sympy_gcd(a, b), (a, b)
+        if shared is not None:
+            assert g.degree >= shared and g.coeffs[-1] == 1, (a, b)
+        if not g.is_zero():
+            assert (a % g).is_zero() and (b % g).is_zero()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_integer_gcd_divides_exactly_over_z(seed):
+    # Gauss's lemma: the primitive gcd divides both scaled operands over Z
+    for a, b, _ in gcd_pairs(seed):
+        if a.is_zero() or b.is_zero():
+            continue
+        ia, ib = rings._scaled(a.coeffs)[0], rings._scaled(b.coeffs)[0]
+        g = rings._integer_gcd(ia, ib)
+        assert math.gcd(*g) == 1 and len(g) - 1 == poly_gcd(a, b).degree
+        for ints in (ia, ib):
+            assert rings._convolve(rings._exact_quotient(ints, g), g) == ints
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rational_fraction_matches_euclid_and_sympy(seed):
+    # the same (num, den) coefficients as the Fraction Euclidean gcd gave,
+    # num/den and den/num alike
+    for a, b, _ in gcd_pairs(seed):
+        for num, den in ((a, b), (b, a)):
+            if den.is_zero():
+                continue
+            got = rings._make_fraction(FQ, num, den)
+            want = euclid_fraction(FQ, num, den)
+            assert (got.num.coeffs, got.den.coeffs) == (want.num.coeffs, want.den.coeffs)
+            assert (got.num.coeffs, got.den.coeffs) == sympy_pair(num, den)
+
+
 class TestGcdFreePaths:
     """The fast paths, pinned by making the slow operation raise."""
 
     @pytest.fixture
     def no_euclid(self, monkeypatch):
+        # _make_fraction reaches the gcd through poly_gcd over Z_p and
+        # through the integer remainder sequence over Q
         def refuse(a, b):
-            raise AssertionError(f"Euclidean gcd of {a} and {b}")
+            raise AssertionError(f"polynomial gcd of {a} and {b}")
         monkeypatch.setattr(rings, "poly_gcd", refuse)
+        monkeypatch.setattr(rings, "_integer_gcd", refuse)
 
     @pytest.fixture
     def no_products(self, monkeypatch):

@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from weylknots import linalg
+from weylknots.braids import parse_braid, represent
 from weylknots.linalg import (
     Matrix,
     det_exact,
@@ -26,6 +28,8 @@ from weylknots.rings import (
     laurent_canonicalize,
     poly_gcd,
 )
+from weylknots.reps import family_q_bidiagonal
+from weylknots.switches import weyl_switch
 from weylknots.weyl import EngineMode
 
 F2 = PrimeField(2)
@@ -805,3 +809,15 @@ class TestOneElimination:
         assert det_exact(m) == det_exact(fresh)
         assert rank_over_fractions(m) == 2
         assert minors_gcd(m, 0) == minors_gcd(fresh, 0)
+
+
+def test_kishino_lift_rank_over_symbolic_q():
+    # The Kishino lift's 9 x 9 M - I over Frac(Q[q]).  Its rank took 7.3 s
+    # while fraction normalization ran the Euclidean gcd on Fraction
+    # coefficients, and about 0.4 s on the integer remainder sequence.
+    switch = weyl_switch(family_q_bidiagonal(3, q="q", a=2, b=[1, -1]))
+    m = represent(parse_braid("t2 s1 s2 s1^-1 t2 s1^-1 s2^-1 s1", strands=3), switch)
+    m = m - Matrix.identity(m.ring, m.nrows)
+    start = time.perf_counter()
+    assert m.nrows - rank_over_fractions(m) == 3
+    assert time.perf_counter() - start < 3

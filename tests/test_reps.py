@@ -240,6 +240,11 @@ class TestSpecs:
                         '"params":{"q":3,"a":1,"b":1,"d":2,"e":1}}')
         build_rep(str(path))
 
+    def test_q_family_over_zp_takes_fraction_text(self):
+        spec = {"family": "q_bidiagonal", "n": 2, "p": 7,
+                "params": {"q": "1/2", "a": "1", "b": ["1"]}}
+        assert build_rep(spec).q == F7(4)
+
     def test_unknown_name(self):
         with pytest.raises(RepError, match="no builtin"):
             build_rep("nonesuch")

@@ -71,6 +71,16 @@ class TestScalars:
         with pytest.raises(ValueError):
             PrimeField(6)
 
+    def test_prime_field_reads_fraction_text(self):
+        # text is read the way QQ reads it, so "1/2" is the inverse of 2
+        F7 = PrimeField(7)
+        assert F7("1/2") == F7(Fraction(1, 2)) == F7(4)
+        assert F7("-3/5") == F7(-3) / F7(5) and F7(" 12 ") == F7(5)
+        with pytest.raises(ZeroDivisionError):
+            F7("1/14")
+        with pytest.raises(ValueError):
+            F7("1/2y")
+
     @pytest.mark.parametrize("ring", [F3, PrimeField(101), QQ], ids=str)
     def test_powers_match_repeated_products(self, ring):
         for value in (1, 2, -1):
