@@ -27,9 +27,9 @@ reduces them once, so no ring element is built for a single product or
 partial sum.
 
 Each matrix runs its elimination at most once: the result, (rank, det,
-factors) for both kinds, is kept on the ``Matrix`` (which is immutable, so
-it cannot go stale), and ``rank_over_fractions``, ``det_exact``,
-``invariant_factors`` and ``minors_gcd`` all read that one result.
+factors) for both kinds, is kept on the immutable ``Matrix``, and
+``rank_over_fractions``, ``det_exact``, ``invariant_factors``,
+``closure_invariants`` and ``minors_gcd`` all read that one result.
 """
 
 from __future__ import annotations
@@ -444,20 +444,34 @@ def invariant_factors(m: Matrix) -> list:
     return [laurent_canonicalize(ring.from_poly(d))[0] for d in _elimination(m)[2]]
 
 
-def minors_gcd(m: Matrix, r: int) -> UniPolynomial:
-    """Elementary ideal E_r of a square Laurent matrix: the monic gcd of all
-    (N-r) x (N-r) minors, each canonicalized first.
+def closure_invariants(m: Matrix) -> tuple:
+    """(corank, [E_corank, E_corank+1, ..., 1]) of the module that m
+    presents, rows as generators and columns as relations, square or not:
+    corank = nrows - rank, and E_r, the gcd of the (nrows - r)-minors, up
+    to the first that is 1.  Over a Laurent ring E_r is the product of the
+    first nrows - r invariant factors, monic and canonical in F[x]; over a
+    field every nonzero minor is a unit, so the list is [ring.one]."""
+    corank = m.nrows - _elimination(m)[0]
+    if not isinstance(m.ring, LaurentRing):
+        return corank, [m.ring.one]
+    ideals = [m.ring.poly_ring.one]
+    for d in invariant_factors(m):
+        if not d.is_one():
+            ideals.append(ideals[-1] * d)
+    return corank, ideals[::-1]
 
-    It is the product of the first N-r invariant factors, and zero when
-    N-r exceeds the rank.
-    """
+
+def minors_gcd(m: Matrix, r: int) -> UniPolynomial:
+    """E_r of a square Laurent matrix, looked up in ``closure_invariants``:
+    zero below the corank, 1 past its list.  Kept for ``bench/workloads.py``
+    until the benchmark's next revision."""
     if not m.is_square():
         raise ValueError("minors of a non-square matrix")
-    n = m.nrows
-    if not 0 <= r < n:
-        raise ValueError(f"codimension {r} out of range for size {n}")
-    factors = invariant_factors(m)
-    pring = m.ring.poly_ring
-    if n - r > len(factors):
-        return pring.zero
-    return math.prod(factors[:n - r], start=pring.one)
+    if not 0 <= r < m.nrows:
+        raise ValueError(f"codimension {r} out of range for size {m.nrows}")
+    if not isinstance(m.ring, LaurentRing):
+        raise RingError(f"elementary ideals need a Laurent matrix, got ring {m.ring}")
+    corank, ideals = closure_invariants(m)
+    if r < corank:
+        return m.ring.poly_ring.zero
+    return ideals[min(r - corank, len(ideals) - 1)]

@@ -343,7 +343,8 @@ class RepSpec:
         """The family member.  An unknown family, a p that is not a prime
         where one is needed or given, and a missing, unknown or ill-typed
         parameter raise ``RepError`` naming it; parameter text that does not
-        parse raises ``RepError`` quoting it."""
+        parse raises ``RepError`` quoting it, and a fraction whose
+        denominator is zero in the ring raises ``RepError`` too."""
         if self.family not in _SPEC_FAMILIES:
             raise RepError(f"unknown family {self.family!r}")
         make, keys = _SPEC_FAMILIES[self.family]
@@ -360,7 +361,7 @@ class RepSpec:
             raise RepError(f"family {self.family!r} takes no parameter {sorted(extra)}")
         try:
             rep = make(self.n, self.p, *args) if char_p else make(self.n, *args, self.p)
-        except ValueError as err:
+        except (ValueError, ZeroDivisionError) as err:
             raise RepError(f"family {self.family!r}: {err}") from None
         if self.name:
             rep.label = self.name

@@ -1,7 +1,7 @@
 """Paper fixtures for the elementary ideals of closure matrices M - I.
 
-E_r is the monic gcd of the (N-r)-minors, the product of the first N-r
-invariant factors; the sequence runs from the corank until it reaches 1.
+``closure_invariants`` gives the corank and E_corank, E_corank+1, ... up to
+the first E_r that is 1; each pair is pinned here by its repr.
 """
 
 import time
@@ -10,13 +10,7 @@ import pytest
 from test_linalg import bareiss_det
 
 from weylknots.braids import FLAT, braid_from_text, represent
-from weylknots.linalg import (
-    Matrix,
-    det_exact,
-    invariant_factors,
-    minors_gcd,
-    rank_over_fractions,
-)
+from weylknots.linalg import Matrix, closure_invariants, det_exact, invariant_factors
 from weylknots.reps import build_rep
 from weylknots.rings import laurent_canonicalize
 from weylknots.switches import weyl_switch
@@ -27,17 +21,6 @@ def closure(rep, text, strands=None):
     return m - Matrix.identity(m.ring, m.nrows)
 
 
-def ideals(a):
-    """The corank of ``a`` and its ideals E_corank, ... up to the first 1."""
-    corank = a.nrows - rank_over_fractions(a)
-    seq = {}
-    r = corank
-    while r < a.nrows and not (seq and seq[r - 1].is_one()):
-        seq[r] = minors_gcd(a, r)
-        r += 1
-    return corank, {r: repr(e) for r, e in seq.items()}
-
-
 KISHINO = "t2 s1 s2 s1 t2 s1 s2 s1"
 
 
@@ -46,15 +29,19 @@ KISHINO = "t2 s1 s2 s1 t2 s1 s2 s1"
 def test_kishino(text):
     a = closure("kishino3", text, 3)
     assert a.nrows == 9
-    assert ideals(a) == (3, {3: "y^6 + y^3 + 1", 4: "y^3 + 2", 5: "1"})
+    assert repr(closure_invariants(a)) == "(3, [y^6 + y^3 + 1, y^3 + 2, 1])"
+    # a zero row is a generator with no relation, as a free semiarc would be
+    free = Matrix([*a.rows, [a.ring.zero] * a.ncols], a.ring)
+    assert repr(closure_invariants(free)) == "(4, [y^6 + y^3 + 1, y^3 + 2, 1])"
 
 
 @pytest.mark.parametrize("text, expected", [
-    ("l(3)", (0, {0: "x^12 + 1", 1: "x^4 + x^2 + 1", 2: "1"})),
-    ("whorl(3)", (0, {0: "x^4 + 1", 1: "1"})),
+    ("l(3)", (0, ["x^12 + 1", "x^4 + x^2 + 1", "1"])),
+    ("whorl(3)", (0, ["x^4 + 1", "1"])),
 ])
 def test_flat_fixtures(text, expected):
-    assert ideals(closure("flat2", text)) == expected
+    corank, ideals = closure_invariants(closure("flat2", text))
+    assert (corank, [repr(e) for e in ideals]) == expected
 
 
 @pytest.mark.parametrize("n", [16, 32, 48])
@@ -63,7 +50,7 @@ def test_kishino3_whorls(n):
     # whorl(48), which took 21-23 s by the Smith step on all of M - I,
     # stays well inside 10 s
     start = time.perf_counter()
-    assert ideals(closure("kishino3", f"whorl({n})")) == (3, {3: "1"})
+    assert repr(closure_invariants(closure("kishino3", f"whorl({n})"))) == "(3, [1])"
     assert time.perf_counter() - start < 10
 
 
@@ -71,7 +58,7 @@ def test_flat2_whorl48():
     a = closure("flat2", "whorl(48)")
     x = a.ring.poly_ring.gen
     e0 = (x ** 48 + 1) * (x ** 140 + x ** 48 + x ** 44 + 1)
-    assert ideals(a) == (0, {0: repr(e0), 1: "x^48 + 1", 2: "1"})
+    assert repr(closure_invariants(a)) == f"(0, [{e0!r}, x^48 + 1, 1])"
 
 
 def test_whorl16_factors_multiply_to_the_determinant():

@@ -9,6 +9,7 @@ from weylknots import linalg
 from weylknots.braids import parse_braid, represent
 from weylknots.linalg import (
     Matrix,
+    closure_invariants,
     det_exact,
     invariant_factors,
     mat_inverse,
@@ -338,7 +339,7 @@ class TestUnsupportedRings:
         for ring in (R3y, WEYL_COEFFS):
             m = Matrix.identity(ring, 2)
             for fn in (rank_over_fractions, det_exact, invariant_factors,
-                       lambda m: minors_gcd(m, 0), mat_inverse):
+                       closure_invariants, lambda m: minors_gcd(m, 0), mat_inverse):
                 with pytest.raises(RingError):
                     fn(_copy(m))
 
@@ -352,20 +353,22 @@ def _canonical_of_det(d):
 
 
 def brute_force_minors_gcd(m, r):
-    """The gcd of all (N-r)-minors, by enumerating them."""
-    if not m.is_square():
-        raise ValueError("minors of a non-square matrix")
+    """The gcd of all (nrows - r)-minors of a Laurent matrix, square or not,
+    by enumerating them: 1 for r = nrows (the empty minor), and 0 when
+    every minor vanishes or there is none."""
     if not isinstance(m.ring, LaurentRing):
         raise RingError(f"minors_gcd needs a Laurent matrix, got ring {m.ring}")
     n = m.nrows
-    if not 0 <= r < n:
-        raise ValueError(f"codimension {r} out of range for size {n}")
+    if not 0 <= r <= n:
+        raise ValueError(f"codimension {r} out of range for {n} rows")
     size = n - r
     pring = m.ring.poly_ring
-    acc = pring.zero
     one = pring.one
+    if not size:
+        return one
+    acc = pring.zero
     for rows_sel in itertools.combinations(range(n), size):
-        for cols_sel in itertools.combinations(range(n), size):
+        for cols_sel in itertools.combinations(range(m.ncols), size):
             d = bareiss_det(m.submatrix(rows_sel, cols_sel))
             if d.is_zero():
                 continue
@@ -527,6 +530,29 @@ class TestFreeColumns:
                 for r in range(n):
                     assert minors_gcd(m, r) == brute_force_minors_gcd(m, r), (m, r)
         assert odd_moves >= 3
+
+
+class TestClosureInvariants:
+    """closure_invariants against enumerated minors and an independent rank,
+    over every elimination case."""
+
+    def test_matches_the_minors_and_the_rank(self):
+        for m in elimination_cases():
+            corank, ideals = closure_invariants(m)
+            assert corank == m.nrows - rank_over_fractions(_copy(m)), m
+            # a zero row, a generator with no relation, adds 1 to the corank
+            # and leaves the list alone
+            with_free = Matrix([*m.rows, [m.ring.zero] * m.ncols], m.ring)
+            assert closure_invariants(with_free) == (corank + 1, ideals), m
+            if not isinstance(m.ring, LaurentRing):
+                assert ideals == [m.ring.one], m
+                if m.nrows <= 4 and m.ncols <= 4:
+                    assert corank == m.nrows - minor_rank(m), m
+                continue
+            assert corank == m.nrows - gaussian_rank(m), m
+            assert [e.is_one() for e in ideals] == [False] * len(ideals[1:]) + [True], m
+            for r, e in enumerate(ideals, corank):
+                assert e == brute_force_minors_gcd(m, r), (m, r)
 
 
 def _exact_det_entry(rng, ring, degree):
@@ -707,23 +733,30 @@ STEPS = {
     "det": det_exact,
     "factors": invariant_factors,
     "minors": lambda m: [minors_gcd(m, r) for r in range(m.nrows)],
+    "closure": closure_invariants,
 }
 ORDERS = list(itertools.permutations(STEPS))
 
 
 def elimination_cases():
-    """Laurent matrices over Z_2, Z_3 and Q (rank-deficient ones included)
-    and field matrices over Z_101, Q and Frac(Q[q]), square and
-    rectangular."""
+    """Laurent matrices over Z_2, Z_3 and Q and field matrices over Z_101,
+    Q and Frac(Q[q]), square and rectangular, rank-deficient ones
+    included."""
     for name, ring in sorted(LAURENT_RINGS.items()):
-        yield from oracle_cases(ring, seed=50 + sorted(LAURENT_RINGS).index(name))
+        seed = 50 + sorted(LAURENT_RINGS).index(name)
+        yield from oracle_cases(ring, seed)
+        rng = random.Random(seed)
+        for nrows, ncols in [(1, 3), (3, 5), (5, 2)]:
+            yield random_matrix(rng, ring, nrows, ncols, 1)
+        for nrows, ncols in [(4, 6), (6, 3)]:
+            yield unit_heavy_matrix(rng, ring, nrows, ncols)
     for name, field in sorted(FIELDS.items()):
         yield from field_cases(field, seed=60 + sorted(FIELDS).index(name))
 
 
 class TestOneElimination:
-    """rank, det, invariant factors and every E_r read one elimination, run
-    once per Matrix and kept on it."""
+    """rank, det, invariant factors, the closure invariants and every E_r
+    read one elimination, run once per Matrix and kept on it."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -749,6 +782,7 @@ class TestOneElimination:
                 m = m - Matrix.identity(m.ring, m.nrows)
             passes.clear()
             rank = rank_over_fractions(m)
+            closure_invariants(m)
             if m.is_square():
                 det_exact(m)
                 if isinstance(m.ring, LaurentRing):
@@ -809,6 +843,11 @@ class TestOneElimination:
         assert det_exact(m) == det_exact(fresh)
         assert rank_over_fractions(m) == 2
         assert minors_gcd(m, 0) == minors_gcd(fresh, 0)
+        ideals = closure_invariants(m)[1]
+        ideals.append(R3y.zero)
+        ideals[0] = R3y("y + 2")
+        assert closure_invariants(m) == closure_invariants(fresh)
+        assert closure_invariants(m) == (0, [R3y("y + 1"), R3y.one])
 
 
 def test_kishino_lift_rank_over_symbolic_q():

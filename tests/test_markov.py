@@ -1,10 +1,10 @@
 """Markov invariance of the closure invariants.
 
-Fenn-Turaev's module is an invariant of virtual and flat links, so the
-corank of M - I and its invariant factors other than 1 must survive the
-Markov moves of a braid word w on n strands: stabilization, w s_n and
-w t_n on n + 1 strands (and w s_n^-1 for virtual words), and conjugation
-x w x^-1 by s_i and t_i.  Grounding: Kamada, the Markov theorem for
+Fenn-Turaev's module is an invariant of virtual and flat links, so
+``closure_invariants`` of M - I, its corank and elementary ideals, must
+survive the Markov moves of a braid word w on n strands: stabilization,
+w s_n and w t_n on n + 1 strands (and w s_n^-1 for virtual words), and
+conjugation x w x^-1 by s_i and t_i.  Grounding: Kamada, the Markov theorem for
 virtual braids (math/0008092); Kauffman-Lambropoulou, *Virtual braids*
 (math/0407349).  Words are seeded random words on 2-4 strands.
 """
@@ -14,7 +14,7 @@ import random
 import pytest
 
 from weylknots.braids import FLAT, VIRTUAL, parse_braid, represent
-from weylknots.linalg import Matrix, invariant_factors, rank_over_fractions
+from weylknots.linalg import Matrix, closure_invariants
 from weylknots.reps import build_rep, family_q_bidiagonal
 from weylknots.rings import LaurentRing, PolynomialRing, PrimeField
 from weylknots.switches import burau_switch, weyl_switch
@@ -41,35 +41,31 @@ def _markov_variants(text, n, flavor):
     return variants
 
 
-def _invariants(text, n, flavor, switch, factors):
+def _invariants(text, n, flavor, switch):
     m = represent(parse_braid(text, flavor, n), switch)
-    a = m - Matrix.identity(m.ring, m.nrows)
-    corank = a.nrows - rank_over_fractions(a)
-    if not factors:
-        return corank
-    return corank, [repr(d) for d in invariant_factors(a) if not d.is_one()]
+    return closure_invariants(m - Matrix.identity(m.ring, m.nrows))
 
 
 SWITCHES = {
-    "flat2": (lambda: weyl_switch(build_rep("flat2")), FLAT, True),
-    "kishino3": (lambda: weyl_switch(build_rep("kishino3")), FLAT, True),
+    "flat2": (lambda: weyl_switch(build_rep("flat2")), FLAT),
+    "kishino3": (lambda: weyl_switch(build_rep("kishino3")), FLAT),
     "burau-Z5": (lambda: burau_switch(ring=LaurentRing(PolynomialRing(PrimeField(5), "t"))),
-                 VIRTUAL, True),
-    # Z_101 scalars: a field matrix has a rank but no invariant factors
+                 VIRTUAL),
+    # Z_101 scalars: over a field the ideals are [1], so the corank decides
     "q_bidiagonal3-Z101": (lambda: weyl_switch(family_q_bidiagonal(3, q=5, a=2, b=[1, 3],
                                                                    p=101)),
-                           VIRTUAL, False),
+                           VIRTUAL),
 }
 
 
 @pytest.mark.parametrize("name", list(SWITCHES))
 def test_markov_moves_keep_the_invariants(name):
-    make, flavor, factors = SWITCHES[name]
+    make, flavor = SWITCHES[name]
     switch = make()
     rng = random.Random(name)
     for _ in range(WORDS_PER_SWITCH):
         text, n = _random_word(rng, flavor)
-        expected = _invariants(text, n, flavor, switch, factors)
+        expected = _invariants(text, n, flavor, switch)
         for variant, strands in _markov_variants(text, n, flavor):
-            got = _invariants(variant, strands, flavor, switch, factors)
+            got = _invariants(variant, strands, flavor, switch)
             assert got == expected, (text, variant)

@@ -245,6 +245,16 @@ class TestSpecs:
                 "params": {"q": "1/2", "a": "1", "b": ["1"]}}
         assert build_rep(spec).q == F7(4)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"q": "1/7"}, "inverse of 0 in Z_7"),
+        ({"a": "1/0"}, r"Fraction\(1, 0\)"),
+    ], ids=["zero-mod-p", "zero"])
+    def test_zero_denominator_over_zp_is_a_rep_error(self, params, message):
+        spec = {"family": "q_upper", "n": 2, "p": 7,
+                "params": {"q": 3, "a": 1, "b": 1, "d": 1, "e": 1, **params}}
+        with pytest.raises(RepError, match=f"family 'q_upper': {message}"):
+            build_rep(spec)
+
     def test_unknown_name(self):
         with pytest.raises(RepError, match="no builtin"):
             build_rep("nonesuch")

@@ -1,4 +1,5 @@
 import ast
+import doctest
 import importlib
 import sys
 import tokenize
@@ -53,6 +54,11 @@ def test_modules_stay_under_the_parser_token_step(path):
         tokens = [tok for tok in tokenize.tokenize(source.readline) if tok.type not in
                   (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)]
     assert len(tokens) < PARSER_TOKEN_STEP, len(tokens)
+
+
+def test_package_docstring_runs():
+    result = doctest.testmod(weylknots)
+    assert result.attempted and not result.failed, result
 
 
 def test_exports_resolve():
