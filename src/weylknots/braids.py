@@ -180,13 +180,17 @@ def represent(word: BraidWord, switch: LinearSwitch) -> Matrix:
     Each letter touches only block columns i and i+1 of the running
     product: t_i swaps them and s_i^+-1 mixes them through S or S^-1, each
     row's pair of blocks times S^+-1 by the ``Matrix`` product kernel
-    ``linalg._row_times``.
+    ``linalg._row_times``.  The running product stays in the kernel's form
+    (``Matrix.kernel_rows``): over F[x, x^-1] its entries are raw values
+    across the whole word, and the matrix's elements are built once, at
+    the end.
     """
     if word.flavor == FLAT and not switch.is_flat():
         raise SwitchError("flat braid words need an involutive switch (S^2 = I)")
     ring = switch.ring
     n, k = word.n, switch.k
-    rows = [list(r) for r in Matrix.identity(ring, n * k).rows]
+    rows = Matrix.identity(ring, n * k).kernel_rows()
+    blocks = {}
     for let in word.letters:
         lo = (let.index - 1) * k
         mid, hi = lo + k, lo + 2 * k
@@ -194,7 +198,10 @@ def represent(word: BraidWord, switch: LinearSwitch) -> Matrix:
             for row in rows:
                 row[lo:hi] = row[mid:hi] + row[lo:mid]
             continue
-        block = (switch.S if let.exp == 1 else switch.inverse()).rows
+        block = blocks.get(let.exp)
+        if block is None:
+            s = switch.S if let.exp == 1 else switch.inverse()
+            block = blocks[let.exp] = s.kernel_rows()
         for row in rows:
             row[lo:hi] = _row_times(row[lo:hi], block, ring)
-    return Matrix(rows, ring)
+    return Matrix.from_kernel_rows(rows, ring)

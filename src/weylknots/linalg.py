@@ -15,14 +15,25 @@ the same pass on [M | I] and back-substitutes; a Laurent matrix enters
 Frac(F[x]) by the fraction field's own conversion, and its inverse comes
 back by the Laurent ring's.
 
-Any other entry ring raises ``RingError``.  Entries answer ``is_unit()``
-themselves.
+Any other entry ring raises ``RingError``.  Field entries answer
+``is_unit()`` themselves; a raw Laurent value is a unit when it has one
+coefficient.
+
+Laurent entries are raw between steps: the kernels take a Laurent
+matrix's rows as (offset, coefficient tuple) pairs, the stored pair of each
+``LaurentPolynomial`` (``Matrix.kernel_rows``), and elements are built only
+for the result (``Matrix.from_kernel_rows``).  One Laurent kernel,
+``_laurent_dot``, sums products of raw values in one accumulator and
+reduces it mod p once; it computes each entry of a Laurent product and of
+the unit-pivot pass's row update a - f b, and over F[x] each update
+row[j] - quo * pivot_row[j] of the Smith step (``_poly_row_update``).
+Field entries stay ring elements.
 
 Products, in ``Matrix.__mul__`` and in ``braids.represent``, go through one
 row-times-matrix kernel, ``_row_times``.  It computes each output entry by
-one ``dot`` of the entry ring over the entry's nonzero products, which sums
-raw values (residues, Fractions over a common denominator, unreduced
-coefficient lists, fraction numerators over a shared denominator) and
+one dot over the entry's nonzero products: ``_laurent_dot``, or over a
+field the ring's ``dot``, which sums raw values (residues, Fractions over a
+common denominator, fraction numerators over a shared denominator) and
 reduces them once, so no ring element is built for a single product or
 partial sum.
 
@@ -39,6 +50,7 @@ from fractions import Fraction
 
 from .rings import (
     FractionField,
+    LaurentPolynomial,
     LaurentRing,
     NonUnitError,
     PrimeField,
@@ -104,6 +116,22 @@ class Matrix:
                 rows.append(row)
         return cls(rows)
 
+    def kernel_rows(self):
+        """The rows as lists in the form the kernels of this module take:
+        raw values (offset, coefficient tuple) over F[x, x^-1], the stored
+        pair of each ``LaurentPolynomial`` with zero as (0, ()), and the
+        elements themselves over a field."""
+        if isinstance(self.ring, LaurentRing):
+            return [[(e.offset, e.poly.coeffs) for e in row] for row in self.rows]
+        return [list(row) for row in self.rows]
+
+    @classmethod
+    def from_kernel_rows(cls, rows, ring):
+        """The matrix over ring of rows in the form of ``kernel_rows``."""
+        if isinstance(ring, LaurentRing):
+            rows = [[_laurent(ring, e) for e in row] for row in rows]
+        return cls(rows, ring)
+
     def is_square(self):
         return self.nrows == self.ncols
 
@@ -142,8 +170,9 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} "
                              f"by {other.nrows}x{other.ncols}")
-        return Matrix([_row_times(row, other.rows, self.ring) for row in self.rows],
-                      self.ring)
+        rows = other.kernel_rows()
+        return Matrix.from_kernel_rows([_row_times(row, rows, self.ring)
+                                        for row in self.kernel_rows()], self.ring)
 
     def scale(self, scalar):
         return Matrix([[scalar * a for a in r] for r in self.rows], self.ring)
@@ -167,97 +196,174 @@ class Matrix:
 
 def _row_times(row, rows, ring):
     """The vector row * rows over ring, for a row of len(rows) entries and a
-    list of equally long rows.  Each output entry is one ``ring.dot`` over
-    its (a, b) pairs with no zero factor, in row order, so it is reduced
-    once, over every entry ring; a zero entry of row costs nothing."""
+    list of equally long rows, all in the form of ``Matrix.kernel_rows``.
+    Each output entry is one dot over its (a, b) pairs with no zero factor,
+    in row order, so it is reduced once: ``_laurent_dot`` over F[x, x^-1],
+    ``ring.dot`` over a field.  A zero entry of row costs nothing."""
+    if isinstance(ring, LaurentRing):
+        field = ring.field
+        terms = [(r, a) for r, a in zip(rows, row) if a[1]]
+        return [_laurent_dot([(a, b) for r, a in terms if (b := r[c])[1]], field)
+                for c in range(len(rows[0]))]
     terms = [(r, a) for r, a in zip(rows, row) if not a.is_zero()]
     dot = ring.dot
     return [dot([(a, b) for r, a in terms if not (b := r[c]).is_zero()])
             for c in range(len(rows[0]))]
 
 
+# raw Laurent values ---------------------------------------------------------
+
+_ONE = (0, (1,))
+
+
+def _laurent(ring, raw):
+    """The element of ring whose stored pair is the raw value (offset,
+    coefficients), which is already reduced with its valuation stripped."""
+    return LaurentPolynomial(ring, UniPolynomial(ring.poly_ring, raw[1]), raw[0])
+
+
+def _laurent_dot(pairs, field):
+    """The raw sum of a * b over a list of raw Laurent pairs over field:
+    every product added into one accumulator, placed at its offset above
+    the least one, then reduced mod p and stripped once.  The factors'
+    coefficients need not be reduced.  Over Q the accumulator holds
+    integers over one denominator (``_over_one_denominator``), and one
+    Fraction is built per coefficient kept."""
+    if not pairs:
+        return 0, ()
+    p = field.p
+    if not p:
+        pairs, den = _over_one_denominator(pairs)
+    base = min([a[0] + b[0] for a, b in pairs])
+    acc = [0] * (max([a[0] + b[0] + len(a[1]) + len(b[1]) for a, b in pairs]) - base - 1)
+    for (i, a), (j, b) in pairs:
+        for k, x in enumerate(a, i + j - base):
+            if x:
+                for m, y in enumerate(b, k):
+                    acc[m] += x * y
+    if p:
+        acc = [c % p for c in acc]
+    top = len(acc)
+    while top and not acc[top - 1]:
+        top -= 1
+    if not top:
+        return 0, ()
+    low = 0
+    while not acc[low]:
+        low += 1
+    kept = acc[low:top]
+    return base + low, tuple(kept if p else [Fraction(c, den) for c in kept])
+
+
+def _over_one_denominator(pairs):
+    """Raw pairs over Q as (integer pairs, den): the products of the integer
+    pairs, each over den, sum to the products of the given pairs."""
+    scaled = []
+    for (i, a), (j, b) in pairs:
+        a, b = [c.as_integer_ratio() for c in a], [c.as_integer_ratio() for c in b]
+        da, db = math.lcm(*[d for _, d in a]), math.lcm(*[d for _, d in b])
+        scaled.append((i, [n * (da // d) for n, d in a], j, [n * (db // d) for n, d in b],
+                       da * db))
+    den = math.lcm(*[d for *_, d in scaled])
+    return [((i, [n * (den // d) for n in a]), (j, b)) for i, a, j, b, d in scaled], den
+
+
 # ---------------------------------------------------------------------------
 # determinants
 # ---------------------------------------------------------------------------
 
-def _laurent_clear_rows(rows):
-    """Multiply each Laurent row by x^-k to make it polynomial; returns
-    (F[x] rows, total extracted exponent)."""
-    pring = rows[0][0].ring.poly_ring
+def _laurent_clear_rows(rows, pring):
+    """Multiply each raw Laurent row by x^-k to make it polynomial; returns
+    (rows over pring = F[x], total extracted exponent)."""
+    pad = (pring.field.czero,)
     total = 0
     cleared = []
     for row in rows:
-        exps = [e.min_exp for e in row if not e.is_zero()]
-        k = min(exps) if exps else 0
+        k = min([e[0] for e in row if e[1]], default=0)
         total += k
-        cleared.append([e.poly.shift(e.offset - k) if not e.is_zero() else pring.zero
-                        for e in row])
+        cleared.append([UniPolynomial(pring, pad * (offset - k) + c if c else ())
+                        for offset, c in row])
     return cleared, total
 
 
-def _gaussian_pass(rows, width):
-    """(rank, det, free) of a list of field or Laurent rows by one forward
-    pass on unit pivots, reducing the rows in place.  In each column the
-    first unit at or below the current row is the pivot; a column with none
-    is free.  Pivots are taken only in the first ``width`` columns, but row
-    operations run over whole rows, so an augmented block rides along.
+def _gaussian_pass(rows, width, ring):
+    """(rank, det, free) of a list of rows over ring, in the form of
+    ``Matrix.kernel_rows``, by one forward pass on unit pivots, reducing the
+    rows in place.  In each column the first unit at or below the current
+    row is the pivot; a column with none is free.  Pivots are taken only in
+    the first ``width`` columns, but row operations run over whole rows, so
+    an augmented block rides along.
 
     Afterwards rows[rank:] are zero in every pivot column, so their free
-    columns hold what is left, zero over a field.  det is the signed product
-    of the pivots: -1 per row swap, and -1 for each free column that a pivot
-    column moves past, so that a square matrix has determinant det times
-    that of rows[rank:] in the free columns.  Row operations skip the zero
-    entries of the (unscaled) pivot row."""
-    det = rows[0][0].ring.one
-    rank = 0
-    free = []
+    columns hold what is left, zero over a field.  det, an element of ring,
+    is the signed product of the pivots: -1 per row swap, and -1 for each
+    free column that a pivot column moves past, so that a square matrix has
+    determinant det times that of rows[rank:] in the free columns.  Row
+    operations skip the zero entries of the (unscaled) pivot row.  Over
+    F[x, x^-1] a unit is a raw c x^k, and each updated entry a - f b is one
+    ``_laurent_dot``, reduced once."""
+    laurent = isinstance(ring, LaurentRing)
+    field = ring.field if laurent else None
+    sign, pivots, rank, free = 1, [], 0, []
     for col in range(width):
         for pivot in range(rank, len(rows)):
-            if rows[pivot][col].is_unit():
+            if len(rows[pivot][col][1]) == 1 if laurent else rows[pivot][col].is_unit():
                 break
         else:
             free.append(col)
             continue
         if pivot != rank:
             rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            det = -det
+            sign = -sign
         if len(free) % 2:
-            det = -det
+            sign = -sign
         pivot_row = rows[rank]
-        det = det * pivot_row[col]
-        inv = pivot_row[col].inv()
-        for i in range(rank + 1, len(rows)):
-            if not rows[i][col].is_zero():
-                f = rows[i][col] * inv
-                rows[i] = [a if b.is_zero() else a - f * b
-                           for a, b in zip(rows[i], pivot_row)]
+        pivots.append(pivot_row[col])
+        if laurent:
+            k, (c,) = pivot_row[col]
+            minus_inv = (-k, (-field.cinv(c),))
+            for i in range(rank + 1, len(rows)):
+                if rows[i][col][1]:
+                    f = _laurent_dot([(rows[i][col], minus_inv)], field)
+                    rows[i] = [a if not b[1] else _laurent_dot(
+                        [(a, _ONE), (f, b)] if a[1] else [(f, b)], field)
+                        for a, b in zip(rows[i], pivot_row)]
+        else:
+            inv = pivot_row[col].inv()
+            for i in range(rank + 1, len(rows)):
+                if not rows[i][col].is_zero():
+                    f = rows[i][col] * inv
+                    rows[i] = [a if b.is_zero() else a - f * b
+                               for a, b in zip(rows[i], pivot_row)]
         rank += 1
-    return rank, det, free
+    if laurent:
+        pivots = [_laurent(ring, e) for e in pivots]
+    return rank, math.prod(pivots, start=ring.one if sign > 0 else -ring.one), free
 
 
 def _elimination(m: Matrix):
     """The one elimination of m, (rank, det, factors), run on first use and
     kept on m; det is zero unless m is square and of full rank.
 
-    Both kinds run ``_gaussian_pass``.  A Laurent matrix then clears its
-    core (the rows left by the pass, in its free columns, which held no unit
-    when the pass reached them) by powers of x and reduces only that by
-    ``_smith_diagonal``: its factors are one 1 per unit pivot followed by
-    the core's diagonal, and its det is the pass's times the core's,
-    u * d_1 ... d_k shifted back by the cleared exponent.  A field matrix
-    has no factors.  Any other ring raises RingError.
+    Both kinds run ``_gaussian_pass``, a Laurent matrix on raw values.  It
+    then clears its core (the rows left by the pass, in its free columns,
+    which held no unit when the pass reached them) by powers of x and
+    reduces only that by ``_smith_diagonal``: its factors are one 1 per unit
+    pivot followed by the core's diagonal, and its det is the pass's times
+    the core's, u * d_1 ... d_k shifted back by the cleared exponent.  A
+    field matrix has no factors.  Any other ring raises RingError.
     """
     if m._elim is None:
         ring = m.ring
         laurent = isinstance(ring, LaurentRing)
         if not (laurent or isinstance(ring, _FIELDS)):
             raise RingError(f"no determinant or rank over {ring}")
-        rows = [list(r) for r in m.rows]
-        rank, det, free = _gaussian_pass(rows, m.ncols)
+        rows = m.kernel_rows()
+        rank, det, free = _gaussian_pass(rows, m.ncols, ring)
         factors = (ring.poly_ring.one,) * rank if laurent else ()
         if laurent and free and rank < m.nrows:
             core, shift = _laurent_clear_rows([[row[j] for j in free]
-                                               for row in rows[rank:]])
+                                               for row in rows[rank:]], ring.poly_ring)
             diag, unit = _smith_diagonal(core)
             core_det = math.prod(diag, start=ring.poly_ring.one)
             det = det * ring.from_poly(core_det.scale(unit), shift)
@@ -306,7 +412,7 @@ def mat_inverse(m: Matrix) -> Matrix:
     z, o = field.zero, field.one
     aug = [[field(e) for e in row] + [o if i == j else z for j in range(n)]
            for i, row in enumerate(m.rows)]
-    rank, det, _ = _gaussian_pass(aug, n)
+    rank, det, _ = _gaussian_pass(aug, n, field)
     det = ring(det if rank == n else z)
     if not det.is_unit():
         raise NonUnitError(f"determinant {det!r} is not a unit in {ring}", det)
@@ -356,6 +462,20 @@ def _divide_rational_content(row, start):
     return scale
 
 
+def _poly_row_update(row, quo, pivot_row, start):
+    """row[j] - quo * pivot_row[j] over F[x], in place for j >= start: each
+    updated entry is one ``_laurent_dot`` of offset-0 raw values, so it is
+    reduced once."""
+    ring, field = quo.ring, quo.ring.field
+    minus_quo = (0, tuple([-c for c in quo.coeffs]))
+    pad = (field.czero,)
+    for j in range(start, len(row)):
+        b = pivot_row[j].coeffs
+        if b:
+            k, c = _laurent_dot([((0, row[j].coeffs), _ONE), (minus_quo, (0, b))], field)
+            row[j] = UniPolynomial(ring, pad * k + c)
+
+
 def _smith_diagonal(rows):
     """Nonzero diagonal of the Smith form of a matrix over F[x], monic
     d_1 | d_2 | ..., as many as the rank, and the unit u in F^x that the
@@ -403,9 +523,7 @@ def _smith_diagonal(rows):
                 if row[t].coeffs:
                     quo, row[t] = divmod(row[t], pivot)
                     if quo.coeffs:
-                        for j in range(t + 1, ncols):
-                            if pivot_row[j].coeffs:
-                                row[j] = row[j] - quo * pivot_row[j]
+                        _poly_row_update(row, quo, pivot_row, t + 1)
                     if rational:
                         unit /= _divide_rational_content(row, t)
             at = _least_degree((i, t, a[i][t]) for i in range(t + 1, nrows))

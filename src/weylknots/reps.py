@@ -119,6 +119,15 @@ def _charp_ring(p, values):
     return LaurentRing(PolynomialRing(PrimeField(p), var))
 
 
+def _q_values(ring, values):
+    """ring(v) for each parameter value; a denominator that is zero in ring
+    raises RepError."""
+    try:
+        return [ring(v) for v in values]
+    except ZeroDivisionError as err:
+        raise RepError(f"parameter with a zero denominator in {ring}: {err}") from None
+
+
 def _q_ring(p, values):
     """Entry ring for the q-families: Frac(Q[q]) with q symbolic when p is
     None, else Z_p, where the parameters may use no indeterminate."""
@@ -223,8 +232,7 @@ def family_q_bidiagonal(n: int, q, a, b, p: int | None = None) -> MatrixRep:
     if len(b) != n - 1:
         raise RepError(f"need {n - 1} subdiagonal parameters, got {len(b)}")
     ring = _q_ring(p, [q, a, *b])
-    qv, av = ring(q), ring(a)
-    bv = [ring(bi) for bi in b]
+    qv, av, *bv = _q_values(ring, [q, a, *b])
     one = ring.one
     if qv.is_zero() or (one - qv).is_zero():
         raise RepError("q and 1 - q must be invertible")
@@ -264,7 +272,7 @@ def family_q_upper(n: int, q, a, b, d, e, p: int | None = None) -> MatrixRep:
     """The upper-triangular pair with geometric diagonals and
     c = 1/(a q^(n-1) (1-q))."""
     ring = _q_ring(p, [q, a, b, d, e])
-    qv, av, bvv, dv, ev = (ring(v) for v in (q, a, b, d, e))
+    qv, av, bvv, dv, ev = _q_values(ring, [q, a, b, d, e])
     one = ring.one
     if qv.is_zero() or (one - qv).is_zero():
         raise RepError("q and 1 - q must be invertible")
@@ -361,7 +369,7 @@ class RepSpec:
             raise RepError(f"family {self.family!r} takes no parameter {sorted(extra)}")
         try:
             rep = make(self.n, self.p, *args) if char_p else make(self.n, *args, self.p)
-        except (ValueError, ZeroDivisionError) as err:
+        except ValueError as err:
             raise RepError(f"family {self.family!r}: {err}") from None
         if self.name:
             rep.label = self.name

@@ -44,8 +44,9 @@ Z_p of the residues, over Q of the coefficients scaled to integers.  Every
 gcd over Q runs on those integers too (``_integer_gcd``); over Z_p it is
 the Euclidean algorithm.
 
-Each ring a ``linalg.Matrix`` multiplies has ``dot(pairs)``, the sum of
-a * b over a list of element pairs, normalized once.
+Each field and polynomial ring has ``dot(pairs)``, the sum of a * b over
+a list of element pairs, normalized once, for ``linalg``'s product kernel;
+Laurent products run there on raw values.
 """
 
 from __future__ import annotations
@@ -748,20 +749,6 @@ class LaurentRing:
         if shift:
             poly = UniPolynomial(self.poly_ring, poly.coeffs[shift:])
         return LaurentPolynomial(self, poly, offset + shift)
-
-    def dot(self, pairs):
-        """The sum of a * b over a list of Laurent pairs: the products'
-        coefficient lists summed unreduced, each placed at its offset above
-        the least one, then normalized once."""
-        field, acc = self.field, []
-        base = min((a.offset + b.offset for a, b in pairs), default=0)
-        for a, b in pairs:
-            raw = _mul_raw(field, a.poly.coeffs, b.poly.coeffs)
-            k = a.offset + b.offset - base
-            acc += [field.czero] * (k + len(raw) - len(acc))
-            for i, c in enumerate(raw, k):
-                acc[i] += c
-        return self.from_poly(self.poly_ring.from_raw(acc), base)
 
     @property
     def zero(self):

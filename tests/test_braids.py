@@ -17,8 +17,21 @@ from weylknots.braids import (
 )
 from weylknots.linalg import Matrix
 from weylknots.reps import build_rep, family_q_bidiagonal, family_q_upper
-from weylknots.rings import LETTER_BUDGET, QQ, FractionField
-from weylknots.switches import SwitchError, burau_switch, weyl_switch
+from weylknots.rings import (
+    LETTER_BUDGET,
+    QQ,
+    FractionField,
+    LaurentPolynomial,
+    LaurentRing,
+    PolynomialRing,
+    PrimeField,
+)
+from weylknots.switches import (
+    SwitchError,
+    burau_switch,
+    sawollek_switch,
+    weyl_switch,
+)
 
 
 # the dense letter-matrix product: the reference for ``represent`` ----------
@@ -89,6 +102,27 @@ ZP_SWITCHES = {
                                                             p=101)),
     "q_upper": lambda: weyl_switch(family_q_upper(2, q=3, a=2, b=1, d=1, e=1,
                                                   p=7)),
+}
+
+
+L101 = LaurentRing(PolynomialRing(PrimeField(101), "t"))
+
+
+def _sawollek_blocks_switch():
+    """A k = 2 switch over Z_101[t, t^-1], gated by ``custom_switch``: the
+    Sawollek form [[I - BC, B], [C, 0]] of B = [[t, 1], [0, t]] and
+    C = [[t, -1], [0, t]], whose BC = CB = t^2 I is the Hecke scalar."""
+    B = Matrix([[L101(e) for e in row] for row in [["t", 1], [0, "t"]]])
+    C = Matrix([[L101(e) for e in row] for row in [["t", -1], [0, "t"]]])
+    return sawollek_switch(B, C)
+
+
+# Laurent switches: over Z_101 with k = 1 and k = 2, and Burau over Q[t, t^-1],
+# whose coefficients are Fractions
+LAURENT_SWITCHES = {
+    "sawollek": lambda: sawollek_switch("3/t", "t", ring=L101),
+    "custom-k2": _sawollek_blocks_switch,
+    "burau-Q": burau_switch,
 }
 
 
@@ -236,6 +270,31 @@ class TestRepresent:
         word = parse_braid(text, VIRTUAL, 3)
         assert {let.exp for let in word.letters if let.kind == "s"} == {1, -1}
         assert represent(word, switch) == dense_represent(word, switch)
+
+    @pytest.mark.parametrize("name", sorted(LAURENT_SWITCHES))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_laurent_words_with_inverse_letters_match_dense_product(self, name, seed):
+        switch = LAURENT_SWITCHES[name]()
+        assert isinstance(switch.ring, LaurentRing)
+        rng = random.Random(seed)
+        strands = rng.randint(2, 4)
+        word = (random_word(rng, strands, rng.randint(4, 10), VIRTUAL)
+                * parse_braid("s1^-1 t1 s1^-1", VIRTUAL, strands))
+        assert represent(word, switch) == dense_represent(word, switch)
+
+    def test_laurent_entries_are_built_once(self, monkeypatch):
+        # the running product stays raw across the word: represent builds one
+        # LaurentPolynomial per entry of the result (and the identity's two),
+        # not one per entry and letter
+        switch = LAURENT_SWITCHES["custom-k2"]()
+        switch.inverse()
+        word = random_word(random.Random(7), 3, 40, VIRTUAL)
+        built = []
+        init = LaurentPolynomial.__init__
+        monkeypatch.setattr(LaurentPolynomial, "__init__",
+                            lambda self, *args: built.append(1) or init(self, *args))
+        represent(word, switch)
+        assert len(built) <= 2 * (word.n * switch.k) ** 2, len(built)
 
     def test_empty_word_is_identity(self):
         switch = ZP_SWITCHES["q_upper"]()

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -504,7 +505,7 @@ class TestInvariantFactors:
 def direct_factors(m):
     """The invariant factors of a Laurent matrix by the Smith step on all of
     its cleared rows, with no unit-pivot pass first."""
-    rows, _ = linalg._laurent_clear_rows(m.rows)
+    rows, _ = linalg._laurent_clear_rows(m.kernel_rows(), m.ring.poly_ring)
     diag, _ = linalg._smith_diagonal(rows)
     return [laurent_canonicalize(m.ring.from_poly(d))[0] for d in diag]
 
@@ -521,7 +522,7 @@ class TestFreeColumns:
         odd_moves = 0
         for n in [2, 3, 4, 5, 6] * 4:
             m = unit_heavy_matrix(rng, ring, n, n)
-            _, _, free = linalg._gaussian_pass([list(r) for r in m.rows], n)
+            _, _, free = linalg._gaussian_pass(m.kernel_rows(), n, ring)
             pivots = sorted(set(range(n)) - set(free))
             odd_moves += sum(sum(f < c for f in free) for c in pivots) % 2
             assert det_exact(m) == bareiss_det(m), m
@@ -553,6 +554,21 @@ class TestClosureInvariants:
             assert [e.is_one() for e in ideals] == [False] * len(ideals[1:]) + [True], m
             for r, e in enumerate(ideals, corank):
                 assert e == brute_force_minors_gcd(m, r), (m, r)
+
+    def test_laurent_cases_match_the_direct_smith_step(self):
+        # the unit-pivot pass on raw values and the core's Smith step against
+        # the Smith step on all of m: E_r is the product of the first
+        # nrows - r factors, listed from the corank up to the first that is 1
+        for m in elimination_cases():
+            if not isinstance(m.ring, LaurentRing):
+                continue
+            factors = direct_factors(m)
+            corank, expected = m.nrows - len(factors), []
+            for r in range(corank, m.nrows + 1):
+                expected.append(math.prod(factors[:m.nrows - r], start=m.ring.poly_ring.one))
+                if expected[-1].is_one():
+                    break
+            assert closure_invariants(m) == (corank, expected), m
 
 
 def _exact_det_entry(rng, ring, degree):

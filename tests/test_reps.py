@@ -252,8 +252,17 @@ class TestSpecs:
     def test_zero_denominator_over_zp_is_a_rep_error(self, params, message):
         spec = {"family": "q_upper", "n": 2, "p": 7,
                 "params": {"q": 3, "a": 1, "b": 1, "d": 1, "e": 1, **params}}
-        with pytest.raises(RepError, match=f"family 'q_upper': {message}"):
+        with pytest.raises(RepError, match=f"zero denominator in Z_7: {message}"):
             build_rep(spec)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: family_q_upper(2, "1/7", 1, 1, 1, 1, 7), "inverse of 0 in Z_7"),
+        (lambda: family_q_bidiagonal(2, 3, "1/0", [1], 7), r"Fraction\(1, 0\)"),
+        (lambda: family_q_bidiagonal(2, 3, 1, ["2/7"], 7), "inverse of 0 in Z_7"),
+    ], ids=["q_upper-q", "q_bidiagonal-a", "q_bidiagonal-b"])
+    def test_zero_denominator_in_a_family_is_a_rep_error(self, make, message):
+        with pytest.raises(RepError, match=f"zero denominator in Z_7: {message}"):
+            make()
 
     def test_unknown_name(self):
         with pytest.raises(RepError, match="no builtin"):

@@ -604,9 +604,21 @@ class TestConversions:
             ring.gen + field(QX.gen)
 
 
+def _dot(ring, pairs):
+    """ring.dot, or over a Laurent ring the one Laurent product kernel,
+    reached as the 1 x N by N x 1 matrix product (a zero 1 x 1 product for
+    no pairs)."""
+    if not isinstance(ring, LaurentRing):
+        return ring.dot(pairs)
+    pairs = pairs or [(ring.zero, ring.zero)]
+    row = Matrix([[a for a, _ in pairs]], ring)
+    return (row * Matrix([[b] for _, b in pairs], ring)).rows[0][0]
+
+
 class TestDot:
-    """``ring.dot``, the one sum in the matrix product kernel, against the
-    left-to-right sum of element products."""
+    """The one sum of the matrix product kernel, ``ring.dot`` over a field
+    or F[x] and the raw kernel over F[x, x^-1], against the left-to-right
+    sum of element products."""
 
     @pytest.mark.parametrize("name", sorted(DOT_RINGS))
     def test_matches_the_element_sum(self, name):
@@ -618,7 +630,7 @@ class TestDot:
             expected = ring.zero
             for a, b in pairs:
                 expected = expected + a * b
-            assert ring.dot(pairs) == expected, pairs
+            assert _dot(ring, pairs) == expected, pairs
 
     @pytest.mark.parametrize("name", sorted(DOT_RINGS))
     def test_empty_and_cancelling_sums_are_the_canonical_zero(self, name):
@@ -629,7 +641,7 @@ class TestDot:
             a, b = _random_element(rng, ring), _random_element(rng, ring)
         c = _random_element(rng, ring)
         for pairs in ([], [(a, b), (-a, b)], [(a, b), (c, c), (-b, a), (-c, c)]):
-            d = ring.dot(pairs)
+            d = _dot(ring, pairs)
             assert d.is_zero() and d == ring.zero and repr(d) == "0"
             if isinstance(ring, LaurentRing):
                 assert d.offset == 0 and d.poly.coeffs == ()
@@ -693,6 +705,9 @@ class TestDot:
         assert d.value == Fraction(19, 3) and type(d.value) is Fraction
         f = QX.dot([(QX([1, 2]), QX([3])), (QX(["1/2"]), QX([0, 2]))])
         assert f == QX([3, 7]) and all(type(c) is Fraction for c in f.coeffs)
+        qt = DOT_RINGS["Q[t,1/t]"]
+        g = _dot(qt, [(qt("1/t + 2"), qt(3)), (qt("1/2"), qt("2t - 4"))])
+        assert g == qt("3/t + 4 + t") and all(type(c) is Fraction for c in g.poly.coeffs)
 
 
 class TestFractions:
