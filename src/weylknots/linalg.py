@@ -15,27 +15,27 @@ the same pass on [M | I] and back-substitutes; a Laurent matrix enters
 Frac(F[x]) by the fraction field's own conversion, and its inverse comes
 back by the Laurent ring's.
 
-Any other entry ring raises ``RingError``.  Field entries answer
+Any other entry ring, F[x] among them, raises ``RingError`` in products,
+eliminations and inverses alike.  Field entries answer
 ``is_unit()`` themselves; a raw Laurent value is a unit when it has one
 coefficient.
 
 Laurent entries are raw between steps: the kernels take a Laurent
 matrix's rows as (offset, coefficient tuple) pairs, the stored pair of each
 ``LaurentPolynomial`` (``Matrix.kernel_rows``), and elements are built only
-for the result (``Matrix.from_kernel_rows``).  One Laurent kernel,
-``_laurent_dot``, sums products of raw values in one accumulator and
-reduces it mod p once; it computes each entry of a Laurent product and of
-the unit-pivot pass's row update a - f b, and over F[x] each update
-row[j] - quo * pivot_row[j] of the Smith step (``_poly_row_update``).
-Field entries stay ring elements.
+for the result (``Matrix.from_kernel_rows``).  A product of two elements
+is the ring's own convolution; every sum of products of raw values is
+``rings.poly_dot``, which reduces it once.  It computes each entry of a
+Laurent product and of the unit-pivot pass's row update a - f b, and over
+F[x] each update row[j] - quo * pivot_row[j] of the Smith step
+(``_poly_row_update``).  Field entries stay ring elements.
 
 Products, in ``Matrix.__mul__`` and in ``braids.represent``, go through one
 row-times-matrix kernel, ``_row_times``.  It computes each output entry by
-one dot over the entry's nonzero products: ``_laurent_dot``, or over a
-field the ring's ``dot``, which sums raw values (residues, Fractions over a
-common denominator, fraction numerators over a shared denominator) and
-reduces them once, so no ring element is built for a single product or
-partial sum.
+one dot over the entry's nonzero products: ``poly_dot``, or over a field
+the ring's ``dot``, which sums raw values (residues, Fractions over a
+common denominator, fraction numerators by ``poly_dot``) and reduces them
+once, so no ring element is built for a single product or partial sum.
 
 Each matrix runs its elimination at most once: the result, (rank, det,
 factors) for both kinds, is kept on the immutable ``Matrix``, and
@@ -59,6 +59,7 @@ from .rings import (
     RingMismatchError,
     UniPolynomial,
     laurent_canonicalize,
+    poly_dot,
     poly_gcd,
 )
 
@@ -170,6 +171,8 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self.nrows}x{self.ncols} "
                              f"by {other.nrows}x{other.ncols}")
+        if not isinstance(self.ring, (LaurentRing, *_FIELDS)):
+            raise RingError(f"no matrix product over {self.ring}")
         rows = other.kernel_rows()
         return Matrix.from_kernel_rows([_row_times(row, rows, self.ring)
                                         for row in self.kernel_rows()], self.ring)
@@ -198,12 +201,12 @@ def _row_times(row, rows, ring):
     """The vector row * rows over ring, for a row of len(rows) entries and a
     list of equally long rows, all in the form of ``Matrix.kernel_rows``.
     Each output entry is one dot over its (a, b) pairs with no zero factor,
-    in row order, so it is reduced once: ``_laurent_dot`` over F[x, x^-1],
+    in row order, so it is reduced once: ``poly_dot`` over F[x, x^-1],
     ``ring.dot`` over a field.  A zero entry of row costs nothing."""
     if isinstance(ring, LaurentRing):
         field = ring.field
         terms = [(r, a) for r, a in zip(rows, row) if a[1]]
-        return [_laurent_dot([(a, b) for r, a in terms if (b := r[c])[1]], field)
+        return [poly_dot([(a, b) for r, a in terms if (b := r[c])[1]], field)
                 for c in range(len(rows[0]))]
     terms = [(r, a) for r, a in zip(rows, row) if not a.is_zero()]
     dot = ring.dot
@@ -220,52 +223,6 @@ def _laurent(ring, raw):
     """The element of ring whose stored pair is the raw value (offset,
     coefficients), which is already reduced with its valuation stripped."""
     return LaurentPolynomial(ring, UniPolynomial(ring.poly_ring, raw[1]), raw[0])
-
-
-def _laurent_dot(pairs, field):
-    """The raw sum of a * b over a list of raw Laurent pairs over field:
-    every product added into one accumulator, placed at its offset above
-    the least one, then reduced mod p and stripped once.  The factors'
-    coefficients need not be reduced.  Over Q the accumulator holds
-    integers over one denominator (``_over_one_denominator``), and one
-    Fraction is built per coefficient kept."""
-    if not pairs:
-        return 0, ()
-    p = field.p
-    if not p:
-        pairs, den = _over_one_denominator(pairs)
-    base = min([a[0] + b[0] for a, b in pairs])
-    acc = [0] * (max([a[0] + b[0] + len(a[1]) + len(b[1]) for a, b in pairs]) - base - 1)
-    for (i, a), (j, b) in pairs:
-        for k, x in enumerate(a, i + j - base):
-            if x:
-                for m, y in enumerate(b, k):
-                    acc[m] += x * y
-    if p:
-        acc = [c % p for c in acc]
-    top = len(acc)
-    while top and not acc[top - 1]:
-        top -= 1
-    if not top:
-        return 0, ()
-    low = 0
-    while not acc[low]:
-        low += 1
-    kept = acc[low:top]
-    return base + low, tuple(kept if p else [Fraction(c, den) for c in kept])
-
-
-def _over_one_denominator(pairs):
-    """Raw pairs over Q as (integer pairs, den): the products of the integer
-    pairs, each over den, sum to the products of the given pairs."""
-    scaled = []
-    for (i, a), (j, b) in pairs:
-        a, b = [c.as_integer_ratio() for c in a], [c.as_integer_ratio() for c in b]
-        da, db = math.lcm(*[d for _, d in a]), math.lcm(*[d for _, d in b])
-        scaled.append((i, [n * (da // d) for n, d in a], j, [n * (db // d) for n, d in b],
-                       da * db))
-    den = math.lcm(*[d for *_, d in scaled])
-    return [((i, [n * (den // d) for n in a]), (j, b)) for i, a, j, b, d in scaled], den
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +258,7 @@ def _gaussian_pass(rows, width, ring):
     determinant det times that of rows[rank:] in the free columns.  Row
     operations skip the zero entries of the (unscaled) pivot row.  Over
     F[x, x^-1] a unit is a raw c x^k, and each updated entry a - f b is one
-    ``_laurent_dot``, reduced once."""
+    ``poly_dot``, reduced once."""
     laurent = isinstance(ring, LaurentRing)
     field = ring.field if laurent else None
     sign, pivots, rank, free = 1, [], 0, []
@@ -324,8 +281,8 @@ def _gaussian_pass(rows, width, ring):
             minus_inv = (-k, (-field.cinv(c),))
             for i in range(rank + 1, len(rows)):
                 if rows[i][col][1]:
-                    f = _laurent_dot([(rows[i][col], minus_inv)], field)
-                    rows[i] = [a if not b[1] else _laurent_dot(
+                    f = poly_dot([(rows[i][col], minus_inv)], field)
+                    rows[i] = [a if not b[1] else poly_dot(
                         [(a, _ONE), (f, b)] if a[1] else [(f, b)], field)
                         for a, b in zip(rows[i], pivot_row)]
         else:
@@ -464,7 +421,7 @@ def _divide_rational_content(row, start):
 
 def _poly_row_update(row, quo, pivot_row, start):
     """row[j] - quo * pivot_row[j] over F[x], in place for j >= start: each
-    updated entry is one ``_laurent_dot`` of offset-0 raw values, so it is
+    updated entry is one ``poly_dot`` of offset-0 raw values, so it is
     reduced once."""
     ring, field = quo.ring, quo.ring.field
     minus_quo = (0, tuple([-c for c in quo.coeffs]))
@@ -472,7 +429,7 @@ def _poly_row_update(row, quo, pivot_row, start):
     for j in range(start, len(row)):
         b = pivot_row[j].coeffs
         if b:
-            k, c = _laurent_dot([((0, row[j].coeffs), _ONE), (minus_quo, (0, b))], field)
+            k, c = poly_dot([((0, row[j].coeffs), _ONE), (minus_quo, (0, b))], field)
             row[j] = UniPolynomial(ring, pad * k + c)
 
 

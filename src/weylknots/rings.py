@@ -29,8 +29,9 @@ Representation conventions:
 * ``UniPolynomial`` stores an ascending coefficient tuple with a nonzero
   last entry; the zero polynomial is the empty tuple and its ``degree`` is
   the sentinel ``None``.  ``PolynomialRing.from_raw`` is the one
-  normalizer: every operator passes it an unreduced list, and it reduces
-  mod p and trims the zero top, so equality compares the tuples.
+  normalizer of elements: every operator passes it an unreduced list, and
+  it reduces mod p and trims the zero top, so equality compares the
+  tuples.  Raw values, below, are normalized by ``poly_dot``.
 * ``LaurentPolynomial`` is a ``UniPolynomial`` with a nonzero constant term
   plus an integer ``offset`` (the lowest exponent), so the stored pair is
   unique.  Values with negative offset print as ``p(x)/x^k``.
@@ -39,14 +40,19 @@ Representation conventions:
   the answer is known (see ``FractionField``).  That pair is unique, so
   equality compares it.
 
-Every polynomial product is one integer convolution, ``_convolve``: over
-Z_p of the residues, over Q of the coefficients scaled to integers.  Every
-gcd over Q runs on those integers too (``_integer_gcd``); over Z_p it is
-the Euclidean algorithm.
+A product of two polynomials is one integer convolution, ``_convolve``:
+over Z_p of the residues, over Q of the coefficients scaled to integers
+(``_scaled``).  A sum of products is ``poly_dot``, on raw Laurent values
+(offset, coefficient tuple) with zero as (0, ()), the stored pair of a
+``LaurentPolynomial``: it adds every product into one integer accumulator
+and reduces it mod p, strips it and, over Q, divides it by its one
+denominator once.  ``linalg`` runs Laurent matrices on raw values through
+it, and ``FractionField.dot`` sums its numerators with it.  Every gcd over
+Q runs on integers too (``_integer_gcd``); over Z_p it is the Euclidean
+algorithm.
 
-Each field and polynomial ring has ``dot(pairs)``, the sum of a * b over
-a list of element pairs, normalized once, for ``linalg``'s product kernel;
-Laurent products run there on raw values.
+Each field has ``dot(pairs)``, the sum of a * b over a list of element
+pairs, normalized once, for ``linalg``'s product kernel.
 """
 
 from __future__ import annotations
@@ -372,23 +378,15 @@ def _convolve(a, b):
 
 def _mul_raw(field, a, b):
     """The unreduced coefficient list of the product a * b: the convolution
-    of the residues over Z_p, of the scaled integers over Q."""
+    of the residues over Z_p; over Q the convolution of the operands scaled
+    to integers (``_scaled``), with one Fraction built per coefficient."""
     if not a or not b:
         return []
     if not field.p:
-        ints, d = _integer_mul(a, b)
-        return [Fraction(c, d) for c in ints]
+        (ia, da), (ib, db) = _scaled(a), _scaled(b)
+        d = da * db
+        return [Fraction(c, d) for c in _convolve(ia, ib)]
     return _convolve(a, b)
-
-
-def _integer_mul(a, b):
-    """The product of two nonempty Fraction lists as (ints, d), the integer
-    list ints over the one denominator d: each operand is scaled to integers
-    over the lcm of its denominators and the integers are convolved, so the
-    caller builds one Fraction per coefficient it keeps."""
-    ia, da = _scaled(a)
-    ib, db = _scaled(b)
-    return _convolve(ia, ib), da * db
 
 
 def _scaled(coeffs):
@@ -399,6 +397,42 @@ def _scaled(coeffs):
     ratios = [c.as_integer_ratio() for c in coeffs]
     d = math.lcm(*[q for _, q in ratios])
     return [n * (d // q) for n, q in ratios], d
+
+
+def poly_dot(pairs, field):
+    """The sum of a * b over a list of pairs of raw Laurent values over
+    field, each an (offset, coefficient tuple) pair with zero as (0, ()),
+    as a raw value reduced mod p with no zero at either end.  Every product
+    is added into one accumulator at its offset above the least one, which
+    is reduced and stripped once, so the factors' coefficients need not be
+    reduced.  Over Q each factor is scaled to integers (``_scaled``) and
+    the accumulator holds integers over one denominator, so one Fraction is
+    built per coefficient kept."""
+    if not pairs:
+        return 0, ()
+    p = field.p
+    if not p:
+        scaled = [((i, *_scaled(a)), (j, *_scaled(b))) for (i, a), (j, b) in pairs]
+        den = math.lcm(*[da * db for (_, _, da), (_, _, db) in scaled])
+        pairs = [((i, [c * (den // (da * db)) for c in a]), (j, b))
+                 for (i, a, da), (j, b, db) in scaled]
+    base = min([a[0] + b[0] for a, b in pairs])
+    acc = [0] * (max([a[0] + b[0] + len(a[1]) + len(b[1]) for a, b in pairs]) - base - 1)
+    for (i, a), (j, b) in pairs:
+        for k, x in enumerate(a, i + j - base):
+            if x:
+                for m, y in enumerate(b, k):
+                    acc[m] += x * y
+    if p:
+        acc = [c % p for c in acc]
+    top = len(acc)
+    while top and not acc[top - 1]:
+        top -= 1
+    if not top:
+        return 0, ()
+    low = _valuation(acc)
+    kept = acc[low:top]
+    return base + low, tuple(kept if p else [Fraction(c, den) for c in kept])
 
 
 def _divmod_raw(field, a, b):
@@ -459,17 +493,6 @@ class PolynomialRing:
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         return UniPolynomial(self, tuple(coeffs))
-
-    def dot(self, pairs):
-        """The sum of a * b over a list of polynomial pairs: the products'
-        coefficient lists summed unreduced, then normalized once."""
-        field, acc = self.field, []
-        for a, b in pairs:
-            raw = _mul_raw(field, a.coeffs, b.coeffs)
-            acc += [field.czero] * (len(raw) - len(acc))
-            for i, c in enumerate(raw):
-                acc[i] += c
-        return self.from_raw(acc)
 
     @property
     def zero(self):
@@ -902,12 +925,12 @@ class FractionField:
     Gauss's lemma, and the canonical pair is built with one ``Fraction``
     per coefficient: no ``Fraction`` arithmetic runs in between.
 
-    Over Q[x], products (``_mul_raw``) convolve the operands scaled to
-    integers (``_integer_mul``) and build one ``Fraction`` per output
-    coefficient, not one per coefficient pair.  ``dot``, the matrix
-    product's sum of products, keeps its numerators in those integers and
-    normalizes each sum once; a denominator that is a power of x, the
-    common case on symbolic Weyl switches, needs no gcd there.
+    Over Q[x], a product (``_mul_raw``) convolves the operands scaled to
+    integers and builds one ``Fraction`` per output coefficient, not one
+    per coefficient pair.  ``dot``, the matrix product's sum of products,
+    sums its numerators with ``poly_dot``, which runs on those integers
+    too, and normalizes each sum once; a denominator that is a power of x,
+    the common case on symbolic Weyl switches, needs no gcd there.
 
     ``field(num, den)`` builds num / den from anything ``domain`` converts,
     and ``field(x)`` also takes a fraction or a Laurent polynomial f x^k,
@@ -943,13 +966,12 @@ class FractionField:
         """The sum of a * b over a list of fraction pairs, reduced once.
 
         Each product's denominator is x^k times a part with nonzero constant
-        term, 1 when it is a power of x.  The numerators are aligned over the
-        highest x^k and summed unreduced, one sum per part; the sums are
-        combined by cross-multiplication, and ``_make_fraction`` runs once.
-        A numerator is an integer list over one integer denominator (1 over
-        Z_p), so over Q one Fraction is built per coefficient of a sum."""
+        term, 1 when it is a power of x.  The products' numerators are
+        aligned over the highest x^k and summed by one ``poly_dot`` per
+        part; the sums are combined by cross-multiplication, and
+        ``_make_fraction`` runs once."""
         domain = self.domain
-        field, p = domain.field, domain.field.p
+        field = domain.field
         sums = {}
         for a, b in pairs:
             x, y = a.num.coeffs, b.num.coeffs
@@ -959,21 +981,15 @@ class FractionField:
                 u, v = u[i:], v[j:]
                 part = (v if len(u) == 1 else u if len(v) == 1
                         else domain.from_raw(_mul_raw(field, u, v)).coeffs)
-                ints, d = (_mul_raw(field, x, y), 1) if p else _integer_mul(x, y)
-                sums.setdefault(part, []).append((i + j, ints, d))
+                sums.setdefault(part, []).append((i + j, x, y))
         if not sums:
             return self.zero
         top = max([k for group in sums.values() for k, _, _ in group])
+        pad = (field.czero,)
         fractions = []
         for part, group in sums.items():
-            common = math.lcm(*[d for _, _, d in group])
-            acc = [0] * max([top - k + len(ints) for k, ints, _ in group])
-            for k, ints, d in group:
-                m = common // d
-                for e, c in enumerate(ints, top - k):
-                    acc[e] += c * m
-            coeffs = acc if p else [Fraction(c, common) for c in acc]
-            fractions.append((domain.from_raw(coeffs), UniPolynomial(domain, part)))
+            k, c = poly_dot([((top - k, x), (0, y)) for k, x, y in group], field)
+            fractions.append((UniPolynomial(domain, pad * k + c), UniPolynomial(domain, part)))
         num, den = fractions[0]
         for n, d in fractions[1:]:
             num, den = num * d + n * den, den * d
