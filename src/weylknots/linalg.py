@@ -7,13 +7,13 @@ pivots on units only: over a field every nonzero entry, over F[x, x^-1]
 the monomials c x^k.  Eliminating on a unit pivot drops one invariant
 factor 1 and keeps the others (Fitting's lemma), so a Laurent matrix sends
 only what the pass leaves, its core, to the Euclidean elimination over
-F[x] (``_smith_diagonal``), cleared to F[x] by powers of x, which are
-units too.  F[x, x^-1] is a principal ideal domain, so the gcd of the
-s x s minors is the product of the first s invariant factors, and their
-number is the rank.  Over a field the core is zero.  ``mat_inverse`` runs
-the same pass on [M | I] and back-substitutes; a Laurent matrix enters
-Frac(F[x]) by the fraction field's own conversion, and its inverse comes
-back by the Laurent ring's.
+F[x, x^-1] (``_laurent_smith``), in which x is a unit too, so no power of
+x is carried through a division.  F[x, x^-1] is a principal ideal domain,
+so the gcd of the s x s minors is the product of the first s invariant
+factors, and their number is the rank.  Over a field the core is zero.
+``mat_inverse`` runs the same pass on [M | I] and back-substitutes; a
+Laurent matrix enters Frac(F[x]) by the fraction field's own conversion,
+and its inverse comes back by the Laurent ring's.
 
 Any other entry ring, F[x] among them, raises ``RingError`` in products,
 eliminations and inverses alike.  Field entries answer
@@ -26,9 +26,9 @@ matrix's rows as (offset, coefficient tuple) pairs, the stored pair of each
 for the result (``Matrix.from_kernel_rows``).  A product of two elements
 is the ring's own convolution; every sum of products of raw values is
 ``rings.poly_dot``, which reduces it once.  It computes each entry of a
-Laurent product and of the unit-pivot pass's row update a - f b, and over
-F[x] each update row[j] - quo * pivot_row[j] of the Smith step
-(``_poly_row_update``).  Field entries stay ring elements.
+Laurent product and of the row updates a - f b of the unit-pivot pass and
+of the Smith step, and strips each remainder of the Smith step's
+``rings.divmod_raw``.  Field entries stay ring elements.
 
 Products, in ``Matrix.__mul__`` and in ``braids.represent``, go through one
 row-times-matrix kernel, ``_row_times``.  It computes each output entry by
@@ -58,7 +58,7 @@ from .rings import (
     RingError,
     RingMismatchError,
     UniPolynomial,
-    laurent_canonicalize,
+    divmod_raw,
     poly_dot,
     poly_gcd,
 )
@@ -229,20 +229,6 @@ def _laurent(ring, raw):
 # determinants
 # ---------------------------------------------------------------------------
 
-def _laurent_clear_rows(rows, pring):
-    """Multiply each raw Laurent row by x^-k to make it polynomial; returns
-    (rows over pring = F[x], total extracted exponent)."""
-    pad = (pring.field.czero,)
-    total = 0
-    cleared = []
-    for row in rows:
-        k = min([e[0] for e in row if e[1]], default=0)
-        total += k
-        cleared.append([UniPolynomial(pring, pad * (offset - k) + c if c else ())
-                        for offset, c in row])
-    return cleared, total
-
-
 def _gaussian_pass(rows, width, ring):
     """(rank, det, free) of a list of rows over ring, in the form of
     ``Matrix.kernel_rows``, by one forward pass on unit pivots, reducing the
@@ -303,12 +289,12 @@ def _elimination(m: Matrix):
     kept on m; det is zero unless m is square and of full rank.
 
     Both kinds run ``_gaussian_pass``, a Laurent matrix on raw values.  It
-    then clears its core (the rows left by the pass, in its free columns,
-    which held no unit when the pass reached them) by powers of x and
-    reduces only that by ``_smith_diagonal``: its factors are one 1 per unit
-    pivot followed by the core's diagonal, and its det is the pass's times
-    the core's, u * d_1 ... d_k shifted back by the cleared exponent.  A
-    field matrix has no factors.  Any other ring raises RingError.
+    then reduces only its core (the rows left by the pass, in its free
+    columns, which held no unit when the pass reached them), still raw, by
+    ``_laurent_smith``: its factors are one 1 per unit pivot followed by the
+    core's diagonal, and its det is the pass's times the core's,
+    u * d_1 ... d_k for the unit u = c x^s.  A field matrix has no factors.
+    Any other ring raises RingError.
     """
     if m._elim is None:
         ring = m.ring
@@ -319,11 +305,8 @@ def _elimination(m: Matrix):
         rank, det, free = _gaussian_pass(rows, m.ncols, ring)
         factors = (ring.poly_ring.one,) * rank if laurent else ()
         if laurent and free and rank < m.nrows:
-            core, shift = _laurent_clear_rows([[row[j] for j in free]
-                                               for row in rows[rank:]], ring.poly_ring)
-            diag, unit = _smith_diagonal(core)
-            core_det = math.prod(diag, start=ring.poly_ring.one)
-            det = det * ring.from_poly(core_det.scale(unit), shift)
+            diag, unit = _laurent_smith([[row[j] for j in free] for row in rows[rank:]], ring)
+            det = det * unit * ring.from_poly(math.prod(diag, start=ring.poly_ring.one))
             factors += tuple(diag)
             rank += len(diag)
         m._elim = (rank, det if rank == m.nrows == m.ncols else ring.zero, factors)
@@ -333,7 +316,7 @@ def _elimination(m: Matrix):
 def det_exact(m: Matrix):
     """Exact determinant in the entry ring, a field or a Laurent ring, read
     off the one elimination: the signed product of the unit pivots, times
-    the determinant of the core over F[x] for a Laurent matrix.
+    the determinant of the core over F[x, x^-1] for a Laurent matrix.
     Any other ring raises RingError."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
@@ -396,101 +379,84 @@ def rank_over_fractions(m: Matrix) -> int:
 # invariant factors and elementary ideals
 # ---------------------------------------------------------------------------
 
-def _least_degree(cells):
-    """(i, j) of a least-degree nonzero entry among (i, j, entry) triples,
-    the first in the given order on ties; None when all are zero."""
-    best = min(((len(e.coeffs), i, j) for i, j, e in cells if e.coeffs), default=None)
-    return None if best is None else best[1:]
-
-
-def _divide_rational_content(row, start):
-    """Divide row[start:] over Q[x] by the rational content of its
-    coefficients, a unit, so that they become coprime integers; returns the
-    scale applied (1 when the content is 0 or 1)."""
-    num, den = 0, 1
-    for e in row[start:]:
-        for c in e.coeffs:
-            num = math.gcd(num, c.numerator)
-            den = math.lcm(den, c.denominator)
-    if not num or (num, den) == (1, 1):
-        return 1
-    scale = Fraction(den, num)
-    row[start:] = [e.scale(scale) for e in row[start:]]
-    return scale
-
-
-def _poly_row_update(row, quo, pivot_row, start):
-    """row[j] - quo * pivot_row[j] over F[x], in place for j >= start: each
-    updated entry is one ``poly_dot`` of offset-0 raw values, so it is
-    reduced once."""
-    ring, field = quo.ring, quo.ring.field
-    minus_quo = (0, tuple([-c for c in quo.coeffs]))
-    pad = (field.czero,)
-    for j in range(start, len(row)):
-        b = pivot_row[j].coeffs
-        if b:
-            k, c = poly_dot([((0, row[j].coeffs), _ONE), (minus_quo, (0, b))], field)
-            row[j] = UniPolynomial(ring, pad * k + c)
-
-
-def _smith_diagonal(rows):
-    """Nonzero diagonal of the Smith form of a matrix over F[x], monic
-    d_1 | d_2 | ..., as many as the rank, and the unit u in F^x that the
+def _laurent_smith(rows, ring):
+    """Nonzero diagonal of the Smith form over ring = F[x, x^-1] of a list of
+    raw Laurent rows, which it reduces in place: the invariant factors
+    d_1 | d_2 | ..., as many as the rank, each monic in F[x] with a nonzero
+    constant term, so canonical; and the unit u = c x^s of ring that the
     steps multiplied the determinant by: det = u * d_1 ... d_N when all N
     factors are found.
 
-    Euclidean elimination: move a least-degree entry of the trailing block
-    to the pivot, reduce its column by row operations and then its row by
-    column operations (``divmod``), and move the least-degree remainder in
-    whenever one is left; the pivot degree drops each time, so this ends
-    with the pivot alone in its row and column.  A pairwise gcd/lcm sweep
-    then orders the diagonal by divisibility.  Over Q[x] each reduced row
-    is divided by its rational content, which keeps the coefficients from
-    growing; Z_p[x] has no such growth and skips it.
+    Euclidean elimination in which x is a unit, so the norm of an entry is
+    its number of stored coefficients: move a least-norm entry of the
+    trailing block to the pivot x^k B, reduce its column by row operations
+    and then its row by column operations, and move the least-norm
+    remainder in whenever one is left; the pivot's norm drops each time, so
+    this ends with the pivot alone in its row and column.  An entry x^i A
+    is divided with the valuations stripped: A = Q B + R (``divmod_raw``)
+    gives the quotient x^(i-k) Q and the remainder x^i R, which ``poly_dot``
+    reduces and strips, and each updated entry a - x^(i-k) Q b of a row is
+    one ``poly_dot``.  A pairwise gcd/lcm sweep then orders the diagonal by
+    divisibility.  Over Q each reduced row is divided by its rational
+    content, which keeps the coefficients from growing; Z_p has no such
+    growth and skips it.
 
     Adding a multiple of one row or column to another leaves the
     determinant alone, and so does the sweep, since d_i d_j = gcd * lcm for
     monic factors.  u collects the rest: -1 per row or column swap, the
-    leading coefficient of each pivot made monic, and the inverse of each
-    content scale.
+    x^k and the leading coefficient of B for each pivot x^k B made monic,
+    and the inverse of each content scale.
     """
-    a = [list(r) for r in rows]
-    nrows, ncols = len(a), len(a[0])
-    field = a[0][0].ring.field
-    rational = isinstance(field, RationalField)
-    unit = field.one
-    diag = []
+    nrows, ncols = len(rows), len(rows[0])
+    field, pring = ring.field, ring.poly_ring
+    c, s, diag = field.cone, 0, []
     for t in range(min(nrows, ncols)):
-        at = _least_degree((i, j, a[i][j])
-                           for i in range(t, nrows) for j in range(t, ncols))
-        if at is None:
+        cells = [(len(e[1]), r, j) for r in range(t, nrows)
+                 for j, e in enumerate(rows[r][t:], t) if e[1]]
+        if not cells:
             break
-        while at is not None:
-            i, j = at
-            if i != t:
-                a[t], a[i] = a[i], a[t]
-                unit = -unit
+        while cells:
+            _, r, j = min(cells)
+            if r != t:
+                rows[t], rows[r] = rows[r], rows[t]
+                c = -c
             if j != t:
-                for row in a[t:]:
+                for row in rows[t:]:
                     row[t], row[j] = row[j], row[t]
-                unit = -unit
-            pivot_row = a[t]
-            pivot = pivot_row[t]
-            for row in a[t + 1:]:
-                if row[t].coeffs:
-                    quo, row[t] = divmod(row[t], pivot)
-                    if quo.coeffs:
-                        _poly_row_update(row, quo, pivot_row, t + 1)
-                    if rational:
-                        unit /= _divide_rational_content(row, t)
-            at = _least_degree((i, t, a[i][t]) for i in range(t + 1, nrows))
-            if at is None:
+                c = -c
+            pivot_row = rows[t]
+            k, b = pivot_row[t]
+            for row in rows[t + 1:]:
+                i, a = row[t]
+                if len(a) < len(b):  # zero, or left for the least-norm search
+                    continue
+                quo, rem = divmod_raw(field, a, b)
+                row[t] = poly_dot([((i, rem), _ONE)], field)
+                minus_quo = (i - k, tuple([-q for q in quo]))
+                row[t + 1:] = [e if not f[1] else poly_dot(
+                    [(e, _ONE), (minus_quo, f)] if e[1] else [(minus_quo, f)], field)
+                    for e, f in zip(row[t + 1:], pivot_row[t + 1:])]
+                if not field.p:
+                    coeffs = [x for _, e in row[t:] for x in e]
+                    num = math.gcd(*[x.numerator for x in coeffs])
+                    den = math.lcm(*[x.denominator for x in coeffs])
+                    if num and (num, den) != (1, 1):
+                        scale = Fraction(den, num)
+                        row[t:] = [(i, tuple([x * scale for x in e])) for i, e in row[t:]]
+                        c /= scale
+            cells = [(len(e[1]), r, t) for r in range(t + 1, nrows) if (e := rows[r][t])[1]]
+            if not cells:
                 # the column is clear, so column operations change row t only
                 for j in range(t + 1, ncols):
-                    pivot_row[j] = pivot_row[j] % pivot
-                at = _least_degree((t, j, pivot_row[j]) for j in range(t + 1, ncols))
-        unit = unit * pivot.coeffs[-1]
-        diag.append(pivot.monic())
+                    i, a = pivot_row[j]
+                    if len(a) >= len(b):
+                        pivot_row[j] = poly_dot([((i, divmod_raw(field, a, b)[1]), _ONE)],
+                                                field)
+                cells = [(len(e[1]), t, j) for j in range(t + 1, ncols)
+                         if (e := pivot_row[j])[1]]
+        c *= b[-1]
+        s += k
+        diag.append(UniPolynomial(pring, b).monic())
     for i, d in enumerate(diag):
         for j in range(i + 1, len(diag)):
             if d.is_one():
@@ -499,7 +465,7 @@ def _smith_diagonal(rows):
             diag[j] = (d * diag[j]).exact_div(g)
             d = g
         diag[i] = d
-    return diag, unit
+    return diag, ring.from_poly(pring.from_raw([c]), s)
 
 
 def invariant_factors(m: Matrix) -> list:
@@ -508,7 +474,7 @@ def invariant_factors(m: Matrix) -> list:
     left out.  Field matrices and any other ring raise RingError.
 
     Each unit pivot of the pass gives a factor 1, and the core's factors
-    follow (see ``_elimination``), each with its power of x stripped, so it
+    follow (see ``_elimination``), each with a nonzero constant term, so it
     is canonical in the sense of ``laurent_canonicalize``.  Over the PID
     F[x, x^-1] the product d_1 ... d_s generates the ideal of all s x s
     minors.
@@ -516,7 +482,7 @@ def invariant_factors(m: Matrix) -> list:
     ring = m.ring
     if not isinstance(ring, LaurentRing):
         raise RingError(f"invariant factors need a Laurent matrix, got ring {ring}")
-    return [laurent_canonicalize(ring.from_poly(d))[0] for d in _elimination(m)[2]]
+    return list(_elimination(m)[2])
 
 
 def closure_invariants(m: Matrix) -> tuple:

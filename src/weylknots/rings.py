@@ -435,10 +435,11 @@ def poly_dot(pairs, field):
     return base + low, tuple(kept if p else [Fraction(c, den) for c in kept])
 
 
-def _divmod_raw(field, a, b):
+def divmod_raw(field, a, b):
     """Unreduced coefficient lists (quotient, remainder) of a by b.  Over Z_p
     only the quotient digits are reduced, since they drive the loop; the
-    remainder is left for ``from_raw``."""
+    remainder is left for ``from_raw``, or for ``poly_dot`` in ``linalg``'s
+    Smith step on raw Laurent values."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     if len(a) < len(b):
@@ -569,7 +570,7 @@ class UniPolynomial(RingElement):
     def __divmod__(self, other):
         if other.__class__ is not UniPolynomial or other.ring is not self.ring:
             return self._mixed(divmod, other)
-        q, r = _divmod_raw(self.ring.field, self.coeffs, other.coeffs)
+        q, r = divmod_raw(self.ring.field, self.coeffs, other.coeffs)
         return self.ring.from_raw(q), self.ring.from_raw(r)
 
     def __mod__(self, other):

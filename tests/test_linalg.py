@@ -25,13 +25,14 @@ from weylknots.rings import (
     NonUnitError,
     PolynomialRing,
     PrimeField,
+    RationalField,
     RingError,
     RingMismatchError,
     laurent_canonicalize,
     poly_gcd,
 )
 from weylknots.reps import family_q_bidiagonal
-from weylknots.switches import weyl_switch
+from weylknots.switches import custom_switch, weyl_switch
 from weylknots.weyl import EngineMode
 
 F2 = PrimeField(2)
@@ -431,6 +432,31 @@ def unit_heavy_matrix(rng, ring, nrows, ncols):
     return Matrix(list(zip(*columns)), ring)
 
 
+def core_only_matrix(rng, ring, nrows, ncols):
+    """A matrix with no monomial entry, so the unit-pivot pass takes no
+    pivot and the Smith step reduces all of it: about a fifth of the
+    entries zero, the others of two or three stored coefficients, each
+    times its own x^k for k in -3..3.  Over Q each row is also scaled by a
+    fraction, so its rational content is not 1."""
+    rows = []
+    for _ in range(nrows):
+        scale = [Fraction(rng.choice([-3, 2, 5]), rng.choice([1, 3, 4]))
+                 if isinstance(ring.field, RationalField) else 1]
+        row = []
+        for _ in range(ncols):
+            if rng.random() < 0.2:
+                row.append(ring.zero)
+                continue
+            while len((e := _random_entry(rng, ring, rng.randint(1, 2))).poly.coeffs) < 2:
+                pass
+            row.append(e * ring.monomial(rng.randint(-3, 3), scale))
+        rows.append(row)
+    return Matrix(rows, ring)
+
+
+CORE_ONLY_SHAPES = [(1, 1), (2, 2), (3, 3), (4, 4), (2, 4), (4, 2), (3, 5), (5, 3)]
+
+
 def oracle_cases(ring, seed):
     """Seeded square matrices: full random, rank-deficient products of
     N x k and k x N matrices, matrices with a zero row or column, and one
@@ -489,6 +515,21 @@ class TestInvariantFactors:
             m = unit_heavy_matrix(rng, L3y, nrows, ncols)
             assert rank_over_fractions(m) == gaussian_rank(m) == len(direct_factors(m))
 
+    @pytest.mark.parametrize("name", sorted(LAURENT_RINGS))
+    def test_core_only_matrices_match_the_direct_smith_step(self, name):
+        # no unit to pivot on, so every factor comes from the Smith step
+        # over F[x, x^-1], square and rectangular
+        ring = LAURENT_RINGS[name]
+        rng = random.Random(90 + sorted(LAURENT_RINGS).index(name))
+        for nrows, ncols in CORE_ONLY_SHAPES * 3:
+            m = core_only_matrix(rng, ring, nrows, ncols)
+            assert linalg._gaussian_pass(m.kernel_rows(), ncols, ring)[0] == 0, m
+            factors = invariant_factors(m)
+            assert factors == direct_factors(m), m
+            assert len(factors) == rank_over_fractions(m) == gaussian_rank(m), m
+            for d in factors:
+                assert d.coeffs[0] and d.coeffs[-1] == 1, m
+
     def test_zero_and_identity(self):
         assert invariant_factors(Matrix.zeros(L2x, 3)) == []
         assert invariant_factors(Matrix.identity(L2x, 3)) == [R2x.one] * 3
@@ -502,11 +543,66 @@ class TestInvariantFactors:
             invariant_factors(Matrix.identity(F3, 2))
 
 
+def _least_degree(cells):
+    """(i, j) of a least-degree nonzero entry among (i, j, entry) triples,
+    the first in the given order on ties; None when all are zero."""
+    best = min(((len(e.coeffs), i, j) for i, j, e in cells if not e.is_zero()),
+               default=None)
+    return None if best is None else best[1:]
+
+
 def direct_factors(m):
-    """The invariant factors of a Laurent matrix by the Smith step on all of
-    its cleared rows, with no unit-pivot pass first."""
-    rows, _ = linalg._laurent_clear_rows(m.kernel_rows(), m.ring.poly_ring)
-    diag, _ = linalg._smith_diagonal(rows)
+    """The invariant factors of a Laurent matrix by a Smith step over F[x] on
+    all of its rows, with no unit-pivot pass first, written with ring
+    operators only, so it shares no code with ``linalg``'s elimination.
+
+    Each row is cleared to F[x] by its least power of x, a unit.  Euclidean
+    elimination on degrees: move a least-degree entry of the trailing block
+    to the pivot, reduce its column by row operations and then its row by
+    column operations (``divmod``), and move the least-degree remainder in
+    whenever one is left.  Over Q[x] each reduced row is divided by its
+    rational content, which keeps the coefficients from growing.  A
+    pairwise gcd/lcm sweep orders the monic diagonal by divisibility, and
+    each factor has its power of x stripped."""
+    pring = m.ring.poly_ring
+    a = []
+    for row in m.rows:
+        low = min((e.offset for e in row if not e.is_zero()), default=0)
+        a.append([pring.zero if e.is_zero() else e.poly.shift(e.offset - low) for e in row])
+    nrows, ncols = m.nrows, m.ncols
+    diag = []
+    for t in range(min(nrows, ncols)):
+        at = _least_degree((i, j, a[i][j]) for i in range(t, nrows) for j in range(t, ncols))
+        if at is None:
+            break
+        while at is not None:
+            i, j = at
+            a[t], a[i] = a[i], a[t]
+            for row in a[t:]:
+                row[t], row[j] = row[j], row[t]
+            pivot_row, pivot = a[t], a[t][t]
+            for row in a[t + 1:]:
+                if not row[t].is_zero():
+                    quo, row[t] = divmod(row[t], pivot)
+                    row[t + 1:] = [e - quo * f for e, f in zip(row[t + 1:], pivot_row[t + 1:])]
+                    if not pring.field.p:
+                        coeffs = [c for e in row[t:] for c in e.coeffs]
+                        if coeffs:
+                            num = math.gcd(*[c.numerator for c in coeffs])
+                            den = math.lcm(*[c.denominator for c in coeffs])
+                            row[t:] = [e.scale(Fraction(den, num)) for e in row[t:]]
+            at = _least_degree((i, t, a[i][t]) for i in range(t + 1, nrows))
+            if at is None:
+                for j in range(t + 1, ncols):
+                    pivot_row[j] = pivot_row[j] % pivot
+                at = _least_degree((t, j, pivot_row[j]) for j in range(t + 1, ncols))
+        diag.append(pivot.monic())
+    for i, d in enumerate(diag):
+        for j in range(i + 1, len(diag)):
+            g = poly_gcd(d, diag[j])
+            diag[j] = (d * diag[j]).exact_div(g)
+            d = g
+        diag[i] = d
     return [laurent_canonicalize(m.ring.from_poly(d))[0] for d in diag]
 
 
@@ -588,8 +684,9 @@ def _exact_det_entry(rng, ring, degree):
 
 def det_cases(ring, seed):
     """Seeded square Laurent matrices of sizes 1-7: random ones with zero
-    entries, rank-deficient products of N x k and k x N matrices, and
-    permuted diagonals, which force row and column swaps."""
+    entries, rank-deficient products of N x k and k x N matrices, permuted
+    diagonals, which force row and column swaps, and up to size 5 matrices
+    with no monomial entry (``core_only_matrix``)."""
     rng = random.Random(seed)
     entry = lambda degree: _exact_det_entry(rng, ring, degree)
     for n in range(1, 8):
@@ -610,6 +707,8 @@ def det_cases(ring, seed):
         for i, j in enumerate(cols):
             rows[i][j] = entry(rng.randint(0, 2))
         yield Matrix(rows, ring)
+        if n <= 5:
+            yield core_only_matrix(rng, ring, n, n)
 
 
 class TestExactDeterminant:
@@ -756,8 +855,8 @@ ORDERS = list(itertools.permutations(STEPS))
 
 def elimination_cases():
     """Laurent matrices over Z_2, Z_3 and Q and field matrices over Z_101,
-    Q and Frac(Q[q]), square and rectangular, rank-deficient ones
-    included."""
+    Q and Frac(Q[q]), square and rectangular, rank-deficient ones and
+    Laurent ones with no monomial entry included."""
     for name, ring in sorted(LAURENT_RINGS.items()):
         seed = 50 + sorted(LAURENT_RINGS).index(name)
         yield from oracle_cases(ring, seed)
@@ -766,6 +865,8 @@ def elimination_cases():
             yield random_matrix(rng, ring, nrows, ncols, 1)
         for nrows, ncols in [(4, 6), (6, 3)]:
             yield unit_heavy_matrix(rng, ring, nrows, ncols)
+        for nrows, ncols in CORE_ONLY_SHAPES:
+            yield core_only_matrix(rng, ring, nrows, ncols)
     for name, field in sorted(FIELDS.items()):
         yield from field_cases(field, seed=60 + sorted(FIELDS).index(name))
 
@@ -779,7 +880,7 @@ class TestOneElimination:
         """Each call of the two eliminations, by name: the (rows, columns)
         it was given and what it returned."""
         calls = {}
-        for name in ("_smith_diagonal", "_gaussian_pass"):
+        for name in ("_laurent_smith", "_gaussian_pass"):
             def counted(rows, *args, _run=getattr(linalg, name), _name=name):
                 shape = (len(rows), len(rows[0]))
                 out = _run(rows, *args)
@@ -805,7 +906,7 @@ class TestOneElimination:
                     for r in range(m.nrows):
                         minors_gcd(m, r)
             [(_, (units, _, free))] = passes.pop("_gaussian_pass")
-            smith = passes.pop("_smith_diagonal", [])
+            smith = passes.pop("_laurent_smith", [])
             assert not passes, m
             if isinstance(m.ring, linalg._FIELDS):
                 assert not smith and rank == units, m
@@ -876,3 +977,21 @@ def test_kishino_lift_rank_over_symbolic_q():
     start = time.perf_counter()
     assert m.nrows - rank_over_fractions(m) == 3
     assert time.perf_counter() - start < 3
+
+
+def test_kishino_lift_ideals_over_laurent_q():
+    # The same lift on the switch moved to Q[q, q^-1] entry by entry.  Its
+    # M - I has no monomial entry, so the Smith step reduces all of it.
+    # closure_invariants took 5.5 s while that step ran over Q[q], carrying
+    # powers of q through every division, and about 0.3 s over
+    # Q[q, q^-1].
+    switch = weyl_switch(family_q_bidiagonal(3, q="q", a=2, b=[1, -1]))
+    ring = LaurentRing(PolynomialRing(QQ, "q"))
+    blocks = [Matrix([[ring(e) for e in row] for row in b.rows], ring)
+              for b in (switch.A, switch.B, switch.C, switch.D)]
+    switch = custom_switch(*blocks, ring(switch.q))
+    m = represent(parse_braid("t2 s1 s2 s1^-1 t2 s1^-1 s2^-1 s1", strands=3), switch)
+    m = m - Matrix.identity(ring, m.nrows)
+    start = time.perf_counter()
+    assert closure_invariants(m) == (3, [ring.poly_ring.one])
+    assert time.perf_counter() - start < 2

@@ -180,7 +180,7 @@ class TestWorkCounts:
     @pytest.fixture
     def counts(self, monkeypatch):
         count = {"elim": 0, "mul": 0}
-        for name in ("_smith_diagonal", "_gaussian_pass"):
+        for name in ("_laurent_smith", "_gaussian_pass"):
             def counted(*args, _run=getattr(linalg, name)):
                 count["elim"] += 1
                 return _run(*args)
