@@ -342,7 +342,7 @@ class RationalField:
     def cinv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / a
+        return self.cone / a
 
     def cstr(self, a):
         if a.denominator == 1:
@@ -480,7 +480,7 @@ class PolynomialRing:
         if isinstance(value, str):
             from .polytext import parse_polynomial
             return parse_polynomial(value, self)
-        if isinstance(value, (int, FieldScalar)):
+        if isinstance(value, (int, Fraction, FieldScalar)):
             value = [value]
         if isinstance(value, (list, tuple)):
             return self.from_raw([self.field(c).value for c in value])
@@ -931,7 +931,8 @@ class FractionField:
     per coefficient pair.  ``dot``, the matrix product's sum of products,
     sums its numerators with ``poly_dot``, which runs on those integers
     too, and normalizes each sum once; a denominator that is a power of x,
-    the common case on symbolic Weyl switches, needs no gcd there.
+    the common case in the products that build a symbolic Weyl switch
+    before ``weyl_switch`` moves it to F[x, x^-1], needs no gcd there.
 
     ``field(num, den)`` builds num / den from anything ``domain`` converts,
     and ``field(x)`` also takes a fraction or a Laurent polynomial f x^k,

@@ -22,6 +22,14 @@ is computed only for the error message.  ``tests/test_switches.py``
 re-verifies the construction: the quadratic for every factory, C against
 the q-scaled 9-letter word in U, V, and the inverse against two reference
 inverses.
+
+A symbolic rep lives over Frac(Q[q]), since tr(UV - qVU) = n forces
+tr(UV) = n / (1 - q).  Its switch does not: for the q-families every
+entry of S and S^-1 has a power of q as its denominator, so
+``weyl_switch`` moves the blocks and q to Q[q, q^-1], where braids are
+represented on raw Laurent values and the closure yields its elementary
+ideals, the q-Alexander invariants.  An entry with any other denominator
+raises ``SwitchError``; no switch is built over a fraction field.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .linalg import Matrix, det_exact, mat_inverse
 from .reps import MatrixRep
 from .rings import (
     QQ,
+    FractionField,
     LaurentRing,
     NonUnitError,
     PolynomialRing,
@@ -93,7 +102,12 @@ _SWITCH_TOKEN = object()
 def weyl_switch(rep: MatrixRep, label=None) -> LinearSwitch:
     """The canonical switch of a representation, from the U^-1 and V^-1
     that ``MatrixRep`` keeps; det(C) = q^n / det(U) must be a unit, that
-    is, q must be."""
+    is, q must be.
+
+    A rep over Frac(F[x]) gives a switch over F[x, x^-1]: the blocks and q
+    are built over the fraction field and converted entry by entry, and an
+    entry whose denominator is not a power of x raises ``SwitchError``
+    naming its block and position.  The rep itself stays over Frac(F[x])."""
     U, V, q = rep.U, rep.V, rep.q
     Uinv, Vinv = rep.inverses
     identity = Matrix.identity(rep.ring, rep.dim)
@@ -102,8 +116,25 @@ def weyl_switch(rep: MatrixRep, label=None) -> LinearSwitch:
     D = identity.scale(rep.ring.one - q) - Uinv * Vinv
     if not q.is_unit():
         raise SwitchError(f"block C is singular: det = {det_exact(C)!r}")
+    if isinstance(rep.ring, FractionField):
+        ring = LaurentRing(rep.ring.domain)
+        A, U, C, D = [Matrix([[_laurent(ring, e, f"block {name} entry ({i},{j})")
+                               for j, e in enumerate(row)]
+                              for i, row in enumerate(m.rows)], ring)
+                      for name, m in zip("ABCD", (A, U, C, D))]
+        q = _laurent(ring, q, "q")
     return LinearSwitch(A, U, C, D, q, label=label or f"weyl({rep.label})",
                         _token=_SWITCH_TOKEN)
+
+
+def _laurent(ring, e, where):
+    """ring(e) for a fraction e; ``SwitchError`` naming where e sits when
+    its denominator is not a power of the variable."""
+    try:
+        return ring(e)
+    except ValueError:
+        raise SwitchError(f"{where} = {e!r} is not in {ring}: its denominator "
+                          f"is not a power of {ring.var}") from None
 
 
 def burau_switch(t=None, ring=None) -> LinearSwitch:

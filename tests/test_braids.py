@@ -20,7 +20,6 @@ from weylknots.reps import build_rep, family_q_bidiagonal, family_q_upper
 from weylknots.rings import (
     LETTER_BUDGET,
     QQ,
-    FractionField,
     LaurentPolynomial,
     LaurentRing,
     PolynomialRing,
@@ -256,7 +255,7 @@ class TestRepresent:
     @pytest.mark.parametrize("seed", range(2))
     def test_symbolic_q_upper_matches_dense_product(self, seed):
         switch = weyl_switch(family_q_upper(2, q="q", a=2, b=1, d=1, e=1))
-        assert isinstance(switch.ring, FractionField)
+        assert switch.ring == LaurentRing(PolynomialRing(QQ, "q"))
         rng = random.Random(seed)
         word = random_word(rng, 3, 6, VIRTUAL)
         assert represent(word, switch) == dense_represent(word, switch)
@@ -264,8 +263,7 @@ class TestRepresent:
     @pytest.mark.parametrize("text", ["t2 s1 s2 s1^-1 t2 s1^-1 s2^-1 s1",
                                       "s1 s2^-1 t1 s1^-1 s2"])
     def test_symbolic_q_bidiagonal_matches_dense_product(self, text):
-        # every entry of S and S^-1 over Frac(Q[q]) has a power of q as its
-        # denominator; each word has letters of both signs
+        # S and S^-1 are over Q[q, q^-1]; each word has letters of both signs
         switch = weyl_switch(family_q_bidiagonal(3, q="q", a=2, b=[1, -1]))
         word = parse_braid(text, VIRTUAL, 3)
         assert {let.exp for let in word.letters if let.kind == "s"} == {1, -1}

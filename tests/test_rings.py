@@ -82,6 +82,22 @@ class TestScalars:
         with pytest.raises(ValueError):
             F7("1/2y")
 
+    def test_rational_inverse_is_exact(self):
+        # an int coefficient inverts to a Fraction, never to a float
+        for a, want in ((2, Fraction(1, 2)), (-3, Fraction(-1, 3)),
+                        (Fraction(2, 3), Fraction(3, 2))):
+            got = QQ.cinv(a)
+            assert type(got) is Fraction and got == want
+        assert QQ(4).inv() == QQ("1/4")
+
+    def test_polynomials_take_a_bare_fraction(self):
+        half = Fraction(1, 2)
+        assert QX(half) == QX([half]) == QX("1/2")
+        assert PolynomialRing(PrimeField(7))(half) == PolynomialRing(PrimeField(7))(4)
+        t = LaurentRing(PolynomialRing(QQ, "t"))
+        assert t.monomial(1, half) == t("(1/2)t")
+        assert t.monomial(-2, Fraction(-3, 4)) * t.monomial(2, Fraction(-4, 3)) == t.one
+
     @pytest.mark.parametrize("ring", [F3, PrimeField(101), QQ], ids=str)
     def test_powers_match_repeated_products(self, ring):
         for value in (1, 2, -1):

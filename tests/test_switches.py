@@ -36,21 +36,30 @@ F7 = PrimeField(7)
 L5t = LaurentRing(PolynomialRing(PrimeField(5), "t"))
 
 
+def _over(ring, m: Matrix) -> Matrix:
+    """m with each entry converted by ring(e)."""
+    return Matrix([[ring(e) for e in row] for row in m.rows], ring)
+
+
 def _factorization_inverse(switch: LinearSwitch) -> Matrix:
     """Inverse through the elementary factorization available when
-    D = CA'B + I - A'; needs A, C and I - A' invertible."""
+    D = CA'B + I - A'; needs A, C and I - A' invertible over a field, so a
+    Laurent switch runs it over Frac(F[x]) and the result is mapped back:
+    det(I - A') need not be a unit of F[x, x^-1]."""
     ring = switch.ring
+    field = FractionField(ring.poly_ring) if isinstance(ring, LaurentRing) else ring
+    A, B, C, D = [_over(field, m) for m in (switch.A, switch.B, switch.C, switch.D)]
     k = switch.k
-    ik = Matrix.identity(ring, k)
-    zk = Matrix.zeros(ring, k)
-    Ainv = mat_inverse(switch.A)
-    if switch.D != switch.C * Ainv * switch.B + ik - Ainv:
+    ik = Matrix.identity(field, k)
+    zk = Matrix.zeros(field, k)
+    Ainv = mat_inverse(A)
+    if D != C * Ainv * B + ik - Ainv:
         raise SwitchError("factorization path needs the canonical D block")
-    m1 = Matrix.block([[ik, -(Ainv * switch.B)], [zk, ik]])
+    m1 = Matrix.block([[ik, -(Ainv * B)], [zk, ik]])
     m2 = Matrix.block([[ik, zk], [zk, mat_inverse(ik - Ainv)]])
-    m3 = Matrix.block([[ik, zk], [-switch.C, ik]])
+    m3 = Matrix.block([[ik, zk], [-C, ik]])
     m4 = Matrix.block([[Ainv, zk], [zk, ik]])
-    return m1 * m2 * m3 * m4
+    return _over(ring, m1 * m2 * m3 * m4)
 
 
 def _seeded_rep(family, seed, n=3, p=101):
@@ -150,10 +159,10 @@ class TestCheckSwitch:
 
 
 class TestEntryKinds:
-    """Every switch factory gives blocks over a field or a Laurent ring, the
-    two entry kinds of ``linalg``."""
+    """Every switch factory gives blocks over Z_p, Q or a Laurent ring; a
+    rep over Frac(F[x]) gives its switch over F[x, x^-1]."""
 
-    KINDS = (PrimeField, RationalField, FractionField, LaurentRing)
+    KINDS = (PrimeField, RationalField, LaurentRing)
 
     @pytest.mark.parametrize("name", sorted(ALL_REPS))
     def test_weyl_switch(self, name):
@@ -261,7 +270,8 @@ class TestWeylSwitch:
         else:
             rep = family_q_upper(n, "q" if p is None else 3, 2, 3, 1, 5, p=p)
         s = weyl_switch(rep)
-        assert bareiss_det(s.C) * bareiss_det(rep.U) == rep.q ** n
+        # a symbolic rep's switch is over Q[q, q^-1], its rep over Frac(Q[q])
+        assert rep.ring(bareiss_det(s.C)) * bareiss_det(rep.U) == rep.q ** n
 
     @pytest.mark.parametrize("name", ["kishino3", "flat2"])
     def test_det_c_is_q_to_the_n_over_det_u_builtin(self, name):
@@ -276,6 +286,21 @@ class TestWeylSwitch:
         U = Matrix([[F7(2), F7(0)], [F7(3), F7(1)]])
         rep = MatrixRep(U, mat_inverse(U), F7(0), label="q_bidiagonal-shape")
         with pytest.raises(SwitchError, match=r"block C is singular: det = 0"):
+            weyl_switch(rep)
+
+    @pytest.mark.parametrize("name", sorted(n for n in ALL_REPS if "symbolic" in n))
+    def test_symbolic_reps_give_laurent_switches(self, name):
+        # the rep stays over Frac(Q[q]): tr(UV) = n / (1 - q)
+        rep = ALL_REPS[name]()
+        s = weyl_switch(rep)
+        assert rep.ring == FractionField(PolynomialRing(QQ, "q"))
+        assert s.ring == LaurentRing(PolynomialRing(QQ, "q"))
+        assert s.q == s.ring.gen
+
+    def test_non_monomial_denominator_names_block_and_entry(self):
+        rep = family_q_upper(1, q="q", a="q + 1", b=1, d=1, e=1)
+        with pytest.raises(SwitchError,
+                           match=r"block C entry \(0,0\) = q/\(q \+ 1\) is not in Q\[q,q\^-1\]"):
             weyl_switch(rep)
 
     def test_invalid_rep_rejected(self):
@@ -296,4 +321,5 @@ class TestWeylSwitch:
         U, V = rep.U, rep.V
         Uinv, Vinv = mat_inverse(U), mat_inverse(V)
         word = (U * V * Uinv * Vinv * Uinv * Vinv * Uinv * V * U).scale(rep.q)
-        assert weyl_switch(rep).C == word
+        switch = weyl_switch(rep)
+        assert switch.C == _over(switch.ring, word)
