@@ -967,20 +967,32 @@ class TestOneElimination:
         assert closure_invariants(m) == (0, [R3y("y + 1"), R3y.one])
 
 
-def test_kishino_lift_over_laurent_q():
+def test_kishino_lift_rank_over_symbolic_q():
     # The Kishino lift's 9 x 9 M - I on the symbolic q_bidiagonal(3) switch,
-    # which weyl_switch builds over Q[q, q^-1].  Its M - I has no monomial
-    # entry, so the Smith step reduces all of it.  Its rank over Frac(Q[q])
+    # which weyl_switch builds over Q[q, q^-1].  Its rank over Frac(Q[q])
     # took 7.3 s while fraction normalization ran the Euclidean gcd on
-    # Fraction coefficients; closure_invariants took 5.5 s while the Smith
-    # step ran over Q[q], carrying powers of q through every division, and
-    # about 0.3 s over Q[q, q^-1].
+    # Fraction coefficients, and about 0.4 s on the integer remainder
+    # sequence.
+    switch = weyl_switch(family_q_bidiagonal(3, q="q", a=2, b=[1, -1]))
+    assert switch.ring == LaurentRing(PolynomialRing(QQ, "q"))
+    m = represent(parse_braid("t2 s1 s2 s1^-1 t2 s1^-1 s2^-1 s1", strands=3), switch)
+    m = m - Matrix.identity(m.ring, m.nrows)
+    start = time.perf_counter()
+    assert m.nrows - rank_over_fractions(m) == 3
+    assert time.perf_counter() - start < 3
+
+
+def test_kishino_lift_ideals_over_laurent_q():
+    # The same lift, on the switch weyl_switch builds over Q[q, q^-1].  Its
+    # M - I has no monomial entry, so the Smith step reduces all of it.
+    # closure_invariants took 5.5 s while that step ran over Q[q], carrying
+    # powers of q through every division, and about 0.3 s over
+    # Q[q, q^-1].
     switch = weyl_switch(family_q_bidiagonal(3, q="q", a=2, b=[1, -1]))
     ring = switch.ring
     assert ring == LaurentRing(PolynomialRing(QQ, "q"))
     m = represent(parse_braid("t2 s1 s2 s1^-1 t2 s1^-1 s2^-1 s1", strands=3), switch)
     m = m - Matrix.identity(ring, m.nrows)
     start = time.perf_counter()
-    assert m.nrows - rank_over_fractions(m) == 3
     assert closure_invariants(m) == (3, [ring.poly_ring.one])
     assert time.perf_counter() - start < 2
