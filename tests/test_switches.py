@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from test_linalg import bareiss_det
 
-from weylknots import linalg
-from weylknots.linalg import Matrix, mat_inverse
+from weylknots import linalg, switches
+from weylknots.linalg import Matrix, det_exact, mat_inverse
 from weylknots.reps import (
     BUILTIN_SPECS,
     MatrixRep,
@@ -26,8 +28,6 @@ from weylknots.switches import (
     LinearSwitch,
     SwitchError,
     burau_switch,
-    check_switch,
-    custom_switch,
     sawollek_switch,
     weyl_switch,
 )
@@ -39,6 +39,30 @@ L5t = LaurentRing(PolynomialRing(PrimeField(5), "t"))
 def _over(ring, m: Matrix) -> Matrix:
     """m with each entry converted by ring(e)."""
     return Matrix([[ring(e) for e in row] for row in m.rows], ring)
+
+
+def _hecke_holds(S: Matrix, q) -> bool:
+    """The Hecke quadratic S^2 = (1-q)S + qI, which at q = 1 is S^2 = I."""
+    ring = S.ring
+    return S * S == S.scale(ring.one - q) + Matrix.identity(ring, S.nrows).scale(q)
+
+
+def check_switch(S: Matrix, q) -> None:
+    """The axioms oracle: the braid relation on three blocks and the Hecke
+    quadratic for q, as exact matrix identities; raises ``AssertionError``
+    naming each relation that fails."""
+    ring, k = S.ring, S.nrows // 2
+    ik = Matrix.identity(ring, k)
+    s1 = Matrix.block([[S, Matrix.zeros(ring, 2 * k, k)],
+                       [Matrix.zeros(ring, k, 2 * k), ik]])
+    s2 = Matrix.block([[ik, Matrix.zeros(ring, k, 2 * k)],
+                       [Matrix.zeros(ring, 2 * k, k), S]])
+    failures = []
+    if s1 * s2 * s1 != s2 * s1 * s2:
+        failures.append("braid relation S1 S2 S1 = S2 S1 S2 fails")
+    if not _hecke_holds(S, q):
+        failures.append(f"Hecke quadratic fails for q = {q!r}")
+    assert not failures, "switch axioms fail: " + "; ".join(failures)
 
 
 def _factorization_inverse(switch: LinearSwitch) -> Matrix:
@@ -104,33 +128,45 @@ SEEDED_REPS = {
 }
 ALL_REPS = {**WEYL_REPS, **SEEDED_REPS}
 
-# Scalar Sawollek switches (b, c, ring); b c = 15 = 1 over Z_7 declares q = 1
+# Scalar Sawollek switches (b, c, ring); b c = 15 = 1 over Z_7 gives q = 1
 SAWOLLEK_SCALARS = ((2, 3, F7), (2, 5, QQ), (3, 5, F7))
 
 
+def _sawollek_blocks():
+    """B = [[t, 1], [0, t]] and C = [[t, -1], [0, t]] over Z_5[t, t^-1],
+    with BC = CB = t^2 I."""
+    t = L5t.gen
+    return (Matrix([[t, L5t.one], [L5t.zero, t]]),
+            Matrix([[t, -L5t.one], [L5t.zero, t]]))
+
+
 class TestCheckSwitch:
-    """Every factory declares a q that satisfies the Hecke quadratic, so
-    is_flat(), which reads q = 1, needs no S^2 = I product of its own."""
+    """Every factory's switch passes the axioms oracle, so is_flat(), which
+    reads q = 1, needs no S^2 = I product of its own."""
 
     def test_burau(self):
         for ring in (None, L5t):
             s = burau_switch(ring=ring)
-            check_switch(s)
-            assert s.q is not None
+            check_switch(s.S, s.q)
             assert not s.is_flat() and not (s.S * s.S).is_identity()
 
     def test_scalar_sawollek(self):
         for b, c, ring in SAWOLLEK_SCALARS:
             s = sawollek_switch(b, c, ring=ring)
-            check_switch(s)
-            assert s.q is not None
+            check_switch(s.S, s.q)
             assert s.is_flat() == (s.S * s.S).is_identity() == (s.q == ring.one)
+
+    def test_matrix_sawollek(self):
+        B, C = _sawollek_blocks()
+        s = sawollek_switch(B, C)
+        check_switch(s.S, s.q)
+        assert s.q == L5t.gen ** 2
+        assert (s.B, s.C, s.D) == (B, C, Matrix.zeros(L5t, 2))
 
     @pytest.mark.parametrize("name", sorted(ALL_REPS))
     def test_weyl(self, name):
         s = weyl_switch(ALL_REPS[name]())
-        check_switch(s)
-        assert s.q is not None
+        check_switch(s.S, s.q)
         assert s.is_flat() == (s.S * s.S).is_identity()
 
     def test_flat2_is_involutive(self):
@@ -142,20 +178,109 @@ class TestCheckSwitch:
         ring = s.ring
         bump = Matrix([[ring.one if (i, j) == (0, 0) else ring.zero
                         for j in range(s.k)] for i in range(s.k)], ring)
-        with pytest.raises(SwitchError, match="axioms fail: braid relation"):
-            custom_switch(s.A, s.B, s.C + bump, s.D, s.q)
+        S = Matrix.block([[s.A, s.B], [s.C + bump, s.D]])
+        with pytest.raises(AssertionError, match="axioms fail: braid relation"):
+            check_switch(S, s.q)
 
     def test_direct_construction_refused(self):
         s = burau_switch()
-        with pytest.raises(TypeError, match="custom_switch"):
-            LinearSwitch(s.A, s.B, s.C, s.D, s.q, label="burau")
+        with pytest.raises(TypeError, match="weyl_switch, burau_switch or sawollek"):
+            LinearSwitch(s.A, s.B, s.B, s.q, label="burau")
 
     def test_non_commuting_sawollek_blocks_rejected(self):
         # BC = 0 but CB != 0: no Hecke scalar, and no switch
         B = Matrix([[F7(0), F7(1)], [F7(0), F7(0)]])
         C = Matrix([[F7(1), F7(0)], [F7(0), F7(0)]])
-        with pytest.raises(SwitchError, match="braid relation"):
+        with pytest.raises(SwitchError, match=r"CB = \[\[0, 1\], \[0, 0\]\]"):
             sawollek_switch(B, C)
+
+
+class TestSawollekBlocks:
+    """sawollek_switch refuses, when it is built, any blocks without
+    BC = CB = qI for a unit q."""
+
+    def test_non_scalar_bc_rejected(self):
+        # B and C commute, but BC = diag(2, 6) is not scalar
+        B = Matrix([[F7(2), F7(0)], [F7(0), F7(3)]])
+        C = Matrix([[F7(1), F7(0)], [F7(0), F7(2)]])
+        with pytest.raises(SwitchError, match=r"BC = \[\[2, 0\], \[0, 6\]\]"):
+            sawollek_switch(B, C)
+
+    def test_bc_differs_from_cb(self):
+        # BC = [1] is scalar with a unit q, but CB is 2 x 2 of rank 1
+        B = Matrix([[F7(1), F7(0)]])
+        C = Matrix([[F7(1)], [F7(0)]])
+        with pytest.raises(SwitchError, match=r"CB = \[\[1, 0\], \[0, 0\]\]"):
+            sawollek_switch(B, C)
+
+    def test_non_unit_q_rejected(self):
+        # BC = CB = 0, so q = 0
+        B = Matrix([[F7(0), F7(0)], [F7(0), F7(3)]])
+        C = Matrix([[F7(1), F7(0)], [F7(0), F7(0)]])
+        with pytest.raises(SwitchError, match=r"q a unit: BC = \[\[0, 0\], \[0, 0\]\]"):
+            sawollek_switch(B, C)
+
+    def test_matrix_with_scalar_rejected(self):
+        B, _ = _sawollek_blocks()
+        with pytest.raises(SwitchError, match="both be matrices or both be scalars"):
+            sawollek_switch(B, 2, ring=L5t)
+
+    def test_scalars_need_a_ring(self):
+        with pytest.raises(SwitchError, match="explicit ring"):
+            sawollek_switch(2, 3)
+
+
+class TestFundamentalRelation:
+    """C and D are the paper's forms, read off the fundamental relation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 101]), st.integers(1, 3), st.data())
+    def test_hecke_quadratic_for_any_blocks(self, p, k, data):
+        # S^2 = (1-q)S + qI for any A, invertible B and unit q; without its
+        # (1-q)I term D breaks the quadratic whenever q != 1
+        field = PrimeField(p)
+        entries = st.lists(st.lists(st.integers(0, p - 1), min_size=k, max_size=k),
+                           min_size=k, max_size=k)
+        A, B = [Matrix([[field(e) for e in row] for row in data.draw(entries)], field)
+                for _ in range(2)]
+        assume(not det_exact(B).is_zero())
+        q = field(data.draw(st.integers(1, p - 1)))
+        s = LinearSwitch(A, B, mat_inverse(B), q, "random",
+                         _token=switches._SWITCH_TOKEN)
+        assert _hecke_holds(s.S, q)
+        mutant_d = s.D - Matrix.identity(field, k).scale(field.one - q)
+        mutant = Matrix.block([[s.A, s.B], [s.C, mutant_d]])
+        assert _hecke_holds(mutant, q) == q.is_one()
+
+    @pytest.mark.parametrize("name", sorted(WEYL_REPS))
+    def test_weyl_blocks_are_the_papers_forms(self, name):
+        # C = A'B'A(I - A) and D = I - A'B'AB, over Frac(F[x]) for a
+        # Laurent switch: A^-1 = UV need not be Laurent
+        s = weyl_switch(WEYL_REPS[name]())
+        ring = s.ring
+        field = FractionField(ring.poly_ring) if isinstance(ring, LaurentRing) else ring
+        A, B, C, D = [_over(field, m) for m in (s.A, s.B, s.C, s.D)]
+        identity = Matrix.identity(field, s.k)
+        a_b_a = mat_inverse(A) * mat_inverse(B) * A
+        assert C == a_b_a * (identity - A)
+        assert D == identity - a_b_a * B
+
+    def test_pinned_burau(self):
+        for ring in (LaurentRing(PolynomialRing(QQ, "t")), L5t):
+            t = ring.gen
+            assert burau_switch(ring=ring).S == Matrix([[ring.zero, ring.one],
+                                                        [t, ring.one - t]], ring)
+
+    @pytest.mark.parametrize("b, c, ring, pinned, flat", [
+        (2, 5, QQ, [[-9, 2], [5, 0]], False),
+        (2, 3, F7, [[2, 2], [3, 0]], False),
+        (3, 5, F7, [[0, 3], [5, 0]], True),
+    ], ids=["Q", "F7", "F7-flat"])
+    def test_pinned_scalar_sawollek(self, b, c, ring, pinned, flat):
+        s = sawollek_switch(b, c, ring=ring)
+        assert s.S == Matrix([[ring(e) for e in row] for row in pinned], ring)
+        assert s.q == ring(b * c)
+        assert s.is_flat() == flat
 
 
 class TestEntryKinds:
@@ -174,7 +299,8 @@ class TestEntryKinds:
 
     def test_burau_and_sawollek(self):
         switches = [burau_switch(), burau_switch(ring=L5t),
-                    sawollek_switch(L5t.gen, 2, ring=L5t)]
+                    sawollek_switch(L5t.gen, 2, ring=L5t),
+                    sawollek_switch(*_sawollek_blocks())]
         switches += [sawollek_switch(b, c, ring=ring) for b, c, ring in SAWOLLEK_SCALARS]
         for s in switches:
             assert isinstance(s.ring, self.KINDS), s
@@ -183,8 +309,7 @@ class TestEntryKinds:
 
 class TestWorkCounts:
     """The rep gate eliminates U and V once each; weyl_switch reuses those
-    inverses in four products, and inverse() and is_flat() read the
-    declared q."""
+    inverses in four products, and inverse() and is_flat() read q."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -208,7 +333,8 @@ class TestWorkCounts:
         assert counts["elim"] == 2
         counts.update(elim=0, mul=0)
         s = weyl_switch(rep)
-        # A = V'U', C = (U' + qV) A (I - A) and D = (1-q)I - U'V'
+        # A = V'U', then with B = U: B'A, C = (qB' + B'A)(I - A) and
+        # D = (1-q)I - (B'A)B
         assert counts == {"elim": 0, "mul": 4}
         counts["mul"] = 0
         s.inverse()
@@ -234,28 +360,11 @@ class TestInverse:
             switch = sawollek_switch(b, c, ring=ring)
             assert switch.inverse() == mat_inverse(switch.S)
 
-    def test_fallback_without_q(self):
-        # B and C commute, BC = diag(2, 6) is not scalar: no Hecke scalar
-        B = Matrix([[F7(2), F7(0)], [F7(0), F7(3)]])
-        C = Matrix([[F7(1), F7(0)], [F7(0), F7(2)]])
-        switch = sawollek_switch(B, C)
-        assert switch.q is None
-        check_switch(switch)
-        inv = switch.inverse()
-        assert inv == mat_inverse(switch.S)
-        assert (switch.S * inv).is_identity()
-
-    def test_singular_switch_without_q(self):
-        B = Matrix([[F7(0), F7(0)], [F7(0), F7(3)]])
-        C = Matrix([[F7(1), F7(0)], [F7(0), F7(2)]])
-        with pytest.raises(SwitchError, match="singular"):
-            sawollek_switch(B, C).inverse()
-
     def test_wrong_hecke_scalar_raises(self):
         s = burau_switch(ring=L5t)
         t = L5t.gen
-        with pytest.raises(SwitchError, match="Hecke quadratic fails"):
-            custom_switch(s.A, s.B, s.C, s.D, t * t)
+        with pytest.raises(AssertionError, match="Hecke quadratic fails"):
+            check_switch(s.S, t * t)
 
 
 class TestWeylSwitch:
@@ -298,9 +407,10 @@ class TestWeylSwitch:
         assert s.q == s.ring.gen
 
     def test_non_monomial_denominator_names_block_and_entry(self):
+        # U = [q + 1]: A is Laurent, U^-1 is the first block that is not
         rep = family_q_upper(1, q="q", a="q + 1", b=1, d=1, e=1)
         with pytest.raises(SwitchError,
-                           match=r"block C entry \(0,0\) = q/\(q \+ 1\) is not in Q\[q,q\^-1\]"):
+                           match=r"block B\^-1 entry \(0,0\) = 1/\(q \+ 1\) is not in Q\[q,q\^-1\]"):
             weyl_switch(rep)
 
     def test_invalid_rep_rejected(self):
