@@ -108,9 +108,9 @@ L101 = LaurentRing(PolynomialRing(PrimeField(101), "t"))
 
 
 def _sawollek_blocks_switch():
-    """A k = 2 Sawollek switch over Z_101[t, t^-1]: [[I - BC, B], [C, 0]]
-    for B = [[t, 1], [0, t]] and C = [[t, -1], [0, t]], whose
-    BC = CB = t^2 I gives the Hecke scalar t^2."""
+    """A k = 2 Sawollek switch over Z_101[t, t^-1] on hand-picked blocks:
+    [[I - BC, B], [C, 0]] for B = [[t, 1], [0, t]] and C = [[t, -1], [0, t]],
+    whose BC = CB = t^2 I gives the Hecke scalar t^2."""
     B = Matrix([[L101(e) for e in row] for row in [["t", 1], [0, "t"]]])
     C = Matrix([[L101(e) for e in row] for row in [["t", -1], [0, "t"]]])
     return sawollek_switch(B, C)
@@ -120,7 +120,7 @@ def _sawollek_blocks_switch():
 # whose coefficients are Fractions
 LAURENT_SWITCHES = {
     "sawollek": lambda: sawollek_switch("3/t", "t", ring=L101),
-    "sawollek-k2": _sawollek_blocks_switch,
+    "custom-k2": _sawollek_blocks_switch,
     "burau-Q": burau_switch,
 }
 
@@ -284,7 +284,7 @@ class TestRepresent:
         # the running product stays raw across the word: represent builds one
         # LaurentPolynomial per entry of the result (and the identity's two),
         # not one per entry and letter
-        switch = LAURENT_SWITCHES["sawollek-k2"]()
+        switch = LAURENT_SWITCHES["custom-k2"]()
         switch.inverse()
         word = random_word(random.Random(7), 3, 40, VIRTUAL)
         built = []
