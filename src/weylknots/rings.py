@@ -21,9 +21,13 @@ through ``divmod`` and have no / and no negative powers.
 Representation conventions:
 
 * Coefficients are plain Python numbers: ints in ``[0, p)`` over
-  ``PrimeField(p)`` and ``fractions.Fraction`` in lowest terms over ``QQ``,
-  whose ``p`` is 0.  Arithmetic on them is Python's own ``+ - *``; the
-  fields supply only ``czero``, ``cone``, ``cinv`` and ``cstr``.
+  ``PrimeField(p)``; over ``QQ``, whose ``p`` is 0, ints and
+  ``fractions.Fraction`` values in lowest terms.  A rational built from
+  integers over the denominator 1 is the int itself (``_rational``), and
+  ``from_raw`` turns an integral Fraction into its int; the two compare,
+  hash and print alike, so this only spares ``Fraction`` arithmetic.
+  Arithmetic on coefficients is Python's own ``+ - *``; the fields supply
+  only ``czero``, ``cone``, ``cinv`` and ``cstr``.
 * ``PrimeField(p)`` scalars reduce their value in every constructor and
   operator, so ``is_zero`` and ``is_one`` read the value.
 * ``UniPolynomial`` stores an ascending coefficient tuple with a nonzero
@@ -298,8 +302,9 @@ class PrimeField:
 
 
 class RationalField:
-    """The rationals with exact ``Fraction`` arithmetic.  Use the ``QQ``
-    singleton."""
+    """The rationals, exact: a value is an int, or a ``Fraction`` whose
+    denominator is not 1 when the field builds it.  ``cinv`` never returns
+    a float.  Use the ``QQ`` singleton."""
 
     __slots__ = ()
     p = 0  # the characteristic, as ``PrimeField.p``
@@ -314,35 +319,28 @@ class RationalField:
             value = Fraction(value)
         if not isinstance(value, Fraction):
             raise TypeError(f"cannot build a rational from {value!r}")
-        return FieldScalar(self, value)
+        return FieldScalar(self, _rational(value.numerator, value.denominator))
 
     @property
     def zero(self):
-        return FieldScalar(self, Fraction(0))
+        return FieldScalar(self, 0)
 
     @property
     def one(self):
-        return FieldScalar(self, Fraction(1))
+        return FieldScalar(self, 1)
 
-    # coefficients: Fractions
-    czero = Fraction(0)
-    cone = Fraction(1)
+    # coefficients: ints for integers, Fractions in lowest terms otherwise
+    czero = 0
+    cone = 1
 
     def dot(self, pairs):
-        """The sum of a * b over a list of scalar pairs: numerators summed
-        over the product of the denominators, and one Fraction reduced at the
-        end."""
-        num, den = 0, 1
-        for a, b in pairs:
-            x, y = a.value, b.value
-            d = x.denominator * y.denominator
-            num, den = num * d + x.numerator * y.numerator * den, den * d
-        return FieldScalar(self, Fraction(num, den))
+        """The sum of a * b over a list of scalar pairs."""
+        return self(sum([a.value * b.value for a, b in pairs]))
 
     def cinv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return self.cone / a
+        return _rational(a.denominator, a.numerator)
 
     def cstr(self, a):
         if a.denominator == 1:
@@ -362,6 +360,12 @@ class RationalField:
 QQ = RationalField()
 
 
+def _rational(n, d):
+    """n / d over Q for ints n and d != 0: n itself when d is 1, so that an
+    integer built over the denominator 1 stays an int; a Fraction otherwise."""
+    return n if d == 1 else Fraction(n, d)
+
+
 # ---------------------------------------------------------------------------
 # univariate polynomials
 # ---------------------------------------------------------------------------
@@ -379,21 +383,24 @@ def _convolve(a, b):
 def _mul_raw(field, a, b):
     """The unreduced coefficient list of the product a * b: the convolution
     of the residues over Z_p; over Q the convolution of the operands scaled
-    to integers (``_scaled``), with one Fraction built per coefficient."""
+    to integers (``_scaled``), each coefficient then divided by the one
+    denominator with ``_rational``, so ints stay ints."""
     if not a or not b:
         return []
     if not field.p:
         (ia, da), (ib, db) = _scaled(a), _scaled(b)
         d = da * db
-        return [Fraction(c, d) for c in _convolve(ia, ib)]
+        return [_rational(c, d) for c in _convolve(ia, ib)]
     return _convolve(a, b)
 
 
 def _scaled(coeffs):
-    """A Fraction list as (ints, d): integers over the lcm d of its
-    denominators."""
+    """A list of rationals as (ints, d): integers over the lcm d of its
+    denominators.  A list with no Fraction is its own scaling, (list, 1)."""
     # The lcm argument is a list: unpacking a generator expression here raised
     # the peak memory of the symbolic-switch benchmark by about 4%.
+    if Fraction not in map(type, coeffs):
+        return list(coeffs), 1
     ratios = [c.as_integer_ratio() for c in coeffs]
     d = math.lcm(*[q for _, q in ratios])
     return [n * (d // q) for n, q in ratios], d
@@ -406,8 +413,9 @@ def poly_dot(pairs, field):
     is added into one accumulator at its offset above the least one, which
     is reduced and stripped once, so the factors' coefficients need not be
     reduced.  Over Q each factor is scaled to integers (``_scaled``) and
-    the accumulator holds integers over one denominator, so one Fraction is
-    built per coefficient kept."""
+    the accumulator holds integers over one denominator, divided out once
+    per coefficient kept (``_rational``): with the denominator 1, the
+    common case of integer factors, the coefficients stay ints."""
     if not pairs:
         return 0, ()
     p = field.p
@@ -432,7 +440,7 @@ def poly_dot(pairs, field):
         return 0, ()
     low = _valuation(acc)
     kept = acc[low:top]
-    return base + low, tuple(kept if p else [Fraction(c, den) for c in kept])
+    return base + low, tuple(kept if p else [_rational(c, den) for c in kept])
 
 
 def divmod_raw(field, a, b):
@@ -488,9 +496,11 @@ class PolynomialRing:
 
     def from_raw(self, coeffs) -> UniPolynomial:
         """The polynomial of an ascending list of field values (ints over
-        Z_p, reduced here; Fractions over Q), with its zero top trimmed."""
+        Z_p, reduced here; ints and Fractions over Q, an integral Fraction
+        turned into its int here), with its zero top trimmed."""
         p = self.field.p
-        coeffs = [c % p for c in coeffs] if p else list(coeffs)
+        coeffs = ([c % p for c in coeffs] if p else
+                  [c.numerator if c.denominator == 1 else c for c in coeffs])
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         return UniPolynomial(self, tuple(coeffs))
@@ -636,14 +646,15 @@ def _valuation(coeffs):
 def poly_gcd(a: UniPolynomial, b: UniPolynomial) -> UniPolynomial:
     """Monic gcd; gcd(0, 0) = 0.  Over Z_p the Euclidean algorithm; over Q
     the primitive remainder sequence ``_integer_gcd`` of the operands scaled
-    to integers, made monic with one ``Fraction`` per coefficient."""
+    to integers, made monic by dividing each coefficient by the leading one
+    (``_rational``)."""
     _check_ring(a.ring, b)
     if a.ring.field.p or not (a.coeffs and b.coeffs):
         while not b.is_zero():
             a, b = b, a % b
         return a.monic()
     g = _integer_gcd(_scaled(a.coeffs)[0], _scaled(b.coeffs)[0])
-    return UniPolynomial(a.ring, tuple([Fraction(c, g[-1]) for c in g]))
+    return UniPolynomial(a.ring, tuple([_rational(c, g[-1]) for c in g]))
 
 
 def _primitive(a):
@@ -747,8 +758,8 @@ class LaurentRing:
 
     def __call__(self, value) -> LaurentPolynomial:
         """The Laurent polynomial of an element of this ring, an int, a
-        scalar, a polynomial, a coefficient list, text, or a fraction
-        n / x^k (``ValueError`` for any other fraction)."""
+        ``Fraction``, a scalar, a polynomial, a coefficient list, text, or
+        a fraction n / x^k (``ValueError`` for any other fraction)."""
         if isinstance(value, LaurentPolynomial):
             if value.ring is not self:
                 _check_ring(self, value)
@@ -762,7 +773,7 @@ class LaurentRing:
             if any(den[:-1]):
                 raise ValueError(f"{value!r} is not a Laurent polynomial")
             return self.from_poly(self.poly_ring(value.num), 1 - len(den))
-        if isinstance(value, (int, FieldScalar, list, tuple, UniPolynomial)):
+        if isinstance(value, (int, Fraction, FieldScalar, list, tuple, UniPolynomial)):
             return self.from_poly(self.poly_ring(value))
         raise TypeError(f"cannot build a Laurent polynomial from {value!r}")
 
@@ -923,16 +934,18 @@ class FractionField:
     Where it runs, the gcd is ``poly_gcd``'s Euclidean algorithm over Z_p.
     Over Q[x] both sides are scaled to integer lists, their primitive gcd
     (``_integer_gcd``) is divided out of both on the integers, exactly by
-    Gauss's lemma, and the canonical pair is built with one ``Fraction``
-    per coefficient: no ``Fraction`` arithmetic runs in between.
+    Gauss's lemma, and the canonical pair is built with one ``_rational``
+    per coefficient, an int over the denominator 1: no ``Fraction``
+    arithmetic runs in between.
 
     Over Q[x], a product (``_mul_raw``) convolves the operands scaled to
-    integers and builds one ``Fraction`` per output coefficient, not one
-    per coefficient pair.  ``dot``, the matrix product's sum of products,
-    sums its numerators with ``poly_dot``, which runs on those integers
-    too, and normalizes each sum once; a denominator that is a power of x,
-    the common case in the products that build a symbolic Weyl switch
-    before ``weyl_switch`` moves it to F[x, x^-1], needs no gcd there.
+    integers and divides by their denominator once per output coefficient,
+    not once per coefficient pair.  ``dot``, the matrix product's sum of
+    products, sums its numerators with ``poly_dot``, which runs on those
+    integers too, and normalizes each sum once; a denominator that is a
+    power of x, the common case in the products that build a symbolic Weyl
+    switch before ``weyl_switch`` moves it to F[x, x^-1], needs no gcd
+    there.
 
     ``field(num, den)`` builds num / den from anything ``domain`` converts,
     and ``field(x)`` also takes a fraction or a Laurent polynomial f x^k,
@@ -1043,8 +1056,8 @@ def _make_fraction(ring, num, den, coprime=False):
             lead = d[-1]
             scale = lead * dn
             return FractionElement(
-                ring, UniPolynomial(ring.domain, tuple([Fraction(c * dd, scale) for c in n])),
-                UniPolynomial(ring.domain, tuple([Fraction(c, lead) for c in d])))
+                ring, UniPolynomial(ring.domain, tuple([_rational(c * dd, scale) for c in n])),
+                UniPolynomial(ring.domain, tuple([_rational(c, lead) for c in d])))
         else:
             g = poly_gcd(num, den)
             if not g.is_one():

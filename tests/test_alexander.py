@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from weylknots.braids import CLASSICAL, parse_braid, represent
-from weylknots.linalg import Matrix, closure_invariants, invariant_factors
+from weylknots.linalg import Matrix, closure_invariants, det_exact, invariant_factors
 from weylknots.reps import family_q_bidiagonal, family_q_upper
 from weylknots.rings import QQ, LaurentRing, PolynomialRing
 from weylknots.switches import burau_switch, sawollek_switch, weyl_switch
@@ -85,3 +85,35 @@ def test_torus_knot_t25_pin():
     corank, ideals = closure_invariants(_closure(parse_braid("s1^5", CLASSICAL, 2), switch))
     assert corank == 3
     assert ideals == [delta ** 3, delta ** 2, delta, LQ.poly_ring.one]
+
+
+# The printed closure invariants, det(M - I) and first row of M for one
+# symbolic switch of each benchmark stratum on a 2-strand word, with
+# rational parameters so that the rows print fractional coefficients.
+PRINTED = {
+    "q_upper2": (
+        lambda: family_q_upper(2, q="q", a=2, b=-1, d=3, e="1/2"), "s1 s1 s1",
+        "(2, [q^4 - 2q^3 + 3q^2 - 2q + 1, q^2 - q + 1, 1])", "0",
+        "(-q^3 + q^2 - q + 1, -q^5 + 3q^4 - (5/2)q^3 + 2q - 3/2, 2q^3 - 2q^2 + 2q,"
+        " 3q^2 - 3q + 3)"),
+    "q_bidiagonal2": (
+        lambda: family_q_bidiagonal(2, q="q", a=-2, b=["3/2"]), "s1^-1 s1^-1 s1^-1",
+        "(2, [q^4 - 2q^3 + 3q^2 - 2q + 1, q^2 - q + 1, 1])", "0",
+        "((q^4 - 3q^3 + 5q^2 - 4q + 1)/q^3, ((4/3)q^5 - (16/3)q^4 + (28/3)q^3"
+        " - (28/3)q^2 + (16/3)q - 4/3)/q^3, (-2q^2 + 2q - 2)/q^2, 0)"),
+    "q_upper3": (
+        lambda: family_q_upper(3, q="q", a=1, b=2, d=-1, e=1), "s1 s1",
+        "(3, [q^3 - 3q^2 + 3q - 1, q^2 - 2q + 1, q - 1, 1])", "0",
+        "(q^2 - q + 1, (q^6 - 3q^5 + 3q^4 - q^3 + 2q^2 - 4q + 2)/q, ((1/2)q^9 - 2q^8"
+        " + 3q^7 - q^6 - (5/2)q^5 + 3q^4 - q^3 + 2q^2 - 4q + 2)/q, -q^3 + q^2, 2q - 2, 0)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED))
+def test_symbolic_outputs_print_as_pinned(name):
+    rep, word, invariants, det, row = PRINTED[name]
+    m = represent(parse_braid(word, CLASSICAL, 2), weyl_switch(rep()))
+    a = m - Matrix.identity(m.ring, m.nrows)
+    assert repr(closure_invariants(a)) == invariants
+    assert repr(det_exact(a)) == det
+    assert repr(tuple(m.rows[0])) == row

@@ -98,6 +98,13 @@ class TestScalars:
         assert t.monomial(1, half) == t("(1/2)t")
         assert t.monomial(-2, Fraction(-3, 4)) * t.monomial(2, Fraction(-4, 3)) == t.one
 
+    def test_laurent_polynomials_take_a_bare_fraction(self):
+        half = Fraction(1, 2)
+        t = LaurentRing(PolynomialRing(QQ, "t"))
+        assert t(half) == t("1/2") and repr(t(half)) == "1/2"
+        t7 = LaurentRing(PolynomialRing(PrimeField(7), "t"))
+        assert t7(half) == t7(4) and repr(t7(half)) == "4"
+
     @pytest.mark.parametrize("ring", [F3, PrimeField(101), QQ], ids=str)
     def test_powers_match_repeated_products(self, ring):
         for value in (1, 2, -1):
@@ -920,3 +927,180 @@ def test_fraction_equality_is_equivalence(a, b, c):
         if b == c:
             assert a == c
     assert (a + b) * c == a * c + b * c
+
+
+# Over Q a coefficient is an int when it is an integer built over the
+# denominator 1 and a Fraction otherwise, never a float or a bool, and the
+# normalizer ``from_raw`` keeps no integral Fraction.  The values drawn here
+# mix ints with Fractions of small denominators, integral ones such as
+# Fraction(4, 2) included, as elements built outside ``from_raw`` may hold
+# them; every result is checked against an oracle on plain Fraction lists.
+QT = PolynomialRing(QQ, "t")
+LQT = LaurentRing(QT)
+FQT = FractionField(QT)
+
+rational_coeffs = st.lists(st.one_of(
+    st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))),
+    max_size=4)
+
+
+def _trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _q_poly(cs):
+    """The Q[t] value holding exactly the coefficients cs, top zeros trimmed."""
+    return rings.UniPolynomial(QT, tuple(_trim(cs)))
+
+
+def _rational_coeffs(cs, normalized=False):
+    """cs as a list, once each entry is checked to be an int or a Fraction,
+    and with ``normalized`` not an integral Fraction."""
+    for c in cs:
+        assert type(c) in (int, Fraction), (c, type(c))
+        assert not (normalized and type(c) is Fraction and c.denominator == 1), c
+    return list(cs)
+
+
+def _oracle(cs):
+    return _trim([Fraction(c) for c in cs])
+
+
+def _oracle_sum(a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    return _trim([x + sign * y for x, y in zip(a, b)])
+
+
+def _oracle_product(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _oracle_divmod(a, b):
+    quot, rem = [Fraction(0)] * max(len(a) - len(b) + 1, 0), list(a)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = c = rem[k + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return _trim(quot), _trim(rem)
+
+
+def _oracle_monic(a):
+    return [c / a[-1] for c in a]
+
+
+def _oracle_gcd(a, b):
+    while b:
+        a, b = b, _oracle_divmod(a, b)[1]
+    return _oracle_monic(a)
+
+
+def _terms(offset, cs):
+    """A Laurent value as its map exponent -> nonzero Fraction."""
+    return {offset + k: Fraction(c) for k, c in enumerate(cs) if c}
+
+
+def _oracle_laurent(a, b, op):
+    if op is operator.mul:
+        out = {}
+        for i, x in a.items():
+            for j, y in b.items():
+                out[i + j] = out.get(i + j, 0) + x * y
+    else:
+        sign = -1 if op is operator.sub else 1
+        out = dict(a)
+        for j, y in b.items():
+            out[j] = out.get(j, 0) + sign * y
+    return {k: c for k, c in out.items() if c}
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_coeffs, rational_coeffs, rational_coeffs, rational_coeffs,
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_rational_coefficients_are_ints_or_fractions(ca, cb, cc, cd, i, j):
+    a, b, x, y = _oracle(ca), _oracle(cb), _oracle(cc), _oracle(cd)
+    pa, pb = _q_poly(ca), _q_poly(cb)
+    assert _rational_coeffs(QT.from_raw(ca).coeffs, normalized=True) == a
+    for got, want in ((pa + pb, _oracle_sum(a, b)), (pa - pb, _oracle_sum(a, b, -1)),
+                      (pa * pb, _oracle_product(a, b))):
+        assert _rational_coeffs(got.coeffs, normalized=True) == want
+    if b:
+        quot, rem = divmod(pa, pb)
+        want = _oracle_divmod(a, b)
+        assert _rational_coeffs(quot.coeffs, normalized=True) == want[0]
+        assert _rational_coeffs(rem.coeffs, normalized=True) == want[1]
+    if a:
+        assert _rational_coeffs(pa.monic().coeffs, normalized=True) == _oracle_monic(a)
+    assert _rational_coeffs(poly_gcd(pa, pb).coeffs) == (_oracle_gcd(a, b) if a or b else [])
+
+    la, lb = LQT.from_poly(pa, i), LQT.from_poly(pb, j)
+    ta, tb = _terms(i, a), _terms(j, b)
+    for op in (operator.add, operator.sub, operator.mul):
+        got = op(la, lb)
+        # with both operands nonzero the result comes from ``from_raw``
+        coeffs = _rational_coeffs(got.poly.coeffs, normalized=bool(a and b))
+        assert _terms(got.offset, coeffs) == _oracle_laurent(ta, tb, op)
+    px, py = LQT.from_poly(_q_poly(cc), i + j), LQT.from_poly(_q_poly(cd), -j)
+    pairs = [((e.offset, e.poly.coeffs), (f.offset, f.poly.coeffs))
+             for e, f in ((la, lb), (px, py), (lb, px))]
+    offset, coeffs = rings.poly_dot(pairs, QQ)
+    want = {}
+    for ((e, cs), (f, ds)) in pairs:
+        for k, c in _oracle_laurent(_terms(e, cs), _terms(f, ds), operator.mul).items():
+            want[k] = want.get(k, 0) + c
+    assert _terms(offset, _rational_coeffs(coeffs)) == {k: c for k, c in want.items() if c}
+    assert coeffs[0] and coeffs[-1] if coeffs else offset == 0
+
+    if b and y:
+        fa, fb = FQT(pa, pb), FQT(_q_poly(cc), _q_poly(cd))
+        for op, num, den in (
+                (operator.add, _oracle_sum(_oracle_product(a, y), _oracle_product(x, b)),
+                 _oracle_product(b, y)),
+                (operator.sub, _oracle_sum(_oracle_product(a, y), _oracle_product(x, b), -1),
+                 _oracle_product(b, y)),
+                (operator.mul, _oracle_product(a, x), _oracle_product(b, y)),
+                (operator.truediv, _oracle_product(a, y), _oracle_product(b, x))):
+            if not den:
+                continue
+            got = op(fa, fb)
+            n, d = _rational_coeffs(got.num.coeffs), _rational_coeffs(got.den.coeffs)
+            assert d[-1] == 1 and _oracle_product(n, den) == _oracle_product(num, d)
+        got = FQT.dot([(fa, fb), (fb, fb)])
+        n, d = _rational_coeffs(got.num.coeffs), _rational_coeffs(got.den.coeffs)
+        num = _oracle_sum(_oracle_product(_oracle_product(a, x), _oracle_product(y, y)),
+                          _oracle_product(_oracle_product(x, x), _oracle_product(b, y)))
+        den = _oracle_product(_oracle_product(b, y), _oracle_product(y, y))
+        assert d[-1] == 1 and _oracle_product(n, den) == _oracle_product(num, d)
+
+    scalars = [rings.FieldScalar(QQ, c) for c in ca + cb]
+    pairs = list(zip(scalars, reversed(scalars)))
+    got = QQ.dot(pairs).value
+    assert _rational_coeffs([got], normalized=True) == [sum(
+        [Fraction(u.value) * Fraction(v.value) for u, v in pairs], Fraction(0))]
+    for c in ca + cb:
+        for value in (c, str(c)):
+            assert _rational_coeffs([QQ(value).value], normalized=True) == [Fraction(c)]
+        if c:
+            assert _rational_coeffs([QQ.cinv(c)]) == [1 / Fraction(c)]
+    assert _rational_coeffs([QQ(True).value, QQ(False).value], normalized=True) == [1, 0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_coeffs, st.integers(-3, 3))
+def test_rational_values_print_and_parse_back(cs, k):
+    # an integer coefficient prints alike as an int and as a Fraction, and
+    # the printed text parses back to the value
+    as_fractions = [Fraction(c) for c in cs]
+    as_ints = [c.numerator if c.denominator == 1 else c for c in as_fractions]
+    polys = [_q_poly(c) for c in (cs, as_fractions, as_ints)]
+    laurents = [LQT.from_poly(f, k) for f in polys]
+    for values, ring in ((polys, QT), (laurents, LQT)):
+        assert len({repr(e) for e in values}) == 1
+        assert all(ring(repr(e)) == e for e in values)
