@@ -183,7 +183,7 @@ def represent(word: BraidWord, switch: LinearSwitch) -> Matrix:
     ``linalg._row_times``.  The running product stays in the kernel's form
     (``Matrix.kernel_rows``): over F[x, x^-1] its entries are raw values
     across the whole word, and the matrix's elements are built once, at
-    the end.
+    the end; over a field they are elements, whose values the kernel sums.
     """
     if word.flavor == FLAT and not switch.is_flat():
         raise SwitchError("flat braid words need an involutive switch (S^2 = I)")

@@ -32,10 +32,18 @@ of the Smith step, and strips each remainder of the Smith step's
 
 Products, in ``Matrix.__mul__`` and in ``braids.represent``, go through one
 row-times-matrix kernel, ``_row_times``.  It computes each output entry by
-one dot over the entry's nonzero products: ``poly_dot``, or over a field
-the ring's ``dot``, which sums raw values (residues, Fractions over a
-common denominator, fraction numerators by ``poly_dot``) and reduces them
-once, so no ring element is built for a single product or partial sum.
+one sum over the entry's nonzero products, reduced once, so no ring
+element is built for a single product or partial sum: ``poly_dot`` over
+F[x, x^-1]; over Z_p and Q a plain sum of the scalars' values, reduced
+mod p or normalized by ``QQ`` (an integral result is an int); over
+Frac(F[x]) the field's ``dot``, which sums the numerators by ``poly_dot``.
+Over a field the values live inside the kernel only: rows come in and go
+out as elements, the form ``kernel_rows`` gives, so ``_gaussian_pass``,
+``mat_inverse`` and the running product of ``represent`` hold elements
+between steps (``FieldScalar`` over Z_p and Q).  Field values could ride
+across a whole word, as Laurent values do, only once the pass and the
+inverse run on values too; until then a product builds one element per
+output entry and no more.
 
 Each matrix runs its elimination at most once: the result, (rank, det,
 factors) for both kinds, is kept on the immutable ``Matrix``, and
@@ -49,6 +57,7 @@ import math
 from fractions import Fraction
 
 from .rings import (
+    FieldScalar,
     FractionField,
     LaurentPolynomial,
     LaurentRing,
@@ -177,6 +186,9 @@ class Matrix:
         return Matrix.from_kernel_rows([_row_times(row, rows, self.ring)
                                         for row in self.kernel_rows()], self.ring)
 
+    def __rmul__(self, scalar):
+        return self.scale(scalar)
+
     def scale(self, scalar):
         return Matrix([[scalar * a for a in r] for r in self.rows], self.ring)
 
@@ -200,18 +212,34 @@ class Matrix:
 def _row_times(row, rows, ring):
     """The vector row * rows over ring, for a row of len(rows) entries and a
     list of equally long rows, all in the form of ``Matrix.kernel_rows``.
-    Each output entry is one dot over its (a, b) pairs with no zero factor,
-    in row order, so it is reduced once: ``poly_dot`` over F[x, x^-1],
-    ``ring.dot`` over a field.  A zero entry of row costs nothing."""
+    Each output entry is one sum over the row's nonzero entries a, in row
+    order, of a times the entry b below it, reduced once: ``poly_dot``
+    over F[x, x^-1], skipping a zero b too; ``ring.dot`` of the (a, b)
+    pairs over Frac(F[x]), likewise; and over Z_p and Q a plain sum of
+    the values a.value * b.value, kept as one list of running sums that
+    each nonzero a updates in one pass over its row of rows, then reduced
+    mod p or normalized by ``QQ`` into one ``FieldScalar`` per entry.  A
+    zero entry of row costs nothing.
+
+    The scalar values stay inside the call: the output is elements, as
+    the input is, so a caller's rows keep one form between products and
+    eliminations."""
     if isinstance(ring, LaurentRing):
         field = ring.field
         terms = [(r, a) for r, a in zip(rows, row) if a[1]]
         return [poly_dot([(a, b) for r, a in terms if (b := r[c])[1]], field)
                 for c in range(len(rows[0]))]
-    terms = [(r, a) for r, a in zip(rows, row) if not a.is_zero()]
-    dot = ring.dot
-    return [dot([(a, b) for r, a in terms if not (b := r[c]).is_zero()])
-            for c in range(len(rows[0]))]
+    if isinstance(ring, FractionField):
+        terms = [(r, a) for r, a in zip(rows, row) if not a.is_zero()]
+        dot = ring.dot
+        return [dot([(a, b) for r, a in terms if not (b := r[c]).is_zero()])
+                for c in range(len(rows[0]))]
+    sums = [0] * len(rows[0])
+    for r, e in zip(rows, row):
+        if a := e.value:
+            sums = [s + a * b.value for s, b in zip(sums, r)]
+    p = ring.p
+    return [FieldScalar(ring, s % p) for s in sums] if p else [ring(s) for s in sums]
 
 
 # raw Laurent values ---------------------------------------------------------

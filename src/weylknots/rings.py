@@ -55,8 +55,9 @@ it, and ``FractionField.dot`` sums its numerators with it.  Every gcd over
 Q runs on integers too (``_integer_gcd``); over Z_p it is the Euclidean
 algorithm.
 
-Each field has ``dot(pairs)``, the sum of a * b over a list of element
-pairs, normalized once, for ``linalg``'s product kernel.
+Only ``FractionField`` has ``dot(pairs)``, the sum of a * b over a list of
+fraction pairs, normalized once, for ``linalg``'s product kernel; over
+Z_p and Q that kernel sums the scalars' values itself.
 """
 
 from __future__ import annotations
@@ -279,10 +280,6 @@ class PrimeField:
     czero = 0
     cone = 1
 
-    def dot(self, pairs):
-        """The sum of a * b over a list of scalar pairs, reduced once."""
-        return FieldScalar(self, sum([a.value * b.value for a, b in pairs]) % self.p)
-
     def cinv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in Z_{self.p}")
@@ -332,10 +329,6 @@ class RationalField:
     # coefficients: ints for integers, Fractions in lowest terms otherwise
     czero = 0
     cone = 1
-
-    def dot(self, pairs):
-        """The sum of a * b over a list of scalar pairs."""
-        return self(sum([a.value * b.value for a, b in pairs]))
 
     def cinv(self, a):
         if a == 0:

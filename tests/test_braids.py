@@ -101,6 +101,12 @@ ZP_SWITCHES = {
                                                             p=101)),
     "q_upper": lambda: weyl_switch(family_q_upper(2, q=3, a=2, b=1, d=1, e=1,
                                                   p=7)),
+    # the smallest odd field, and the largest prime below 2^31, whose
+    # residue products pass 2^60 before the kernel reduces their sum
+    "q_upper-Z3": lambda: weyl_switch(family_q_upper(2, q=2, a=1, b=1, d=1, e=1,
+                                                     p=3)),
+    "q_upper-Z2^31-1": lambda: weyl_switch(family_q_upper(3, q=5, a=2, b=1, d=2, e=3,
+                                                          p=2147483647)),
 }
 
 

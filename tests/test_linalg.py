@@ -19,6 +19,7 @@ from weylknots.linalg import (
 )
 from weylknots.rings import (
     QQ,
+    FieldScalar,
     FractionField,
     LaurentPolynomial,
     LaurentRing,
@@ -160,6 +161,96 @@ class TestArithmetic:
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
             lmat(L2x, [[1]]) + lmat(L3y, [[1]])
+
+    @pytest.mark.parametrize("ring", [PrimeField(7), QQ, L3y], ids=repr)
+    def test_scalar_on_either_side_scales(self, ring):
+        m = lmat(ring, [[1, 2], [0, 3]])
+        scalars = [3, ring(5)] + ([Fraction(1, 2)] if ring is QQ else [])
+        if isinstance(ring, LaurentRing):
+            scalars.append(ring("y^-1 + 2"))
+        for c in scalars:
+            assert c * m == m * c == m.scale(c), c
+            assert (c * m).rows == tuple(tuple(c * e for e in row) for row in m.rows), c
+
+
+# the product kernel over Z_p and Q -------------------------------------------
+
+SCALAR_FIELDS = {"Z2": F2, "Z101": PrimeField(101), "Z2^31-1": PrimeField(2**31 - 1),
+                 "Q": QQ}
+
+
+def _scalar_entry(rng, field):
+    """A seeded entry, zero about one time in three: a residue over Z_p,
+    near p - 1 half the time, so that over Z_(2^31 - 1) products pass
+    2^61, and over Q an int or a fraction of denominator up to 6."""
+    if rng.random() < 1 / 3:
+        return field.zero
+    if field.p:
+        return field(field.p - 1 - rng.randrange(3) if rng.random() < 0.5
+                     else rng.randrange(field.p))
+    return field(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+
+
+def _scalar_matrix(rng, field, nrows, ncols, zero_row=None):
+    rows = [[_scalar_entry(rng, field) for _ in range(ncols)] for _ in range(nrows)]
+    if zero_row is not None:
+        rows[zero_row] = [field.zero] * ncols
+    return Matrix(rows, field)
+
+
+def _loop_product(a, b):
+    """The entries of a * b by a triple loop of the ring's + and *."""
+    ring = a.ring
+    out = [[ring.zero] * b.ncols for _ in range(a.nrows)]
+    for i in range(a.nrows):
+        for j in range(b.ncols):
+            for t in range(a.ncols):
+                out[i][j] = out[i][j] + a.rows[i][t] * b.rows[t][j]
+    return out
+
+
+def _assert_canonical_scalars(m, field):
+    """Every entry is a FieldScalar of field: over Z_p an int in [0, p),
+    over Q an int exactly when it is integral, and a Fraction otherwise."""
+    for row in m.rows:
+        for e in row:
+            assert type(e) is FieldScalar and e.ring is field, e
+            if field.p:
+                assert type(e.value) is int and 0 <= e.value < field.p, e
+            else:
+                integral = Fraction(e.value).denominator == 1
+                assert type(e.value) is (int if integral else Fraction), e
+
+
+class TestScalarProducts:
+    """``Matrix.__mul__`` over Z_p and Q, which sums the scalars' values in
+    ``_row_times``, against a loop of element operators."""
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_FIELDS))
+    def test_matches_the_operator_loop(self, name):
+        field = SCALAR_FIELDS[name]
+        rng = random.Random(name)
+        for n in range(1, 7):
+            cases = [(_scalar_matrix(rng, field, 1, n), _scalar_matrix(rng, field, n, 1)),
+                     (_scalar_matrix(rng, field, n, n), _scalar_matrix(rng, field, n, n)),
+                     (_scalar_matrix(rng, field, n, n, zero_row=rng.randrange(n)),
+                      _scalar_matrix(rng, field, n, n, zero_row=rng.randrange(n))),
+                     (Matrix.zeros(field, 1, n), _scalar_matrix(rng, field, n, 1)),
+                     (_scalar_matrix(rng, field, n, n), Matrix.zeros(field, n))]
+            for a, b in cases:
+                product = a * b
+                assert product.rows == tuple(map(tuple, _loop_product(a, b))), (a, b)
+                _assert_canonical_scalars(product, field)
+
+    def test_integral_rational_sums_are_ints(self):
+        a = Matrix([[QQ("1/2"), QQ("1/3")]], QQ)
+        b = Matrix([[QQ(2)], [QQ(3)]], QQ)
+        [[entry]] = (a * b).rows
+        assert entry == QQ(2) and type(entry.value) is int
+        [[entry]] = (Matrix([[QQ("1/2"), QQ("1/2")]], QQ) * b).rows
+        assert entry == QQ("5/2") and type(entry.value) is Fraction
+        [[entry]] = (Matrix([[QQ("1/2"), QQ("-1/3")]], QQ) * b).rows
+        assert entry.is_zero() and type(entry.value) is int
 
 
 class TestDeterminant:

@@ -654,19 +654,27 @@ def _element(ring, factor):
 
 
 def _dot(ring, pairs):
-    """ring.dot over a field; over a Laurent ring ``rings.poly_dot`` of raw
-    values, its result wrapped as it is, so that == compares the raw
-    value with the stored pair of the element."""
-    if not isinstance(ring, LaurentRing):
+    """The sum of a * b over pairs as the matrix product kernel computes it:
+    over Z_p and Q the one entry of the 1 x n by n x 1 ``Matrix`` product
+    of the a's and the b's (no pairs: of two 1 x 1 zeros, whose sum the
+    kernel leaves empty); ring.dot over Frac(F[x]); over a Laurent ring
+    ``rings.poly_dot`` of raw values, its result wrapped as it is, so that
+    == compares the raw value with the stored pair of the element."""
+    if isinstance(ring, FractionField):
         return ring.dot(pairs)
+    if not isinstance(ring, LaurentRing):
+        left, right = zip(*pairs) if pairs else ([ring.zero], [ring.zero])
+        [[entry]] = (Matrix([left], ring) * Matrix([[b] for b in right], ring)).rows
+        return entry
     offset, coeffs = rings.poly_dot(pairs, ring.field)
     return LaurentPolynomial(ring, rings.UniPolynomial(ring.poly_ring, coeffs), offset)
 
 
 class TestDot:
-    """The sums of products of the matrix product kernel, ``ring.dot`` over
-    a field and ``rings.poly_dot`` of raw values over F[x, x^-1], against
-    the left-to-right sum of element products."""
+    """The sums of products of the matrix product kernel (``_dot``): a
+    1 x n by n x 1 product over Z_p and Q, ``ring.dot`` over Frac(F[x])
+    and ``rings.poly_dot`` of raw values over F[x, x^-1], against the
+    left-to-right sum of element products."""
 
     @pytest.mark.parametrize("name", sorted(DOT_RINGS))
     def test_matches_the_element_sum(self, name):
@@ -752,7 +760,7 @@ class TestDot:
 
     def test_rational_values_stay_fractions(self):
         pairs = [(QQ(2), QQ(3)), (QQ("1/2"), QQ("2/3"))]
-        d = QQ.dot(pairs)
+        d = _dot(QQ, pairs)
         assert d.value == Fraction(19, 3) and type(d.value) is Fraction
         qt = DOT_RINGS["Q[t,1/t]"]
         pairs = [(qt("1/t + 2"), qt(3)), (qt("1/2"), qt("2t - 4"))]
@@ -1081,7 +1089,7 @@ def test_rational_coefficients_are_ints_or_fractions(ca, cb, cc, cd, i, j):
 
     scalars = [rings.FieldScalar(QQ, c) for c in ca + cb]
     pairs = list(zip(scalars, reversed(scalars)))
-    got = QQ.dot(pairs).value
+    got = _dot(QQ, pairs).value
     assert _rational_coeffs([got], normalized=True) == [sum(
         [Fraction(u.value) * Fraction(v.value) for u, v in pairs], Fraction(0))]
     for c in ca + cb:
