@@ -181,9 +181,9 @@ def represent(word: BraidWord, switch: LinearSwitch) -> Matrix:
     product: t_i swaps them and s_i^+-1 mixes them through S or S^-1, each
     row's pair of blocks times S^+-1 by the ``Matrix`` product kernel
     ``linalg._row_times``.  The running product stays in the kernel's form
-    (``Matrix.kernel_rows``): over F[x, x^-1] its entries are raw values
-    across the whole word, and the matrix's elements are built once, at
-    the end; over a field they are elements, whose values the kernel sums.
+    (``Matrix.kernel_rows``) across the whole word: raw values over
+    F[x, x^-1], ints in [0, p) over Z_p, rationals over Q, and elements
+    over Frac(F[x]).  The matrix's elements are built once, at the end.
     """
     if word.flavor == FLAT and not switch.is_flat():
         raise SwitchError("flat braid words need an involutive switch (S^2 = I)")

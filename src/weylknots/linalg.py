@@ -28,22 +28,21 @@ is the ring's own convolution; every sum of products of raw values is
 ``rings.poly_dot``, which reduces it once.  It computes each entry of a
 Laurent product and of the row updates a - f b of the unit-pivot pass and
 of the Smith step, and strips each remainder of the Smith step's
-``rings.divmod_raw``.  Field entries stay ring elements.
+``rings.divmod_raw``.
 
 Products, in ``Matrix.__mul__`` and in ``braids.represent``, go through one
-row-times-matrix kernel, ``_row_times``.  It computes each output entry by
-one sum over the entry's nonzero products, reduced once, so no ring
-element is built for a single product or partial sum: ``poly_dot`` over
-F[x, x^-1]; over Z_p and Q a plain sum of the scalars' values, reduced
-mod p or normalized by ``QQ`` (an integral result is an int); over
-Frac(F[x]) the field's ``dot``, which sums the numerators by ``poly_dot``.
-Over a field the values live inside the kernel only: rows come in and go
-out as elements, the form ``kernel_rows`` gives, so ``_gaussian_pass``,
-``mat_inverse`` and the running product of ``represent`` hold elements
-between steps (``FieldScalar`` over Z_p and Q).  Field values could ride
-across a whole word, as Laurent values do, only once the pass and the
-inverse run on values too; until then a product builds one element per
-output entry and no more.
+row-times-matrix kernel, ``_row_times``, on rows in the form of
+``kernel_rows``, which is the form of its output too.  It computes each
+output entry by one sum over the entry's nonzero products, reduced once,
+so no ring element is built for a single product or partial sum:
+``poly_dot`` over F[x, x^-1]; over Z_p and Q a plain sum of the scalars'
+values, reduced mod p, or over Q made an int when integral, as ``QQ``
+does; over Frac(F[x]) the field's ``dot``, which sums the numerators by
+``poly_dot``.  Z_p and Q values, like Laurent ones, therefore ride across
+a whole word in ``represent``: its running product holds ints in [0, p)
+over Z_p, and ``from_kernel_rows`` builds one ``FieldScalar`` per entry of
+the result.  Frac(F[x]) rows stay elements.  The eliminations and
+``mat_inverse`` take a field matrix's rows as elements, not values.
 
 Each matrix runs its elimination at most once: the result, (rank, det,
 factors) for both kinds, is kept on the immutable ``Matrix``, and
@@ -72,7 +71,8 @@ from .rings import (
     poly_gcd,
 )
 
-_FIELDS = (PrimeField, RationalField, FractionField)
+_SCALARS = (PrimeField, RationalField)
+_FIELDS = (*_SCALARS, FractionField)
 
 
 class Matrix:
@@ -127,19 +127,27 @@ class Matrix:
         return cls(rows)
 
     def kernel_rows(self):
-        """The rows as lists in the form the kernels of this module take:
-        raw values (offset, coefficient tuple) over F[x, x^-1], the stored
-        pair of each ``LaurentPolynomial`` with zero as (0, ()), and the
-        elements themselves over a field."""
-        if isinstance(self.ring, LaurentRing):
+        """The rows as lists in the form the product kernel ``_row_times``
+        takes: over F[x, x^-1] raw values (offset, coefficient tuple), the
+        stored pair of each ``LaurentPolynomial`` with zero as (0, ());
+        over Z_p and Q each ``FieldScalar``'s value as stored, an int in
+        [0, p) over Z_p and an int or a ``Fraction`` over Q; and the
+        elements themselves over Frac(F[x])."""
+        ring = self.ring
+        if isinstance(ring, LaurentRing):
             return [[(e.offset, e.poly.coeffs) for e in row] for row in self.rows]
+        if isinstance(ring, _SCALARS):
+            return [[e.value for e in row] for row in self.rows]
         return [list(row) for row in self.rows]
 
     @classmethod
     def from_kernel_rows(cls, rows, ring):
-        """The matrix over ring of rows in the form of ``kernel_rows``."""
+        """The matrix over ring of rows in the form of ``kernel_rows``,
+        with one element built per Laurent or scalar value."""
         if isinstance(ring, LaurentRing):
             rows = [[_laurent(ring, e) for e in row] for row in rows]
+        elif isinstance(ring, _SCALARS):
+            rows = [[FieldScalar(ring, v) for v in row] for row in rows]
         return cls(rows, ring)
 
     def is_square(self):
@@ -211,19 +219,16 @@ class Matrix:
 
 def _row_times(row, rows, ring):
     """The vector row * rows over ring, for a row of len(rows) entries and a
-    list of equally long rows, all in the form of ``Matrix.kernel_rows``.
-    Each output entry is one sum over the row's nonzero entries a, in row
-    order, of a times the entry b below it, reduced once: ``poly_dot``
-    over F[x, x^-1], skipping a zero b too; ``ring.dot`` of the (a, b)
-    pairs over Frac(F[x]), likewise; and over Z_p and Q a plain sum of
-    the values a.value * b.value, kept as one list of running sums that
-    each nonzero a updates in one pass over its row of rows, then reduced
-    mod p or normalized by ``QQ`` into one ``FieldScalar`` per entry.  A
-    zero entry of row costs nothing.
-
-    The scalar values stay inside the call: the output is elements, as
-    the input is, so a caller's rows keep one form between products and
-    eliminations."""
+    list of equally long rows, all in the form of ``Matrix.kernel_rows``,
+    which is also the form of the output.  Each output entry is one sum
+    over the row's nonzero entries a, in row order, of a times the entry b
+    below it, reduced once: ``poly_dot`` over F[x, x^-1], skipping a zero
+    b too; ``ring.dot`` of the (a, b) pairs over Frac(F[x]), likewise; and
+    over Z_p and Q a plain sum of the values a * b, kept as one list of
+    running sums that each nonzero a updates in one pass over its row of
+    rows, then reduced mod p, or over Q made an int when it is integral,
+    as ``QQ`` does.  A zero entry of row costs nothing, and no element is
+    built."""
     if isinstance(ring, LaurentRing):
         field = ring.field
         terms = [(r, a) for r, a in zip(rows, row) if a[1]]
@@ -235,11 +240,12 @@ def _row_times(row, rows, ring):
         return [dot([(a, b) for r, a in terms if not (b := r[c]).is_zero()])
                 for c in range(len(rows[0]))]
     sums = [0] * len(rows[0])
-    for r, e in zip(rows, row):
-        if a := e.value:
-            sums = [s + a * b.value for s, b in zip(sums, r)]
+    for r, a in zip(rows, row):
+        if a:
+            sums = [s + a * b for s, b in zip(sums, r)]
     p = ring.p
-    return [FieldScalar(ring, s % p) for s in sums] if p else [ring(s) for s in sums]
+    return [s % p for s in sums] if p else [
+        s.numerator if s.denominator == 1 else s for s in sums]
 
 
 # raw Laurent values ---------------------------------------------------------
@@ -258,12 +264,13 @@ def _laurent(ring, raw):
 # ---------------------------------------------------------------------------
 
 def _gaussian_pass(rows, width, ring):
-    """(rank, det, free) of a list of rows over ring, in the form of
-    ``Matrix.kernel_rows``, by one forward pass on unit pivots, reducing the
-    rows in place.  In each column the first unit at or below the current
-    row is the pivot; a column with none is free.  Pivots are taken only in
-    the first ``width`` columns, but row operations run over whole rows, so
-    an augmented block rides along.
+    """(rank, det, free) of a list of rows over ring, raw values over
+    F[x, x^-1] (``Matrix.kernel_rows``) and elements over a field, by one
+    forward pass on unit pivots, reducing the rows in place.  In each
+    column the first unit at or below the current row is the pivot; a
+    column with none is free.  Pivots are taken only in the first
+    ``width`` columns, but row operations run over whole rows, so an
+    augmented block rides along.
 
     Afterwards rows[rank:] are zero in every pivot column, so their free
     columns hold what is left, zero over a field.  det, an element of ring,
@@ -316,7 +323,8 @@ def _elimination(m: Matrix):
     """The one elimination of m, (rank, det, factors), run on first use and
     kept on m; det is zero unless m is square and of full rank.
 
-    Both kinds run ``_gaussian_pass``, a Laurent matrix on raw values.  It
+    Both kinds run ``_gaussian_pass``, a Laurent matrix on raw values and a
+    field matrix on its elements, not on the values of ``kernel_rows``.  It
     then reduces only its core (the rows left by the pass, in its free
     columns, which held no unit when the pass reached them), still raw, by
     ``_laurent_smith``: its factors are one 1 per unit pivot followed by the
@@ -329,7 +337,7 @@ def _elimination(m: Matrix):
         laurent = isinstance(ring, LaurentRing)
         if not (laurent or isinstance(ring, _FIELDS)):
             raise RingError(f"no determinant or rank over {ring}")
-        rows = m.kernel_rows()
+        rows = m.kernel_rows() if laurent else [list(r) for r in m.rows]
         rank, det, free = _gaussian_pass(rows, m.ncols, ring)
         factors = (ring.poly_ring.one,) * rank if laurent else ()
         if laurent and free and rank < m.nrows:

@@ -15,11 +15,12 @@ from weylknots.braids import (
     word_l,
     word_whorl,
 )
-from weylknots.linalg import Matrix
+from weylknots.linalg import Matrix, det_exact, rank_over_fractions
 from weylknots.reps import build_rep, family_q_bidiagonal, family_q_upper
 from weylknots.rings import (
     LETTER_BUDGET,
     QQ,
+    FieldScalar,
     LaurentPolynomial,
     LaurentRing,
     PolynomialRing,
@@ -300,6 +301,20 @@ class TestRepresent:
         represent(word, switch)
         assert len(built) <= 2 * (word.n * switch.k) ** 2, len(built)
 
+    def test_scalar_entries_are_built_once(self, monkeypatch):
+        # over Z_p the running product holds residues across the word:
+        # represent builds one FieldScalar per entry of the result (and the
+        # identity's two), not one per entry and letter
+        switch = ZP_SWITCHES["q_bidiagonal"]()
+        switch.inverse()
+        word = random_word(random.Random(7), 4, 40, VIRTUAL)
+        built = []
+        init = FieldScalar.__init__
+        monkeypatch.setattr(FieldScalar, "__init__",
+                            lambda self, *args: built.append(1) or init(self, *args))
+        represent(word, switch)
+        assert len(built) <= (word.n * switch.k) ** 2 + 2, len(built)
+
     def test_empty_word_is_identity(self):
         switch = ZP_SWITCHES["q_upper"]()
         assert represent(parse_braid("", strands=3), switch).is_identity()
@@ -314,3 +329,32 @@ class TestRepresent:
     def test_flat_word_needs_involutive_switch(self):
         with pytest.raises(SwitchError, match="involutive"):
             represent(word_l(2), burau_switch())
+
+
+# one word per zp-braids stratum: a q-family switch over Z_p, p near 100, and
+# a seeded virtual word; outputs in the form "corank=<c> det=<det(M - I)>"
+ZP_BRAIDS_CASES = {
+    "q_upper-k3-n4-L40": (lambda: family_q_upper(3, q=5, a=2, b=3, d=4, e=6, p=97),
+                          4, 40, "corank=0 det=26"),
+    "q_bidiagonal-k3-n5-L60": (lambda: family_q_bidiagonal(3, q=5, a=2, b=[3, 7], p=101),
+                               5, 60, "corank=0 det=41"),
+    "q_upper-k4-n5-L80": (lambda: family_q_upper(4, q=7, a=3, b=2, d=5, e=11, p=103),
+                          5, 80, "corank=0 det=18"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZP_BRAIDS_CASES))
+def test_zp_braids_outputs_are_pinned(name):
+    rep, strands, length, expected = ZP_BRAIDS_CASES[name]
+    switch = weyl_switch(rep())
+    word = random_word(random.Random(name), strands, length, VIRTUAL)
+    assert len(word.letters) == length
+    m = represent(word, switch)
+    ring = switch.ring
+    for row in m.rows:
+        for e in row:
+            assert type(e) is FieldScalar and e.ring is ring, e
+            assert type(e.value) is int and 0 <= e.value < ring.p, e
+    a = m - Matrix.identity(ring, m.nrows)
+    corank = a.nrows - rank_over_fractions(a)
+    assert f"corank={corank} det={det_exact(a)!r}" == expected

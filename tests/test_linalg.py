@@ -20,6 +20,7 @@ from weylknots.linalg import (
 from weylknots.rings import (
     QQ,
     FieldScalar,
+    FractionElement,
     FractionField,
     LaurentPolynomial,
     LaurentRing,
@@ -251,6 +252,90 @@ class TestScalarProducts:
         assert entry == QQ("5/2") and type(entry.value) is Fraction
         [[entry]] = (Matrix([[QQ("1/2"), QQ("-1/3")]], QQ) * b).rows
         assert entry.is_zero() and type(entry.value) is int
+
+
+# the kernel form: values over Z_p and Q, raw pairs over F[x, x^-1] ----------
+
+QT = PolynomialRing(QQ, "t")
+KERNEL_RINGS = {**SCALAR_FIELDS, "Z3": F3, "FracQt": FractionField(QT),
+                "Q[t^+-1]": LaurentRing(QT), "Z3[y^+-1]": L3y}
+
+
+def _kernel_entry(rng, ring):
+    """A seeded entry of ring, zero about one time in three."""
+    if not isinstance(ring, (LaurentRing, FractionField)):
+        return _scalar_entry(rng, ring)
+    if rng.random() < 1 / 3:
+        return ring.zero
+    if isinstance(ring, LaurentRing):
+        return _random_entry(rng, ring, rng.randrange(3))
+    dom = ring.domain
+    return ring(dom([rng.randint(-2, 2), rng.randint(1, 2)]),
+                dom([rng.randint(1, 2), rng.randint(0, 1)]))
+
+
+def _kernel_matrix(rng, ring, nrows, ncols, zero_row=None):
+    rows = [[_kernel_entry(rng, ring) for _ in range(ncols)] for _ in range(nrows)]
+    if zero_row is not None:
+        rows[zero_row] = [ring.zero] * ncols
+    return Matrix(rows, ring)
+
+
+def _assert_kernel_form(rows, m):
+    """rows is m's in the form of ``kernel_rows``: over Z_p the value, an int
+    in [0, p); over Q the value, an int exactly when it is integral; over
+    F[x, x^-1] the raw pair (offset, coefficient tuple); over Frac(F[x])
+    an element, equal to m's."""
+    ring = m.ring
+    assert type(rows) is list and len(rows) == m.nrows
+    for row, elements in zip(rows, m.rows):
+        assert type(row) is list and len(row) == m.ncols
+        for v, e in zip(row, elements):
+            if isinstance(ring, PrimeField):
+                assert type(v) is int and 0 <= v < ring.p and v == e.value, (v, e)
+            elif isinstance(ring, RationalField):
+                assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), v
+                assert v == e.value, (v, e)
+            elif isinstance(ring, LaurentRing):
+                assert v == (e.offset, e.poly.coeffs), (v, e)
+                assert type(v[0]) is int and type(v[1]) is tuple, v
+            else:
+                assert type(v) is FractionElement and v.ring is ring and v == e, (v, e)
+
+
+KERNEL_SHAPES = [(1, 1), (1, 4), (4, 1), (3, 5), (5, 3), (4, 4)]
+
+
+class TestKernelForm:
+    """``Matrix.kernel_rows``, ``_row_times`` and ``Matrix.from_kernel_rows``
+    keep one form, so a running product holds values, not elements."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_RINGS))
+    def test_roundtrip_and_entry_form(self, name):
+        ring = KERNEL_RINGS[name]
+        rng = random.Random(f"kernel form {name}")
+        for nrows, ncols in KERNEL_SHAPES * 2:
+            for m in (_kernel_matrix(rng, ring, nrows, ncols),
+                      _kernel_matrix(rng, ring, nrows, ncols, rng.randrange(nrows)),
+                      Matrix.zeros(ring, nrows, ncols)):
+                rows = m.kernel_rows()
+                _assert_kernel_form(rows, m)
+                back = Matrix.from_kernel_rows(rows, ring)
+                assert back == m and back.rows == m.rows, m
+                assert all(type(e) is type(f) for r, s in zip(back.rows, m.rows)
+                           for e, f in zip(r, s)), m
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_RINGS))
+    def test_row_times_keeps_the_form(self, name):
+        ring = KERNEL_RINGS[name]
+        rng = random.Random(f"kernel product {name}")
+        for nrows, ncols in KERNEL_SHAPES:
+            a = _kernel_matrix(rng, ring, nrows, ncols, rng.randrange(nrows))
+            b = _kernel_matrix(rng, ring, ncols, nrows, rng.randrange(ncols))
+            out = [linalg._row_times(row, b.kernel_rows(), ring) for row in a.kernel_rows()]
+            expected = Matrix(_loop_product(a, b), ring)
+            _assert_kernel_form(out, expected)
+            assert Matrix.from_kernel_rows(out, ring) == expected, (a, b)
 
 
 class TestDeterminant:

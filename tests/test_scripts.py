@@ -94,3 +94,22 @@ def test_private_names_stay_in_their_module():
                 found.update((path.stem, module, alias.name) for alias in node.names
                              if alias.name.startswith("_"))
     assert found <= PRIVATE_IMPORTS, sorted(found - PRIVATE_IMPORTS)
+
+
+def test_one_product_path_in_represent():
+    # braids.represent hands its running product to linalg in the form of
+    # Matrix.kernel_rows and takes it back by from_kernel_rows; it names no
+    # ring class and reads no scalar's value, so no ring kind gets a fork
+    rings = ast.parse((ROOT / "src" / "weylknots" / "rings.py").read_text(encoding="utf-8"))
+    ring_classes = {node.name for node in rings.body if isinstance(node, ast.ClassDef)}
+    assert {"FieldScalar", "PrimeField", "LaurentRing"} <= ring_classes
+    path = ROOT / "src" / "weylknots" / "braids.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name) and node.id in ring_classes | {"type"}:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in ("value", "p", "__class__"):
+            found.add("." + node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names if alias.name in ring_classes)
+    assert not found, sorted(found)
