@@ -32,17 +32,18 @@ of the Smith step, and strips each remainder of the Smith step's
 
 Products, in ``Matrix.__mul__`` and in ``braids.represent``, go through one
 row-times-matrix kernel, ``_row_times``, on rows in the form of
-``kernel_rows``, which is the form of its output too.  It computes each
-output entry by one sum over the entry's nonzero products, reduced once,
-so no ring element is built for a single product or partial sum:
-``poly_dot`` over F[x, x^-1]; over Z_p and Q a plain sum of the scalars'
-values, reduced mod p, or over Q made an int when integral, as ``QQ``
-does; over Frac(F[x]) the field's ``dot``, which sums the numerators by
-``poly_dot``.  Z_p and Q values, like Laurent ones, therefore ride across
-a whole word in ``represent``: its running product holds ints in [0, p)
-over Z_p, and ``from_kernel_rows`` builds one ``FieldScalar`` per entry of
-the result.  Frac(F[x]) rows stay elements.  The eliminations and
-``mat_inverse`` take a field matrix's rows as elements, not values.
+``kernel_rows``, which is the form of its output too.  Over F[x, x^-1],
+Z_p and Q it computes each output entry by one sum over the entry's
+nonzero products, reduced once, so no ring element is built for a single
+product or partial sum: ``poly_dot`` over F[x, x^-1], and over Z_p and Q
+a plain sum of the scalars' values, reduced mod p, or over Q made an int
+when integral, as ``QQ`` does.  Z_p and Q values, like Laurent ones,
+therefore ride across a whole word in ``represent``: its running product
+holds ints in [0, p) over Z_p, and ``from_kernel_rows`` builds one
+``FieldScalar`` per entry of the result.  Frac(F[x]) rows stay elements,
+summed by the field's operators: only the rep gate and a symbolic
+``weyl_switch`` multiply fractions.  The eliminations and ``mat_inverse``
+take a field matrix's rows as elements, not values.
 
 Each matrix runs its elimination at most once: the result, (rank, det,
 factors) for both kinds, is kept on the immutable ``Matrix``, and
@@ -222,23 +223,22 @@ def _row_times(row, rows, ring):
     list of equally long rows, all in the form of ``Matrix.kernel_rows``,
     which is also the form of the output.  Each output entry is one sum
     over the row's nonzero entries a, in row order, of a times the entry b
-    below it, reduced once: ``poly_dot`` over F[x, x^-1], skipping a zero
-    b too; ``ring.dot`` of the (a, b) pairs over Frac(F[x]), likewise; and
-    over Z_p and Q a plain sum of the values a * b, kept as one list of
-    running sums that each nonzero a updates in one pass over its row of
-    rows, then reduced mod p, or over Q made an int when it is integral,
-    as ``QQ`` does.  A zero entry of row costs nothing, and no element is
-    built."""
+    below it: ``poly_dot`` over F[x, x^-1], reduced once, skipping a zero
+    b too; otherwise one list of running sums that each nonzero a updates
+    in one pass over its row of rows, of elements over Frac(F[x]), and of
+    values over Z_p and Q, then reduced mod p, or over Q made an int when
+    it is integral, as ``QQ`` does.  A zero entry of row costs nothing."""
     if isinstance(ring, LaurentRing):
         field = ring.field
         terms = [(r, a) for r, a in zip(rows, row) if a[1]]
         return [poly_dot([(a, b) for r, a in terms if (b := r[c])[1]], field)
                 for c in range(len(rows[0]))]
     if isinstance(ring, FractionField):
-        terms = [(r, a) for r, a in zip(rows, row) if not a.is_zero()]
-        dot = ring.dot
-        return [dot([(a, b) for r, a in terms if not (b := r[c]).is_zero()])
-                for c in range(len(rows[0]))]
+        sums = [ring.zero] * len(rows[0])
+        for r, a in zip(rows, row):
+            if not a.is_zero():
+                sums = [s + a * b for s, b in zip(sums, r)]
+        return sums
     sums = [0] * len(rows[0])
     for r, a in zip(rows, row):
         if a:
@@ -445,7 +445,7 @@ def _laurent_smith(rows, ring):
     """
     nrows, ncols = len(rows), len(rows[0])
     field, pring = ring.field, ring.poly_ring
-    c, s, diag = field.cone, 0, []
+    c, s, diag = 1, 0, []
     for t in range(min(nrows, ncols)):
         cells = [(len(e[1]), r, j) for r in range(t, nrows)
                  for j, e in enumerate(rows[r][t:], t) if e[1]]

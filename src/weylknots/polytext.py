@@ -65,7 +65,7 @@ def _parse_terms(text: str, ring):
 
 def _terms_poly(terms, ring, low: int):
     """sum of c * var^(e - low) over the parsed {e: c}, e >= low."""
-    coeffs = [ring.field.czero] * (max(terms) - low + 1)
+    coeffs = [0] * (max(terms) - low + 1)
     for e, c in terms.items():
         coeffs[e - low] = c
     return ring.from_raw(coeffs)

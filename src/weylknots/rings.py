@@ -22,12 +22,13 @@ Representation conventions:
 
 * Coefficients are plain Python numbers: ints in ``[0, p)`` over
   ``PrimeField(p)``; over ``QQ``, whose ``p`` is 0, ints and
-  ``fractions.Fraction`` values in lowest terms.  A rational built from
-  integers over the denominator 1 is the int itself (``_rational``), and
-  ``from_raw`` turns an integral Fraction into its int; the two compare,
-  hash and print alike, so this only spares ``Fraction`` arithmetic.
-  Arithmetic on coefficients is Python's own ``+ - *``; the fields supply
-  only ``czero``, ``cone``, ``cinv`` and ``cstr``.
+  ``fractions.Fraction`` values in lowest terms.  An integral rational
+  built from integers is the int itself (``_rational``), and ``from_raw``
+  turns an integral Fraction into its int; the two compare, hash and
+  print alike, so this only spares ``Fraction`` arithmetic.  Arithmetic
+  on coefficients is Python's own ``+ - *``, zero and one are the ints 0
+  and 1, and a coefficient prints by ``str``; the fields supply only
+  ``p`` and ``cinv``.
 * ``PrimeField(p)`` scalars reduce their value in every constructor and
   operator, so ``is_zero`` and ``is_one`` read the value.
 * ``UniPolynomial`` stores an ascending coefficient tuple with a nonzero
@@ -42,7 +43,8 @@ Representation conventions:
 * ``FractionElement`` keeps numerator/denominator over a univariate
   domain F[x], reduced and with a monic denominator, the gcd skipped where
   the answer is known (see ``FractionField``).  That pair is unique, so
-  equality compares it.
+  equality compares it.  Fractions have no sum of products: ``linalg``
+  adds their products with the ring's own operators.
 
 A product of two polynomials is one integer convolution, ``_convolve``:
 over Z_p of the residues, over Q of the coefficients scaled to integers
@@ -51,13 +53,8 @@ over Z_p of the residues, over Q of the coefficients scaled to integers
 ``LaurentPolynomial``: it adds every product into one integer accumulator
 and reduces it mod p, strips it and, over Q, divides it by its one
 denominator once.  ``linalg`` runs Laurent matrices on raw values through
-it, and ``FractionField.dot`` sums its numerators with it.  Every gcd over
-Q runs on integers too (``_integer_gcd``); over Z_p it is the Euclidean
-algorithm.
-
-Only ``FractionField`` has ``dot(pairs)``, the sum of a * b over a list of
-fraction pairs, normalized once, for ``linalg``'s product kernel; over
-Z_p and Q that kernel sums the scalars' values itself.
+it.  Every gcd over Q runs on integers too (``_integer_gcd``); over Z_p it
+is the Euclidean algorithm.
 """
 
 from __future__ import annotations
@@ -240,7 +237,7 @@ class FieldScalar(RingElement):
         return hash((self.ring, self.value))
 
     def __repr__(self):
-        return self.ring.cstr(self.value)
+        return str(self.value)
 
 
 class PrimeField:
@@ -276,17 +273,10 @@ class PrimeField:
     def one(self):
         return FieldScalar(self, 1)
 
-    # coefficients: ints in [0, p)
-    czero = 0
-    cone = 1
-
     def cinv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"inverse of 0 in Z_{self.p}")
         return pow(a, self.p - 2, self.p)
-
-    def cstr(self, a):
-        return str(a)
 
     def __eq__(self, other):
         return other is self or (isinstance(other, PrimeField) and other.p == self.p)
@@ -326,19 +316,10 @@ class RationalField:
     def one(self):
         return FieldScalar(self, 1)
 
-    # coefficients: ints for integers, Fractions in lowest terms otherwise
-    czero = 0
-    cone = 1
-
     def cinv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in Q")
         return _rational(a.denominator, a.numerator)
-
-    def cstr(self, a):
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -354,9 +335,10 @@ QQ = RationalField()
 
 
 def _rational(n, d):
-    """n / d over Q for ints n and d != 0: n itself when d is 1, so that an
-    integer built over the denominator 1 stays an int; a Fraction otherwise."""
-    return n if d == 1 else Fraction(n, d)
+    """n / d over Q for ints n and d != 0: the int quotient when d divides
+    n, so that an integer stays an int; a Fraction otherwise."""
+    quo, rem = divmod(n, d)
+    return Fraction(n, d) if rem else quo
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +389,7 @@ def poly_dot(pairs, field):
     is reduced and stripped once, so the factors' coefficients need not be
     reduced.  Over Q each factor is scaled to integers (``_scaled``) and
     the accumulator holds integers over one denominator, divided out once
-    per coefficient kept (``_rational``): with the denominator 1, the
-    common case of integer factors, the coefficients stay ints."""
+    per coefficient kept (``_rational``), so an integral one is an int."""
     if not pairs:
         return 0, ()
     p = field.p
@@ -448,7 +429,7 @@ def divmod_raw(field, a, b):
     p = field.p
     rem = list(a)
     lead_inv = field.cinv(b[-1])
-    quot = [field.czero] * (len(a) - len(b) + 1)
+    quot = [0] * (len(a) - len(b) + 1)
     for k in range(len(quot) - 1, -1, -1):
         c = rem[k + len(b) - 1] * lead_inv
         if p:
@@ -504,11 +485,11 @@ class PolynomialRing:
 
     @property
     def one(self):
-        return UniPolynomial(self, (self.field.cone,))
+        return UniPolynomial(self, (1,))
 
     @property
     def gen(self):
-        return UniPolynomial(self, (self.field.czero, self.field.cone))
+        return UniPolynomial(self, (0, 1))
 
     def __eq__(self, other):
         return other is self or (isinstance(other, PolynomialRing)
@@ -549,7 +530,7 @@ class UniPolynomial(RingElement):
         # a longer self keeps its top coefficients as they are
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
-            a += (self.ring.field.czero,) * (len(b) - len(a))
+            a += (0,) * (len(b) - len(a))
         return self.ring.from_raw([*map(op, a, b), *a[len(b):]])
 
     def __add__(self, other):
@@ -614,7 +595,7 @@ class UniPolynomial(RingElement):
             raise ValueError(f"shift by a negative power: {k}")
         if self.is_zero() or k == 0:
             return self
-        return UniPolynomial(self.ring, (self.ring.field.czero,) * k + self.coeffs)
+        return UniPolynomial(self.ring, (0,) * k + self.coeffs)
 
     def __eq__(self, other):
         if other.__class__ is not UniPolynomial or other.ring is not self.ring:
@@ -625,7 +606,7 @@ class UniPolynomial(RingElement):
         return hash((self.ring, self.coeffs))
 
     def __repr__(self):
-        return _poly_str(self.ring.field, self.coeffs, self.ring.var)
+        return _poly_str(self.coeffs, self.ring.var)
 
 
 def _valuation(coeffs):
@@ -685,19 +666,7 @@ def _integer_gcd(a, b):
     return b
 
 
-def _exact_quotient(a, b):
-    """a / b for int lists with b | a over Z, by long division."""
-    n, lead, r, quot = len(b) - 1, b[-1], list(a), []
-    while len(r) > n:
-        c = r.pop() // lead
-        quot.append(c)
-        s = len(r) - n
-        for j in range(n):
-            r[s + j] -= c * b[j]
-    return quot[::-1]
-
-
-def _poly_str(field, coeffs, var):
+def _poly_str(coeffs, var):
     if not coeffs:
         return "0"
     parts = []
@@ -705,7 +674,7 @@ def _poly_str(field, coeffs, var):
         c = coeffs[k]
         if not c:
             continue
-        cs = field.cstr(c)
+        cs = str(c)
         if k == 0:
             term = cs
         else:
@@ -924,21 +893,9 @@ class FractionField:
     * a zero operand: a +- 0 is a, 0 + b is b, 0 - b is -b, and a product
       with a zero factor is zero, with no normalization at all.
 
-    Where it runs, the gcd is ``poly_gcd``'s Euclidean algorithm over Z_p.
-    Over Q[x] both sides are scaled to integer lists, their primitive gcd
-    (``_integer_gcd``) is divided out of both on the integers, exactly by
-    Gauss's lemma, and the canonical pair is built with one ``_rational``
-    per coefficient, an int over the denominator 1: no ``Fraction``
-    arithmetic runs in between.
-
-    Over Q[x], a product (``_mul_raw``) convolves the operands scaled to
-    integers and divides by their denominator once per output coefficient,
-    not once per coefficient pair.  ``dot``, the matrix product's sum of
-    products, sums its numerators with ``poly_dot``, which runs on those
-    integers too, and normalizes each sum once; a denominator that is a
-    power of x, the common case in the products that build a symbolic Weyl
-    switch before ``weyl_switch`` moves it to F[x, x^-1], needs no gcd
-    there.
+    Where it runs, the gcd is ``poly_gcd`` (the Euclidean algorithm over
+    Z_p, the integer remainder sequence over Q), divided out of both sides
+    by ``exact_div``; the pair is then made monic.
 
     ``field(num, den)`` builds num / den from anything ``domain`` converts,
     and ``field(x)`` also takes a fraction or a Laurent polynomial f x^k,
@@ -969,39 +926,6 @@ class FractionField:
                                    self.domain.one.shift(max(-k, 0)))
         # n/1 is already canonical
         return FractionElement(self, self.domain(num), self.domain.one)
-
-    def dot(self, pairs):
-        """The sum of a * b over a list of fraction pairs, reduced once.
-
-        Each product's denominator is x^k times a part with nonzero constant
-        term, 1 when it is a power of x.  The products' numerators are
-        aligned over the highest x^k and summed by one ``poly_dot`` per
-        part; the sums are combined by cross-multiplication, and
-        ``_make_fraction`` runs once."""
-        domain = self.domain
-        field = domain.field
-        sums = {}
-        for a, b in pairs:
-            x, y = a.num.coeffs, b.num.coeffs
-            if x and y:
-                u, v = a.den.coeffs, b.den.coeffs
-                i, j = _valuation(u), _valuation(v)
-                u, v = u[i:], v[j:]
-                part = (v if len(u) == 1 else u if len(v) == 1
-                        else domain.from_raw(_mul_raw(field, u, v)).coeffs)
-                sums.setdefault(part, []).append((i + j, x, y))
-        if not sums:
-            return self.zero
-        top = max([k for group in sums.values() for k, _, _ in group])
-        pad = (field.czero,)
-        fractions = []
-        for part, group in sums.items():
-            k, c = poly_dot([((top - k, x), (0, y)) for k, x, y in group], field)
-            fractions.append((UniPolynomial(domain, pad * k + c), UniPolynomial(domain, part)))
-        num, den = fractions[0]
-        for n, d in fractions[1:]:
-            num, den = num * d + n * den, den * d
-        return _make_fraction(self, num, den.shift(top))
 
     @property
     def zero(self):
@@ -1038,19 +962,6 @@ def _make_fraction(ring, num, den, coprime=False):
             if s:
                 num = UniPolynomial(ring.domain, num.coeffs[s:])
                 den = UniPolynomial(ring.domain, den.coeffs[s:])
-        elif not ring.domain.field.p:
-            # n / dn over d / dd with n, d integer lists; by Gauss's lemma
-            # their primitive gcd divides both over Z
-            n, dn = _scaled(num.coeffs)
-            d, dd = _scaled(den.coeffs)
-            g = _integer_gcd(n, d)
-            if len(g) > 1:
-                n, d = _exact_quotient(n, g), _exact_quotient(d, g)
-            lead = d[-1]
-            scale = lead * dn
-            return FractionElement(
-                ring, UniPolynomial(ring.domain, tuple([_rational(c * dd, scale) for c in n])),
-                UniPolynomial(ring.domain, tuple([_rational(c, lead) for c in d])))
         else:
             g = poly_gcd(num, den)
             if not g.is_one():

@@ -5,7 +5,10 @@ A 1-dim rep of the q-Weyl algebra forces A = 1 - q, so its switch is
 Sawollek's generalized Alexander switch with bc = q.  On classical words
 the k-dim switches of both q-families see k copies of the Burau module at
 t = q: k times its corank and k copies of each of its nontrivial invariant
-factors.
+factors.  On every word the determinant of a q_upper switch is the product
+of its 1-dim determinants (Jordan, *A simple localization of the quantized
+Weyl algebra*, J. Algebra 1995): its blocks are upper triangular, so M - I
+is block triangular over the weights.
 """
 
 import random
@@ -13,10 +16,10 @@ from fractions import Fraction
 
 import pytest
 
-from weylknots.braids import CLASSICAL, parse_braid, represent
+from weylknots.braids import CLASSICAL, VIRTUAL, parse_braid, represent
 from weylknots.linalg import Matrix, closure_invariants, det_exact, invariant_factors
 from weylknots.reps import family_q_bidiagonal, family_q_upper
-from weylknots.rings import QQ, LaurentRing, PolynomialRing
+from weylknots.rings import QQ, LaurentRing, PolynomialRing, laurent_canonicalize
 from weylknots.switches import burau_switch, sawollek_switch, weyl_switch
 
 LQ = LaurentRing(PolynomialRing(QQ, "q"))
@@ -75,6 +78,38 @@ def test_classical_words_see_k_copies_of_burau(name, seed):
     q_corank, q_factors = _module(word, switch)
     assert q_corank == switch.k * corank
     assert q_factors == sorted(factors * switch.k, key=lambda f: f.coeffs)
+
+
+def _virtual_word(rng):
+    """A seeded virtual word on 2-3 strands with 2-6 letters s_i^+-1 and t_i."""
+    n = rng.randint(2, 3)
+    letters = []
+    for _ in range(rng.randint(2, 6)):
+        kind, i = rng.choice("st"), rng.randint(1, n - 1)
+        letters.append(f"{kind}{i}^-1" if kind == "s" and rng.random() < 0.5 else f"{kind}{i}")
+    return parse_braid(" ".join(letters), VIRTUAL, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_q_upper_det_is_the_product_of_one_dim_dets(n):
+    rep = family_q_upper(n, q="q", a=2, b=3, d=-1, e="1/2")
+    switch = weyl_switch(rep)
+    for block in (switch.A, switch.B, switch.C, switch.D):
+        assert all(block.rows[i][j].is_zero() for i in range(n) for j in range(i))
+    # the 1-dim switches at the weights u_r = U_rr
+    ones = [weyl_switch(family_q_upper(1, q="q", a=rep.U.rows[r][r], b=1, d=1, e=1))
+            for r in range(n)]
+    rng = random.Random(f"q_upper{n}")
+    nonzero = 0
+    for _ in range(40):
+        word = _virtual_word(rng)
+        product = LQ.one
+        for one in ones:
+            product = product * det_exact(_closure(word, one))
+        det = det_exact(_closure(word, switch))
+        assert laurent_canonicalize(det)[0] == laurent_canonicalize(product)[0], word
+        nonzero += not det.is_zero()
+    assert nonzero >= 10  # 13 at n = 2 and 12 at n = 3
 
 
 def test_torus_knot_t25_pin():

@@ -212,7 +212,9 @@ def test_integer_gcd_divides_exactly_over_z(seed):
         g = rings._integer_gcd(ia, ib)
         assert math.gcd(*g) == 1 and len(g) - 1 == poly_gcd(a, b).degree
         for ints in (ia, ib):
-            assert rings._convolve(rings._exact_quotient(ints, g), g) == ints
+            quot, rem = rings.divmod_raw(QQ, ints, g)
+            assert not any(rem) and all(c == int(c) for c in quot)
+            assert rings._convolve(quot, g) == ints
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -67,15 +67,27 @@ def test_exports_resolve():
         assert getattr(weylknots, name, None) is not None, name
 
 
-def test_one_coercion():
-    # ring(x) is the one conversion: only RingElement defines _coerce
+def _classes_defining(method):
+    """Names of the classes in the package whose body defines method."""
     found = set()
     for path in sorted((ROOT / "src" / "weylknots").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.ClassDef):
                 found.update(node.name for item in node.body
-                             if isinstance(item, ast.FunctionDef) and item.name == "_coerce")
+                             if isinstance(item, ast.FunctionDef) and item.name == method)
+    return found
+
+
+def test_one_coercion():
+    # ring(x) is the one conversion: only RingElement defines _coerce
+    found = _classes_defining("_coerce")
     assert found == {"RingElement"}, sorted(found)
+
+
+def test_no_ring_has_dot():
+    # a matrix product sums its entries in linalg._row_times alone
+    found = _classes_defining("dot")
+    assert not found, sorted(found)
 
 
 # The underscore names one module of the package may import from another.
